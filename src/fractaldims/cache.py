@@ -2,12 +2,14 @@
 
 The cache root comes from the FRACTAL_DIMS_CACHE environment variable;
 without it caching is disabled.  Entries are directories named by the
-SHA-256 of (command, canonical config); writes go through a temp
-directory and a rename so a crashed run never leaves a half entry.
+SHA-256 of (command, canonical config, package version, source digest),
+so a result computed by other code is never served; writes go through a
+temp directory and a rename so a crashed run never leaves a half entry.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -23,6 +25,16 @@ def canonical_json(doc) -> str:
 def config_hash(command: str, config: dict) -> str:
     payload = canonical_json({"command": command, "config": config})
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the package's own *.py files, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def sha256_file(path: Path) -> str:

@@ -6,7 +6,9 @@
 Each run reads one JSON config document (flags override file values),
 writes its outputs plus a manifest.json into the output directory, and
 is keyed by the SHA-256 of the canonical config.  With FRACTAL_DIMS_CACHE
-set, heavy stages are reused from the cache byte-for-byte.  All commands
+set, heavy stages are reused from the cache byte-for-byte; cache entries
+are keyed by the config, the package version and a digest of the
+package source, so results of other code are never served.  All commands
 are deterministic: identical configs produce identical CSV bytes.
 """
 
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cache import ResultCache, canonical_json, config_hash, sha256_file
+from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
                        remainder_term)
 from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
@@ -33,9 +35,10 @@ from .sampled import SampledFunction, antiderivative, geometric_grid
 from .tubes import distance_field, minkowski_fit, tube_function, verify_gkf_sfe
 from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal,
                       sector_region, snowflake)
-from .zeta import (ComplexDimensionSet, DirichletPoly, RatioMultiset,
-                   detect_lattice, lattice_poles, lower_similarity_dimension,
-                   nonlattice_poles, similarity_dimension)
+from .zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
+                   RatioMultiset, detect_lattice, lattice_poles,
+                   lower_similarity_dimension, nonlattice_poles,
+                   similarity_dimension)
 
 
 def _fmt(x: float) -> str:
@@ -129,8 +132,9 @@ def cmd_dims(cfg):
              ("lower_similarity_dimension", d_lo),
              ("lattice", "yes" if lattice else "no")]),
     }
-    return files, [{"name": "moran_root", "passed": True,
-                    "detail": f"D={d_up:.12g}"}]
+    residual = abs(float(DirichletPoly(ratios)(d_up)))
+    return files, [{"name": "moran_root", "passed": residual < 1e-12,
+                    "detail": f"D={d_up:.12g}, |P(D)|={residual:.3e}"}]
 
 
 def cmd_poles(cfg):
@@ -142,9 +146,18 @@ def cmd_poles(cfg):
         "poles.svg": _poles_svg(dims),
         "poles.json": (dims.to_json() + "\n").encode(),
     }
-    verdict = "lattice" if dims.lattice is not None else "nonlattice"
-    return files, [{"name": "pole_search", "passed": True,
-                    "detail": f"{len(dims.poles)} poles, {verdict}"}]
+    poly = DirichletPoly(ratios)
+    max_p = max((abs(poly(p.omega)) for p in dims.poles), default=0.0)
+    passed = max_p < POLE_TOL
+    detail = f"{len(dims.poles)} poles, max|P|={max_p:.3e}, "
+    if dims.lattice is not None:
+        detail += "lattice"
+    else:
+        emitted = sum(p.multiplicity for p in dims.poles)
+        passed = passed and emitted == dims.search_count
+        detail += f"nonlattice, winding count {dims.search_count}"
+    return files, [{"name": "pole_search", "passed": bool(passed),
+                    "detail": detail}]
 
 
 def _compute_tube(cfg):
@@ -282,8 +295,10 @@ def cmd_explicit(cfg):
     lam_min = float(np.min(ratios.ratios)) ** alpha
     delta = min(delta, float(norm.ts[-1]) * lam_min * 0.999)
     dims = _locate_poles(ratios, im_max)
+    # build_terms reads residues of simple poles only
     residues = [sfe_zeta_residue(ratios, norm, remainder, p.omega, delta,
                                  alpha=alpha)
+                if p.multiplicity == 1 else None
                 for p in dims.poles]
     built = build_terms(dims, residues, beta=beta, alpha=alpha, k=k)
     terms = list(built.terms)
@@ -387,12 +402,16 @@ def run_command(command: str, config: dict, out_dir: Path,
     """Execute one command, write outputs + manifest, return the out dir."""
     started = time.time()
     key = config_hash(command, config)
+    # results of other code are never served: the key carries the code too
+    cache_key = config_hash(command, {"config": config,
+                                      "version": __version__,
+                                      "source": source_digest()})
     cache = ResultCache()
     from_cache = False
     files = None
     checks = []
     if command in CACHED_COMMANDS:
-        cached = cache.load_all(key)
+        cached = cache.load_all(cache_key)
         if cached is not None:
             files = {k: v for k, v in cached.items()
                      if k != "checks.json"}
@@ -401,7 +420,7 @@ def run_command(command: str, config: dict, out_dir: Path,
     if files is None:
         files, checks = COMMANDS[command](config)
         if command in CACHED_COMMANDS:
-            cache.store(key, {**files,
+            cache.store(cache_key, {**files,
                               "checks.json": json.dumps(checks).encode()})
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, blob in files.items():

@@ -11,8 +11,9 @@ valid pointwise for k >= 2, where rho_omega is the residue of
 s -> zeta_f(s/alpha; delta) at omega and (z)_k is the Pochhammer
 symbol.  The sum is a symmetric limit: terms are added in order of
 |Im omega| under increasing cutoffs, so conjugate pairs cancel their
-imaginary parts.  Residues always come from the zeta factorization
-(see mellin.sfe_zeta_residue), never from divergent quadrature.
+imaginary parts.  Residues come in closed form from the zeta
+factorization, h(omega/alpha) / P'(omega) at each simple pole (see
+mellin.sfe_zeta_residue), never from divergent quadrature.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class FormulaTerm:
     exponent: complex
     poch_denominator: complex
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.coeff * np.exp(self.exponent * np.log(t))
-
 
 @dataclass(frozen=True)
 class TermBuildResult:
@@ -63,9 +60,10 @@ def build_terms(dims: ComplexDimensionSet, zeta_residues, beta: float,
     """Assemble one term per simple pole.
 
     ``zeta_residues`` lists, aligned with dims.poles, the residues of
-    s -> zeta_f(s/alpha; delta) at each omega.  Non-simple poles are
-    excluded and reported (their contribution needs derivative terms the
-    simple-pole formula does not carry).
+    s -> zeta_f(s/alpha; delta) at each omega; entries at non-simple
+    poles are not read.  Non-simple poles are excluded and reported
+    (their contribution needs derivative terms the simple-pole formula
+    does not carry).
     """
     if len(zeta_residues) != len(dims.poles):
         raise ValueError("zeta_residues must align with dims.poles")

@@ -19,13 +19,13 @@ anywhere: the package never quadratures a divergent integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceDomainError, FitError, SampleRangeError
 from .sampled import SampledFunction, leading_power_fit
-from .zeta import DirichletPoly, RatioMultiset, residue_contour, zeta_eval
+from .zeta import DirichletPoly, RatioMultiset, residue_simple, zeta_eval
 
 
 @dataclass(frozen=True)
@@ -300,22 +300,22 @@ def verify_zeta_identity(ratios: RatioMultiset, f: SampledFunction,
 
 def sfe_zeta_residue(ratios: RatioMultiset, f: SampledFunction,
                      remainder: SampledFunction | None, omega: complex,
-                     delta: float, alpha: float = 1.0,
-                     radius: float = 0.1, nodes: int = 256) -> complex:
-    """Residue of s -> zeta_f(s/alpha; delta) at a pole omega of 1/P.
+                     delta: float, alpha: float = 1.0) -> complex:
+    """Residue of s -> zeta_f(s/alpha; delta) at a simple pole omega of 1/P.
 
-    Always evaluated through the factorization right side
-    zeta(s) * (xi(s/alpha) + zeta_R(s/alpha)) on a small circular
-    contour, never by quadrature of a divergent integral.
+    By the factorization zeta_f(s/alpha) = zeta(s) h(s/alpha) with
+    h = xi + zeta_R holomorphic near omega, the residue at a simple zero
+    of P is h(omega/alpha) / P'(omega) (Lapidus & van Frankenhuijsen,
+    *Fractal Geometry, Complex Dimensions and Zeta Functions*, 2nd ed.,
+    ch. 5): one evaluation of h, never a quadrature of a divergent
+    integral.  Raises MultiplePoleError when omega fails residue_simple's
+    simple-zero test (also at a multiple zero located only to ~1e-8); a
+    multiple pole needs residue_contour on the same factorization.
     """
-    poly = DirichletPoly(ratios)
-    ev_r = None if remainder is None else MellinEvaluator.build(remainder)
-
-    def g(s: complex) -> complex:
-        xi = partial_xi(ratios, f, s / alpha, delta, alpha)
-        h = xi.value
-        if ev_r is not None:
-            h += truncated_mellin(ev_r, s / alpha, 0.0, delta).value
-        return zeta_eval(poly, s) * h
-
-    return residue_contour(g, omega, radius=radius, nodes=nodes)
+    rho = residue_simple(DirichletPoly(ratios), omega)
+    s = complex(omega) / alpha
+    h = partial_xi(ratios, f, s, delta, alpha).value
+    if remainder is not None:
+        h += truncated_mellin(MellinEvaluator.build(remainder), s, 0.0,
+                              delta).value
+    return complex(h * rho)

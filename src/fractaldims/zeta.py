@@ -11,20 +11,23 @@ Two pole-location routes are provided.  In the lattice case (all ratios
 integer powers of a common generator) the zeros are read off from an
 ordinary polynomial and lie periodically on finitely many vertical lines.
 In the nonlattice case an argument-principle search over adaptively
-subdivided rectangles finds them.  Everything here is pure and operates on
-immutable values; rectangle subdivision results are merged in a fixed
-(Im, Re) order so output is deterministic.
+subdivided rectangles finds them (Kravanja & Van Barel, *Computing the
+Zeros of Analytic Functions*, LNM 1727, 2000): winding counts and first
+moments of P'/P come from vectorized composite Gauss-Legendre rules on
+the rectangle edges, with P and P' evaluated together on node arrays, so
+no adaptive scalar quadrature is involved.  Everything here is pure and
+operates on immutable values; rectangle subdivision results are merged
+in a fixed (Im, Re) order so output is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (ContourError, MultiplePoleError, PoleProximityError)
 
@@ -33,6 +36,11 @@ POLE_TOL = 1e-10
 
 #: refusal threshold for direct zeta evaluation near a pole
 NEAR_POLE_TOL = 1e-13
+
+#: a located zero is simple when |P'|^2 / (|P''| |P|) exceeds this, with
+#: |P| floored at its round-off; next to a zero of multiplicity m >= 2 the
+#: quotient is at most m / (m - 1) <= 2, at a polished simple zero ~1e15
+SIMPLE_POLE_MARGIN = 1e3
 
 #: denominator cap for the rational test on log-ratio quotients
 LATTICE_MAX_DENOMINATOR = 64
@@ -133,6 +141,21 @@ class DirichletPoly:
         mult = self.ratios.multiplicities
         return np.sum(mult * np.power(lam, s[..., None]) * (-np.log(lam)),
                       axis=-1)
+
+    def second_derivative(self, s):
+        """P''(s) = -sum a_k lambda_k^s log(lambda_k)^2."""
+        s = np.asarray(s)
+        lam = self.ratios.ratios
+        mult = self.ratios.multiplicities
+        return -np.sum(mult * np.power(lam, s[..., None]) * np.log(lam) ** 2,
+                       axis=-1)
+
+    def with_derivative(self, s):
+        """(P(s), P'(s)) from one shared array of a_k lambda_k^s."""
+        s = np.asarray(s)
+        lam = self.ratios.ratios
+        terms = self.ratios.multiplicities * np.power(lam, s[..., None])
+        return 1.0 - np.sum(terms, axis=-1), terms @ -np.log(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +340,10 @@ class ComplexDimensionSet:
     window: tuple[float, float, float]  # (re_min, re_max, im_max)
     lattice: LatticeStructure | None = None
     alpha: float = 1.0
-    #: actual contour used by the search (slightly expanded window), and the
-    #: total winding count inside it, for cross-checking against oracles
+    #: actual contour used by the search (slightly expanded window), and its
+    #: winding count less the zeros located in the margin outside the
+    #: window, i.e. the multiplicity the window's poles must add up to,
+    #: for cross-checking against oracles
     search_rect: tuple[float, float, float, float] | None = None
     search_count: int | None = None
 
@@ -401,12 +426,24 @@ def zeta_eval(poly: DirichletPoly, s, near_pole_tol: float = NEAR_POLE_TOL):
 
 def residue_simple(poly: DirichletPoly, omega: complex,
                    pole_tol: float = POLE_TOL) -> complex:
-    """Residue 1/P'(omega) of 1/P at a verified simple pole."""
-    if abs(poly(omega)) >= pole_tol:
-        raise ValueError(f"omega={omega} is not a pole: |P|="
-                         f"{abs(poly(omega)):.3e}")
-    dp = poly.derivative(omega)
-    if abs(dp) <= 1e-10:
+    """Residue 1/P'(omega) of 1/P at a verified simple pole.
+
+    P'(omega) alone does not tell a simple zero from a multiple one
+    located only to ~1e-8 (where |P'| ~ 1e-7), so the test is
+    scale-aware: the pole is refused as multiple when
+    |P'|^2 <= SIMPLE_POLE_MARGIN |P''| max(|P|, round-off of P).
+    """
+    p = complex(poly(omega))
+    if abs(p) >= pole_tol:
+        raise ValueError(f"omega={omega} is not a pole: |P|={abs(p):.3e}")
+    dp = complex(poly.derivative(omega))
+    d2p = complex(poly.second_derivative(omega))
+    # round-off of 1 - sum a_k lambda_k^omega, whose terms have moduli
+    # a_k lambda_k^Re(omega)
+    noise = np.finfo(float).eps * (1.0 + float(poly.moran_sum(omega.real)))
+    if (abs(dp) <= 1e-10
+            or abs(dp) ** 2 <= SIMPLE_POLE_MARGIN * abs(d2p) * max(abs(p),
+                                                                  noise)):
         raise MultiplePoleError(
             f"|P'(omega)|={abs(dp):.3e}: pole not simple; use contour residue")
     return complex(1.0 / dp)
@@ -526,45 +563,92 @@ def _newton_polish(poly: DirichletPoly, s: complex,
 # nonlattice pole location (argument principle on rectangles)
 
 
-def _winding_number(poly: DirichletPoly, rect, quad_eps: float = 1e-6):
+#: Gauss-Legendre order of each winding panel
+WINDING_ORDER = 16
+
+#: nodes evaluated per block, so long contours run in flat memory
+WINDING_BLOCK_NODES = 4096
+
+#: absolute error allowed on the contour integrals of P'/P and z P'/P
+#: (the latter relative to the largest |z| on the contour)
+WINDING_TOL = 1e-6
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(WINDING_ORDER)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)     # mapped to [0, 1]
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+def _panel_integrals(poly: DirichletPoly, start: np.ndarray,
+                     step: np.ndarray):
+    """Gauss-Legendre sums of P'/P dz and z P'/P dz on each panel
+    start + [0, 1] * step, evaluated WINDING_BLOCK_NODES nodes at a time."""
+    f = np.empty(len(start), dtype=complex)
+    g = np.empty(len(start), dtype=complex)
+    per_block = WINDING_BLOCK_NODES // WINDING_ORDER
+    for lo in range(0, len(start), per_block):
+        sl = slice(lo, lo + per_block)
+        z = start[sl, None] + step[sl, None] * _GL_NODES
+        p, dp = poly.with_derivative(z)
+        q = dp / p * _GL_WEIGHTS
+        f[sl] = step[sl] * q.sum(axis=1)
+        g[sl] = step[sl] * (q * z).sum(axis=1)
+    return f, g
+
+
+def _winding_number(poly: DirichletPoly, rect):
     """Winding count and first moment of P'/P around a rectangle boundary.
 
-    Each edge is integrated with adaptive Gauss-Kronrod quadrature on the
-    real and imaginary parts of (P'/P) z'(t); the count is rounded to the
-    nearest integer and rejected if the distance from an integer exceeds
-    0.25.  The first moment (integral of z P'/P) locates a lone zero.
+    The boundary starts as panels about half the fastest period of
+    lambda_k^z long.  Each panel's Gauss-Legendre sums of P'/P dz and
+    z P'/P dz are compared with the sums over its two halves; a panel
+    whose sums still change is halved again, so refinement gathers where
+    a zero lies close to the contour and stops once count and moment no
+    longer change (within WINDING_TOL, shared out by panel length).  A
+    zero on the contour itself ends in ContourError.  The count is
+    rounded to the nearest integer and rejected if it is more than 0.25
+    from one; the first moment (1/2 pi i) * integral of z P'/P dz is the
+    zero itself when the count is one.
     """
-    import warnings as _warnings
-
     a, b, c, d = rect  # re in [a,b], im in [c,d]
-    corners = [complex(a, c), complex(b, c), complex(b, d), complex(a, d)]
+    corners = np.array([complex(a, c), complex(b, c), complex(b, d),
+                        complex(a, d)])
+    edges = np.roll(corners, -1) - corners
+    panel = np.pi / float(np.max(-np.log(poly.ratios.ratios)))
+    pieces = np.maximum(1, np.ceil(np.abs(edges) / panel)).astype(int)
+    start = np.concatenate([z0 + dz * np.arange(m) / m
+                            for z0, dz, m in zip(corners, edges, pieces)])
+    step = np.repeat(edges / pieces, pieces)
+    f, g = _panel_integrals(poly, start, step)
+    perimeter = float(np.sum(np.abs(edges)))
+    scale = max(1.0, float(np.max(np.abs(corners))))
     total = 0.0 + 0.0j
     moment = 0.0 + 0.0j
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        for i in range(4):
-            z0, z1 = corners[i], corners[(i + 1) % 4]
-            dz = z1 - z0
-
-            def f(t, kind):
-                z = z0 + t * dz
-                val = poly.derivative(z) / poly(z) * dz
-                return val.real if kind == 0 else val.imag
-
-            def g(t, kind):
-                z = z0 + t * dz
-                val = z * poly.derivative(z) / poly(z) * dz
-                return val.real if kind == 0 else val.imag
-
-            re_i = quad(f, 0.0, 1.0, args=(0,), epsabs=quad_eps, limit=400)[0]
-            im_i = quad(f, 0.0, 1.0, args=(1,), epsabs=quad_eps, limit=400)[0]
-            re_m = quad(g, 0.0, 1.0, args=(0,), epsabs=quad_eps, limit=400)[0]
-            im_m = quad(g, 0.0, 1.0, args=(1,), epsabs=quad_eps, limit=400)[0]
-            total += complex(re_i, im_i)
-            moment += complex(re_m, im_m)
+    while len(start):
+        half = 0.5 * step
+        m = len(start)
+        hf, hg = _panel_integrals(poly, np.concatenate([start, start + half]),
+                                  np.concatenate([half, half]))
+        f2 = hf[:m] + hf[m:]
+        g2 = hg[:m] + hg[m:]
+        err = np.maximum(np.abs(f2 - f), np.abs(g2 - g) / scale)
+        if not np.all(np.isfinite(err)):
+            raise ContourError(f"winding integral diverged on {rect}")
+        # each panel's share of WINDING_TOL, floored above the round-off
+        # of its sums so panels next to a zero can still settle
+        done = err <= WINDING_TOL * np.maximum(np.abs(step) / perimeter,
+                                               1e-7)
+        total += f2[done].sum()
+        moment += g2[done].sum()
+        todo = ~done
+        if np.any(np.abs(half[todo]) < 1e-9 * perimeter):
+            raise ContourError(
+                f"winding integral did not settle on {rect}",
+                residual=float(np.max(err[todo])))
+        start = np.concatenate([start[todo], start[todo] + half[todo]])
+        step = np.tile(half[todo], 2)
+        f = np.concatenate([hf[:m][todo], hf[m:][todo]])
+        g = np.concatenate([hg[:m][todo], hg[m:][todo]])
     count = total / (2j * np.pi)
-    if not np.isfinite(count.real) or not np.isfinite(count.imag):
-        raise ContourError(f"winding integral diverged on {rect}")
     n = int(round(count.real))
     if abs(count - n) > 0.25:
         raise ContourError(
@@ -595,6 +679,7 @@ def _split_and_count(poly: DirichletPoly, rect, n: int, edge_tol: float):
     Candidate split lines are scanned for zeros of P and the two child
     winding counts must sum to the parent's; otherwise the next candidate
     fraction is tried (a zero close to the line poisons the quadrature).
+    Returns the two children as (rect, count, moment) triples.
     """
     ra, rb, rc, rd = rect
     vertical = (rb - ra) >= (rd - rc)
@@ -613,15 +698,16 @@ def _split_and_count(poly: DirichletPoly, rect, n: int, edge_tol: float):
         if _edge_min_abs(poly, z0, z1) <= edge_tol:
             continue
         try:
-            counts = [_winding_number(poly, kid)[0] for kid in kids]
+            found = [(kid, *_winding_number(poly, kid)) for kid in kids]
         except ContourError as err:
             last_err = err
             continue
+        counts = [kn for _, kn, _ in found]
         if sum(counts) != n:
             last_err = ContourError(
                 f"child counts {counts} disagree with parent {n} on {rect}")
             continue
-        return kids, counts
+        return found
     raise last_err or ContourError(
         f"no zero-free split line found for {rect}")
 
@@ -653,7 +739,7 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
                 float(im_max) + wi)
         if _rect_min_abs(poly, cand) > edge_tol:
             try:
-                total_count, _ = _winding_number(poly, cand)
+                total_count, total_moment = _winding_number(poly, cand)
                 rect = cand
                 break
             except ContourError:
@@ -666,14 +752,13 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
             poles=(), window=(a, b, float(im_max)), lattice=None)
 
     poles: list[Pole] = []
-    stack = [(rect, total_count)]
+    stack = [(rect, total_count, total_moment)]
     while stack:
-        r, n = stack.pop()
+        r, n, moment = stack.pop()
         ra, rb, rc, rd = r
         if n == 0:
             continue
         if n == 1 or max(rb - ra, rd - rc) < min_rect:
-            _, moment = _winding_number(poly, r)
             center = moment / n
             omega = _newton_polish(poly, complex(center))
             inside = (ra - 1e-9 <= omega.real <= rb + 1e-9
@@ -698,10 +783,9 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
                 poles.append(Pole(omega, res, n))
                 continue
         # split along the longer side through a zero-free line
-        kids, counts = _split_and_count(poly, r, n, edge_tol)
-        for kid, kn in zip(kids, counts):
-            if kn:
-                stack.append((kid, kn))
+        for kid in _split_and_count(poly, r, n, edge_tol):
+            if kid[1]:
+                stack.append(kid)
 
     emitted = sum(p.multiplicity for p in poles)
     if emitted != total_count:
@@ -710,9 +794,12 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
 
     poles = _conjugate_canonicalize(poles)
     kept = [p for p in poles if abs(p.omega.imag) <= im_max + 1e-12]
+    margin = sum(p.multiplicity for p in poles) - sum(p.multiplicity
+                                                      for p in kept)
     return ComplexDimensionSet(poles=_sorted_poles(kept),
                                window=(a, b, float(im_max)), lattice=None,
-                               search_rect=rect, search_count=total_count)
+                               search_rect=rect,
+                               search_count=total_count - margin)
 
 
 def _conjugate_canonicalize(poles: list[Pole],

@@ -4,6 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from fractaldims import cli
 from fractaldims.cache import config_hash
 from fractaldims.cli import run_command
 
@@ -113,3 +116,55 @@ def test_render_curve_kind(tmp_path):
                                  "kind": "curve"}, tmp_path / "a")
     body = (out / "render.svg").read_text()
     assert body.startswith("<svg") and "path" in body
+
+
+def checks_of(out: Path) -> dict:
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {c["name"]: c for c in manifest["checks"]}
+
+
+def test_moran_root_check_passes_and_fails(tmp_path, monkeypatch):
+    cfg = {"ratios": [[0.5, 1], [1 / 3, 1], [0.2, 1]]}
+    out = run_command("dims", cfg, tmp_path / "ok")
+    assert checks_of(out)["moran_root"]["passed"]
+    root = cli.similarity_dimension
+    monkeypatch.setattr(cli, "similarity_dimension",
+                        lambda ratios: root(ratios) + 1e-9)
+    out = run_command("dims", cfg, tmp_path / "off")
+    assert not checks_of(out)["moran_root"]["passed"]
+
+
+def test_pole_search_check_passes_and_fails(tmp_path, monkeypatch):
+    cfg = {"ratios": [[0.5, 1], [1 / 3, 1], [0.2, 1]], "im_max": 12}
+    out = run_command("poles", cfg, tmp_path / "ok")
+    assert checks_of(out)["pole_search"]["passed"]
+    # the poles at Im = +-11.0418 lie just outside this window but inside
+    # the search contour's margin: neither emitted nor counted
+    margin = dict(cfg, im_max=11.041756821167997 - 1e-4)
+    check = checks_of(run_command("poles", margin,
+                                  tmp_path / "margin"))["pole_search"]
+    assert check["passed"], check["detail"]
+    assert check["detail"].startswith("5 poles")
+    search = cli.nonlattice_poles
+
+    def drop_one(*args, **kwargs):
+        dims = search(*args, **kwargs)
+        return replace(dims, poles=dims.poles[1:])
+
+    monkeypatch.setattr(cli, "nonlattice_poles", drop_one)
+    out = run_command("poles", cfg, tmp_path / "dropped")
+    check = checks_of(out)["pole_search"]
+    assert not check["passed"]
+    assert "winding count 7" in check["detail"]
+
+
+def test_version_bump_misses_warm_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACTAL_DIMS_CACHE", str(tmp_path / "cache"))
+    run_command("tube", dict(TINY_TUBE), tmp_path / "r1")
+    warm = run_command("tube", dict(TINY_TUBE), tmp_path / "r2")
+    assert json.loads((warm / "manifest.json").read_text())["from_cache"]
+    monkeypatch.setattr(cli, "__version__", "0.1.0+bumped")
+    bumped = run_command("tube", dict(TINY_TUBE), tmp_path / "r3")
+    manifest = json.loads((bumped / "manifest.json").read_text())
+    assert not manifest["from_cache"]
+    assert manifest["version"] == "0.1.0+bumped"

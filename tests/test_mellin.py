@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from fractaldims.errors import (DivergenceDomainError, SampleRangeError)
+from fractaldims.errors import (DivergenceDomainError, MultiplePoleError,
+                                SampleRangeError)
 from fractaldims.mellin import (MellinEvaluator, heat_zeta, partial_xi,
                                 sfe_zeta_residue, truncated_mellin, tube_zeta,
                                 verify_mellin_scaling, verify_zeta_identity)
 from fractaldims.sampled import SampledFunction, geometric_grid
-from fractaldims.zeta import RatioMultiset, similarity_dimension
+from fractaldims.zeta import (DirichletPoly, RatioMultiset, detect_lattice,
+                              lattice_poles, residue_contour,
+                              similarity_dimension, zeta_eval)
 
 
 def monomial(k, t_max=2.0, per_decade=4000, t_min_factor=1e-7):
@@ -225,5 +228,65 @@ def test_sfe_zeta_residue_exact_fixture():
     # zeta_f(s) = delta^(s-D)/(s-D): residue at D equals 1
     ratios, d, f, remainder, delta = exact_sfe_fixture()
     res = sfe_zeta_residue(ratios, f, remainder, complex(d), delta,
-                           alpha=1.0, radius=0.05)
+                           alpha=1.0)
     assert res == pytest.approx(1.0, rel=1e-7)
+
+
+def contour_residue_oracle(ratios, f, remainder, omega, delta, alpha=1.0):
+    """Residue of zeta(s) (xi + zeta_R)(s/alpha) by a circle around omega."""
+    poly = DirichletPoly(ratios)
+    ev_r = MellinEvaluator.build(remainder)
+
+    def g(s):
+        h = partial_xi(ratios, f, s / alpha, delta, alpha).value
+        h += truncated_mellin(ev_r, s / alpha, 0.0, delta).value
+        return zeta_eval(poly, s) * h
+
+    return residue_contour(g, omega, radius=0.1, nodes=64)
+
+
+def cantor_sfe_fixture(cs):
+    ratios = RatioMultiset(((1 / 3, 2),))
+    tg = np.geomspace(1e-5, 0.4, 4000)
+    delta = float(tg[np.searchsorted(cs.volume(tg), 0.9) - 1])
+    ts = np.unique(np.concatenate([
+        geometric_grid(1e-8, 3 * delta * 1.01, 400),
+        cs.lens / 2, cs.lens * (1 + 1e-9)]))
+    ts = ts[ts > 0]
+    f = SampledFunction(ts, cs.volume(ts) / ts)
+    rn = SampledFunction(ts, cs.remainder(ts) / ts)
+    return ratios, f, rn, delta
+
+
+def test_sfe_zeta_residue_matches_contour_oracle(cantor_string):
+    ratios, d, f, remainder, delta = exact_sfe_fixture()
+    cases = [(ratios, f, remainder, complex(d), delta)]
+    c_ratios, c_f, c_rn, c_delta = cantor_sfe_fixture(cantor_string)
+    dims = lattice_poles(detect_lattice(c_ratios), im_max=12.0)
+    assert len(dims.poles) == 5
+    cases += [(c_ratios, c_f, c_rn, p.omega, c_delta) for p in dims.poles]
+    # alpha = 2 (the heat normalization) on the same table: delta / 3 keeps
+    # delta / lambda^2 inside the sampled range
+    cases += [(c_ratios, c_f, c_rn, p.omega, c_delta / 3, 2.0)
+              for p in dims.poles[2:4]]
+    for case in cases:
+        closed = sfe_zeta_residue(*case)
+        oracle = contour_residue_oracle(*case)
+        assert abs(closed - oracle) <= 1e-10 * abs(oracle)
+
+
+def test_sfe_zeta_residue_rejects_double_pole():
+    # 1 - 3 z^2 - 2 z^3 = (1 + z)^2 (1 - 2z): with z = 2^-s the zeros on
+    # Re s = 0 (z = -1) are double; lattice_poles places them ~3e-8 off,
+    # where |P'| ~ 1e-7, and that located omega must still be refused
+    ratios = RatioMultiset(((1 / 4, 3), (1 / 8, 2)))
+    exact = 1j * np.pi / np.log(2.0)
+    dims = lattice_poles(detect_lattice(ratios), im_max=5.0)
+    doubles = [p.omega for p in dims.poles if p.multiplicity == 2]
+    assert len(doubles) == 2
+    assert min(abs(w - exact) for w in doubles) < 1e-6
+    ts = geometric_grid(1e-6, 10.0, 200)
+    f = SampledFunction(ts, np.ones_like(ts))
+    for omega in doubles + [exact]:
+        with pytest.raises(MultiplePoleError):
+            sfe_zeta_residue(ratios, f, None, omega, 1.0)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldims.errors import MultiplePoleError, PoleProximityError
-from fractaldims.zeta import (ComplexDimensionSet, DirichletPoly,
+from fractaldims.zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
                               RatioMultiset, detect_lattice, lattice_poles,
                               lower_similarity_dimension, nonlattice_poles,
                               rescale, residue_contour, residue_simple,
@@ -191,6 +192,42 @@ def test_nonlattice_pole_band_and_conjugacy():
     assert max(abs(poly(w)) for w in omegas) < 1e-10
 
 
+def test_nonlattice_three_ratios_full_height():
+    rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
+    assert detect_lattice(rm) is None
+    poly = DirichletPoly(rm)
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dims = nonlattice_poles(poly, band, 60.0)
+    assert len(dims.poles) == 31 == dims.search_count
+    assert all(p.multiplicity == 1 for p in dims.poles)
+    assert max(abs(poly(w)) for w in dims.omegas()) < POLE_TOL
+
+
+def test_nonlattice_search_count_excludes_margin_zeros():
+    # the search contour reaches ~1e-3 im_max above the window; a zero in
+    # that margin is counted by the winding number but not emitted, so
+    # search_count must leave it out as well
+    rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
+    poly = DirichletPoly(rm)
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    top = max(w.imag for w in nonlattice_poles(poly, band, 12.0).omegas())
+    dims = nonlattice_poles(poly, band, top - 1e-4)
+    assert dims.search_rect[3] > top
+    assert max(w.imag for w in dims.omegas()) < top - 1e-4
+    assert sum(p.multiplicity for p in dims.poles) == dims.search_count
+
+
+def test_dirichlet_with_derivative_matches_separate_calls():
+    poly = DirichletPoly(RatioMultiset(((2 / 5, 2), (1 / 5, 4))))
+    s = np.array([[0.3 + 2j, -1.0 - 7.5j], [1.2 + 0j, 0.5 + 40j]])
+    p, dp = poly.with_derivative(s)
+    assert p.shape == dp.shape == s.shape
+    assert np.allclose(p, poly(s), rtol=1e-14, atol=1e-14)
+    assert np.allclose(dp, poly.derivative(s), rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -227,6 +264,21 @@ def test_residue_simple_rejects_non_pole():
     poly = DirichletPoly(CANTOR)
     with pytest.raises(ValueError):
         residue_simple(poly, 2.0 + 0j)
+
+
+def test_residue_simple_rejects_located_double_pole():
+    # 1 - 3 z^2 - 2 z^3 = (1 + z)^2 (1 - 2z) with z = 2^-s: the located
+    # double poles sit ~3e-8 off the exact ones, where |P'| ~ 1e-7
+    poly = DirichletPoly(RatioMultiset(((1 / 4, 3), (1 / 8, 2))))
+    dims = lattice_poles(detect_lattice(poly.ratios), im_max=5.0)
+    doubles = [p.omega for p in dims.poles if p.multiplicity == 2]
+    assert doubles and all(abs(poly.derivative(w)) > 1e-10 for w in doubles)
+    for w in doubles:
+        with pytest.raises(MultiplePoleError):
+            residue_simple(poly, w)
+    simple = [p.omega for p in dims.poles if p.multiplicity == 1]
+    assert residue_simple(poly, simple[0]) == \
+        pytest.approx(1 / poly.derivative(simple[0]), rel=1e-14)
 
 
 def test_residue_contour_matches_simple():
