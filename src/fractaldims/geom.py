@@ -30,48 +30,44 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    """Area centroid of a simple polygon."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yr - xr * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + xr) * cross) / (6.0 * a)
-    cy = np.sum((y + yr) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+#: segments per pass of the nearest-segment minimum; bounds its memory to
+#: O(m * SEGMENT_CHUNK)
+SEGMENT_CHUNK = 256
 
 
-def segment_point_distance(points: np.ndarray, a, b) -> np.ndarray:
-    """Euclidean distances from each point to the segment [a, b]."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.hypot(p[:, 0] - a[0], p[:, 1] - a[1])
-    t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(p[:, 0] - proj[:, 0], p[:, 1] - proj[:, 1])
+def segment_distances(points: np.ndarray, seg_a: np.ndarray,
+                      seg_b: np.ndarray) -> np.ndarray:
+    """Exact distances from each point to each segment [a_j, b_j].
+
+    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m, k).  A zero-length
+    segment is its single point.
+    """
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(seg_a, dtype=float)
+    b = np.asarray(seg_b, dtype=float)
+    px, py = p[:, 0][:, None], p[:, 1][:, None]
+    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
+    abx, aby = b[:, 0][None, :] - ax, b[:, 1][None, :] - ay
+    denom = abx * abx + aby * aby
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.clip(((px - ax) * abx + (py - ay) * aby) / denom, 0.0, 1.0)
+    return np.hypot(px - (ax + t * abx), py - (ay + t * aby))
 
 
 def points_to_segments_distance(points: np.ndarray, seg_a: np.ndarray,
                                 seg_b: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest of a batch of segments.
 
-    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m,).  Memory use is
-    O(m * k); callers chunk as needed.
+    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m,), +inf for k = 0.
     """
-    p = np.asarray(points, dtype=float)[:, None, :]      # (m, 1, 2)
-    a = np.asarray(seg_a, dtype=float)[None, :, :]       # (1, k, 2)
-    ab = np.asarray(seg_b, dtype=float)[None, :, :] - a  # (1, k, 2)
-    denom = np.sum(ab * ab, axis=2)                      # (1, k)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(np.sum((p - a) * ab, axis=2) / denom, 0.0, 1.0)
-    proj = a + t[:, :, None] * ab
-    d = np.hypot(p[..., 0] - proj[..., 0], p[..., 1] - proj[..., 1])
-    return d.min(axis=1)
+    seg_a = np.asarray(seg_a, dtype=float)
+    seg_b = np.asarray(seg_b, dtype=float)
+    out = np.full(len(points), np.inf)
+    for k0 in range(0, len(seg_a), SEGMENT_CHUNK):
+        sl = slice(k0, k0 + SEGMENT_CHUNK)
+        d = segment_distances(points, seg_a[sl], seg_b[sl])
+        np.minimum(out, d.min(axis=1), out=out)
+    return out
 
 
 def snap(points: np.ndarray, tol: float) -> np.ndarray:

@@ -34,7 +34,8 @@ from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import GeometryError, ResolutionError
-from .geom import point_in_polygon_mask, polygon_area
+from .geom import (point_in_polygon, point_in_polygon_mask,
+                   points_to_segments_distance, polygon_area)
 from .sampled import SampledFunction
 from .vonkoch import GKCParams, snowflake
 
@@ -48,16 +49,13 @@ DT_GROWTH = 0.01
 class HeatProblem:
     """Unit boundary temperature, zero initial temperature on a polygon.
 
-    ``diffusivity`` only rescales time (E_C(t) = E_1(C t)); the solver
-    works at C = 1 and callers rescale their time grids.
+    The diffusivity is 1; a diffusivity C only rescales time,
+    E_C(t) = E_1(C t), so callers rescale their time grids.
     """
 
     region: np.ndarray = field(repr=False)
-    diffusivity: float = 1.0
 
     def __post_init__(self):
-        if self.diffusivity <= 0:
-            raise ValueError("diffusivity must be positive")
         area = polygon_area(np.asarray(self.region, dtype=float))
         if abs(area) <= 0:
             raise GeometryError("region must have positive area")
@@ -79,10 +77,6 @@ class HeatField:
     contents: np.ndarray = field(repr=False)
     fields: dict = field(default_factory=dict, repr=False)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def cell_area_max(self) -> float:
-        return self.h ** 2 * (self.interior.sum() + 0.5 * self.ghost.sum())
 
 
 def _build_masks(region: np.ndarray, h: float, pad_cells: int = 2):
@@ -183,9 +177,7 @@ def _assemble(interior: np.ndarray, h: float):
 
 def solve_heat_fdm(problem: HeatProblem, h: float, dt: float,
                    t_end: float, save_times,
-                   keep_fields: bool = False,
-                   dt_growth: float = DT_GROWTH,
-                   cg_tol: float = CG_TOL) -> HeatField:
+                   keep_fields: bool = False) -> HeatField:
     """March the masked implicit-Euler system, recording E at save times."""
     if h <= 0 or dt <= 0:
         raise ValueError("h and dt must be positive")
@@ -212,7 +204,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, dt: float,
         target = save_times[save_idx]
         # quantized geometric growth: dt doubles only when the growth cap
         # allows, so the system matrix stays fixed for runs of steps
-        cap = max(dt_floor, dt_growth * t)
+        cap = max(dt_floor, DT_GROWTH * t)
         if cap >= 2.0 * dt_current:
             dt_current = cap
         step = min(dt_current, target - t)
@@ -225,7 +217,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, dt: float,
             precond = (None if block is None
                        else _dst_preconditioner(block, h, step))
         rhs = u + step * ghost_src
-        u_new, info = cg(matrix, rhs, x0=u, rtol=cg_tol, atol=0.0,
+        u_new, info = cg(matrix, rhs, x0=u, rtol=CG_TOL, atol=0.0,
                          maxiter=10000, M=precond)
         if info != 0:
             raise ArithmeticError(
@@ -248,7 +240,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, dt: float,
                      times=np.asarray(times), contents=np.asarray(contents),
                      fields=fields,
                      meta={"h": h, "dt_floor": dt_floor,
-                           "dt_growth": dt_growth,
+                           "dt_growth": DT_GROWTH,
                            "area": problem.area})
 
 
@@ -257,15 +249,12 @@ def heat_content(field: HeatField) -> SampledFunction:
     return SampledFunction(field.times, field.contents, meta=dict(field.meta))
 
 
-def solve_heat_content(problem: HeatProblem, h: float, save_times,
-                       dt: float | None = None,
-                       dt_growth: float = DT_GROWTH) -> SampledFunction:
-    """Convenience wrapper: solve and return E(t) at the requested times."""
+def solve_heat_content(problem: HeatProblem, h: float,
+                       save_times) -> SampledFunction:
+    """Solve with dt = h^2/2 and return E(t) at the requested times."""
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
-    if dt is None:
-        dt = h ** 2 / 2.0
-    field = solve_heat_fdm(problem, h, dt, float(save_times[-1]), save_times,
-                           dt_growth=dt_growth)
+    field = solve_heat_fdm(problem, h, h ** 2 / 2.0, float(save_times[-1]),
+                           save_times)
     return heat_content(field)
 
 
@@ -286,30 +275,11 @@ def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
     Returns (E_estimates, one-sigma errors) aligned with t_values.  The
     RNG stream is fully determined by ``seed``.
     """
-    from .geom import point_in_polygon
-
     poly = np.asarray(region, dtype=float)
     area = abs(polygon_area(poly))
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
-    edges_a = poly
-    edges_ab = np.roll(poly, -1, axis=0) - poly
-    edge_den = np.sum(edges_ab * edges_ab, axis=1)
-    edge_den = np.where(edge_den == 0.0, 1.0, edge_den)
-
-    def boundary_distance(pts):
-        d = np.full(len(pts), np.inf)
-        for k0 in range(0, len(poly), 512):
-            a = edges_a[k0:k0 + 512][None, :, :]
-            ab = edges_ab[k0:k0 + 512][None, :, :]
-            den = edge_den[k0:k0 + 512][None, :]
-            tt = np.clip(np.sum((pts[:, None, :] - a) * ab, axis=2) / den,
-                         0.0, 1.0)
-            proj = a + tt[:, :, None] * ab
-            dk = np.hypot(pts[:, 0][:, None] - proj[..., 0],
-                          pts[:, 1][:, None] - proj[..., 1])
-            np.minimum(d, dk.min(axis=1), out=d)
-        return d
+    edge_b = np.roll(poly, -1, axis=0)  # edges run poly[i] -> edge_b[i]
 
     rng = np.random.default_rng(seed)
     t_values = np.asarray(t_values, dtype=float)
@@ -330,7 +300,8 @@ def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
                 cand = lo + rng.random((2 * m, 2)) * (hi - lo)
                 pts = np.vstack([pts, cand[point_in_polygon(cand, poly)]])
             pts = pts[:m]
-            d_lb = boundary_distance(pts)  # exact at start
+            # exact at start
+            d_lb = points_to_segments_distance(pts, poly, edge_b)
             alive_idx = np.arange(m)
             for _ in range(n_steps):
                 k = len(alive_idx)
@@ -343,7 +314,8 @@ def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
                 if near_mask.any():
                     ni = alive_idx[near_mask]
                     inside = point_in_polygon(pts[ni], poly)
-                    d_new = boundary_distance(pts[ni])
+                    d_new = points_to_segments_distance(pts[ni], poly,
+                                                        edge_b)
                     dead = ~inside
                     d_old = np.maximum(d_lb[ni] + np.hypot(
                         step[near_mask, 0], step[near_mask, 1]), 0.0)
@@ -376,18 +348,16 @@ class HeatScalingReport:
 
 
 def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
-                        h: float, budget_rel: float = 0.02,
-                        dt_growth: float = DT_GROWTH) -> HeatScalingReport:
+                        h: float, budget_rel: float = 0.02
+                        ) -> HeatScalingReport:
     """Check E_{lambda Omega}(t) = lambda^2 E_Omega(t/lambda^2) with
     independent solves at the same relative resolution."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     ts = np.asarray(sorted(t_list), dtype=float)
-    base = solve_heat_content(problem, h, ts / lam ** 2,
-                              dt_growth=dt_growth)
+    base = solve_heat_content(problem, h, ts / lam ** 2)
     scaled_problem = HeatProblem(region=np.asarray(problem.region) * lam)
-    scaled = solve_heat_content(scaled_problem, lam * h, ts,
-                                dt_growth=dt_growth)
+    scaled = solve_heat_content(scaled_problem, lam * h, ts)
     lhs = scaled.vals
     rhs = lam ** 2 * base.vals
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
@@ -397,8 +367,7 @@ def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
 
 
 def decomposition_remainder(params: GKCParams, level: int, t_list,
-                            h: float, dt_growth: float = DT_GROWTH
-                            ) -> SampledFunction:
+                            h: float) -> SampledFunction:
     """R(t) = E(t) - [2 ell^2 E(t/ell^2) + (n-1) r^2 E(t/r^2)] on the
     (n, r) snowflake, using the parabolic scaling law for the images.
 
@@ -415,7 +384,7 @@ def decomposition_remainder(params: GKCParams, level: int, t_list,
     ell, r, n = params.ell, params.r, params.n
     all_ts = np.unique(np.concatenate([ts, ts / ell ** 2, ts / r ** 2]))
     problem = HeatProblem(region=region.boundary)
-    e = solve_heat_content(problem, h, all_ts, dt_growth=dt_growth)
+    e = solve_heat_content(problem, h, all_ts)
 
     def E(t):
         return np.interp(t, e.ts, e.vals)

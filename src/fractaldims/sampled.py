@@ -57,10 +57,6 @@ class SampledFunction:
             raise ValueError("evaluation outside sampled range")
         return np.interp(t, self.ts, self.vals)
 
-    def scale(self, factor: float, meta: dict | None = None):
-        return SampledFunction(self.ts, self.vals * factor,
-                               meta={**self.meta, **(meta or {})})
-
     def transform_vals(self, fn, meta: dict | None = None):
         return SampledFunction(self.ts, fn(self.ts, self.vals),
                                meta={**self.meta, **(meta or {})})
@@ -75,16 +71,6 @@ class SampledFunction:
 
     def meta_json(self) -> str:
         return json.dumps(self.meta, sort_keys=True, default=float)
-
-    @classmethod
-    def from_csv(cls, text: str, meta: dict | None = None):
-        rows = list(csv.reader(io.StringIO(text)))
-        header, body = rows[0], rows[1:]
-        if header[:2] != ["t", "value"]:
-            raise ValueError("expected header t,value")
-        ts = np.array([float(r[0]) for r in body])
-        vals = np.array([float(r[1]) for r in body])
-        return cls(ts, vals, meta=meta or {})
 
 
 def leading_power_fit(ts: np.ndarray, vals: np.ndarray,

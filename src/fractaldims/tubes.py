@@ -21,13 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, SizeLimitError
-from .geom import point_in_polygon_mask, polygon_area, polyline_length
+from .geom import (point_in_polygon_mask, points_to_segments_distance,
+                   polygon_area, polyline_length, segment_distances)
 from .ifs import PointCloud, Similitude2, apply, hausdorff_distance
 from .sampled import SampledFunction
 from .vonkoch import GKCParams, prefractal, sector_region, snowflake
 
 #: cap on grid cells
 CELL_CAP = 1 << 27
+
+#: side of the square cell tiles that share one pruned segment set
+TILE = 16
 
 
 @dataclass(frozen=True)
@@ -66,43 +70,12 @@ class DistanceField:
         return d
 
 
-def _point_to_segments(p, seg_a, seg_b) -> np.ndarray:
-    """Distances from one point to every segment: (k,)."""
-    a = seg_a
-    ab = seg_b - seg_a
-    denom = np.sum(ab * ab, axis=1)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(((p - a) * ab).sum(axis=1) / safe, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1])
-
-
-def _min_distance_block(pts, seg_a, seg_b, chunk: int = 256) -> np.ndarray:
-    out = np.full(len(pts), np.inf)
-    for k0 in range(0, len(seg_a), chunk):
-        a = seg_a[k0:k0 + chunk][None, :, :]
-        b = seg_b[k0:k0 + chunk][None, :, :]
-        ab = b - a
-        denom = np.sum(ab * ab, axis=2)
-        safe = np.where(denom == 0.0, 1.0, denom)
-        p = pts[:, None, :]
-        t = np.clip(np.sum((p - a) * ab, axis=2) / safe, 0.0, 1.0)
-        proj = a + t[:, :, None] * ab
-        d = np.hypot(p[..., 0] - proj[..., 0], p[..., 1] - proj[..., 1])
-        np.minimum(out, d.min(axis=1), out=out)
-    return out
-
-
 def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
-                   pad: float = 0.0, tile: int = 64,
-                   cell_cap: int = CELL_CAP, meta: dict | None = None,
-                   solid: np.ndarray | None = None) -> DistanceField:
+                   meta: dict | None = None) -> DistanceField:
     """Exact distance field to ``curve`` on a grid covering ``region``.
 
-    The grid covers the region polygon's bounding box (plus ``pad``).
-    Inside membership uses the even-odd rule on the region polygon.
-    When ``solid`` is given the distances are to the filled polygon
-    (zero inside it), not just to the polyline.
+    The grid covers the region polygon's bounding box.  Inside membership
+    uses the even-odd rule on the region polygon.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -110,12 +83,12 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     if len(verts) == 1:
         verts = np.vstack([verts, verts])
     poly = np.asarray(region, dtype=float)
-    xmin, ymin = poly.min(axis=0) - pad
-    xmax, ymax = poly.max(axis=0) + pad
+    xmin, ymin = poly.min(axis=0)
+    xmax, ymax = poly.max(axis=0)
     nx = int(np.ceil((xmax - xmin) / h))
     ny = int(np.ceil((ymax - ymin) / h))
-    if nx * ny > cell_cap:
-        raise SizeLimitError(f"grid {nx}x{ny} exceeds cap {cell_cap}")
+    if nx * ny > CELL_CAP:
+        raise SizeLimitError(f"grid {nx}x{ny} exceeds cap {CELL_CAP}")
     grid = Grid2(bbox=(xmin, ymin, xmax, ymax), h=h, nx=nx, ny=ny,
                  values=np.empty((nx, ny)))
     xs, ys = grid.xs, grid.ys
@@ -124,24 +97,22 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     seg_a = verts[:-1]
     seg_b = verts[1:]
     values = grid.values
-    for tx0 in range(0, nx, tile):
-        tx1 = min(tx0 + tile, nx)
-        for ty0 in range(0, ny, tile):
-            ty1 = min(ty0 + tile, ny)
+    for tx0 in range(0, nx, TILE):
+        tx1 = min(tx0 + TILE, nx)
+        for ty0 in range(0, ny, TILE):
+            ty1 = min(ty0 + TILE, ny)
             cx = 0.5 * (xs[tx0] + xs[tx1 - 1])
             cy = 0.5 * (ys[ty0] + ys[ty1 - 1])
             rtile = np.hypot(xs[tx1 - 1] - cx, ys[ty1 - 1] - cy) + 1e-12
-            d_all = _point_to_segments(np.array([cx, cy]), seg_a, seg_b)
+            d_all = segment_distances(np.array([[cx, cy]]), seg_a, seg_b)[0]
             dbest = d_all.min()
+            # a segment farther than dbest + 2 rtile from the centre is
+            # farther from every cell than the centre's nearest segment
             cand = d_all <= dbest + 2.0 * rtile
             gx, gy = np.meshgrid(xs[tx0:tx1], ys[ty0:ty1], indexing="ij")
             pts = np.column_stack([gx.ravel(), gy.ravel()])
-            dmin = _min_distance_block(pts, seg_a[cand], seg_b[cand])
+            dmin = points_to_segments_distance(pts, seg_a[cand], seg_b[cand])
             values[tx0:tx1, ty0:ty1] = dmin.reshape(tx1 - tx0, ty1 - ty0)
-
-    if solid is not None:
-        in_solid = point_in_polygon_mask(xs, ys, np.asarray(solid, float))
-        values[in_solid] = 0.0
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),

@@ -13,9 +13,6 @@ is a simple closed polygon at every level and is verified as such here.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -175,21 +172,6 @@ class SnowflakeRegion:
     def area(self) -> float:
         return polygon_area(self.boundary)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(["x", "y"])
-        for x, y in self.boundary:
-            w.writerow([f"{x:.17g}", f"{y:.17g}"])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.params.n, "r": self.params.r, "level": self.level,
-            "verified_simple": self.verified_simple,
-            "vertices": [[float(x), float(y)] for x, y in self.boundary],
-        }, sort_keys=True)
-
 
 def base_polygon(n: int) -> np.ndarray:
     """Unit-side regular n-gon centered at the origin, first vertex on +x,
@@ -269,15 +251,6 @@ def snowflake_area_series(params: GKCParams, level: int) -> float:
     for j in range(1, level + 1):
         total += n * r ** 2 * growth ** (j - 1)
     return unit_ngon * total
-
-
-def polyline_to_csv(vertices: np.ndarray) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(["x", "y"])
-    for x, y in np.asarray(vertices, dtype=float):
-        w.writerow([f"{x:.17g}", f"{y:.17g}"])
-    return buf.getvalue()
 
 
 def polyline_to_svg_path(vertices: np.ndarray, digits: int = 8) -> str:

@@ -110,10 +110,6 @@ class RatioMultiset:
     def multiplicities(self) -> np.ndarray:
         return np.array([m for _, m in self.entries])
 
-    @property
-    def total_multiplicity(self) -> int:
-        return int(self.multiplicities.sum())
-
 
 @dataclass(frozen=True)
 class DirichletPoly:

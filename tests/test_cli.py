@@ -16,6 +16,11 @@ TINY_TUBE = {
     "sfe_t_min": 5e-2, "sfe_t_max": 0.1, "sfe_points": 3,
 }
 
+TINY_HEAT = {
+    "n": 3, "r": 1 / 3, "level": 2, "h": 6e-3,
+    "t_min": 1e-3, "t_max": 2e-3, "points_per_decade": 24,
+}
+
 
 def read_outputs(out: Path) -> dict:
     blobs = {}
@@ -168,3 +173,19 @@ def test_version_bump_misses_warm_cache(tmp_path, monkeypatch):
     manifest = json.loads((bumped / "manifest.json").read_text())
     assert not manifest["from_cache"]
     assert manifest["version"] == "0.1.0+bumped"
+
+
+def test_fits_are_reported_not_checked(tmp_path):
+    # the Minkowski fit, the heat exponent and the remainder bound have no
+    # declared budget: they are report numbers, never a check
+    out = run_command("tube", dict(TINY_TUBE), tmp_path / "tube")
+    assert set(checks_of(out)) == {"sfe_residual"}
+    sfe = json.loads((out / "sfe_report.json").read_text())
+    assert np.isfinite(sfe["minkowski_dimension_fit"])
+    out = run_command("heat", dict(TINY_HEAT, remainder=True,
+                                   scaling_lambda=2), tmp_path / "heat")
+    assert set(checks_of(out)) == {"heat_scaling"}
+    report = json.loads((out / "heat_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["heat_scaling"]
+    assert np.isfinite(report["exponent_fit"])
+    assert report["remainder_linear_bound_fit"] > 0

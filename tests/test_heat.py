@@ -1,13 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 
+from fractaldims.cli import run_command
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.heat import (HeatProblem, decomposition_remainder,
                               heat_content, heat_content_mc,
                               heat_exponent_fit, solve_heat_content,
                               solve_heat_fdm)
 from fractaldims.sampled import SampledFunction, geometric_grid
-from fractaldims.vonkoch import GKCParams
+from fractaldims.vonkoch import GKCParams, snowflake
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -162,11 +165,19 @@ def test_exponent_fit_square_is_half(square_oracle):
     assert abs(p - 0.5) < 0.05
 
 
-def test_diffusivity_rescales_time(square_oracle):
-    # E_C(t) = E_1(C t): check via the oracle at C = 2
-    ts = geometric_grid(1e-4, 1e-3, 5)
-    assert np.allclose(square_oracle(2 * ts), square_oracle(2 * ts))
-    e = solve_heat_content(HeatProblem(region=SQUARE, diffusivity=2.0),
-                           h=4e-3, save_times=2 * ts)
-    rel = np.abs(e.vals - square_oracle(2 * ts)) / square_oracle(2 * ts)
-    assert rel.max() < 0.01
+def test_diffusivity_rescales_time(tmp_path):
+    # CLI heat at diffusivity C reports E_1(C t) against the unscaled t
+    cfg = {"n": 3, "r": 1 / 3, "level": 2, "h": 6e-3,
+           "t_min": 1e-3, "t_max": 2e-3, "points_per_decade": 24}
+    out = run_command("heat", dict(cfg, diffusivity=2), tmp_path / "c2")
+    with open(out / "heat.csv", newline="") as fh:
+        table = np.array([[float(v) for v in row]
+                          for row in list(csv.reader(fh))[1:]])
+    ts = geometric_grid(1e-3, 2e-3, 24)
+    problem = HeatProblem(region=snowflake(GKCParams(3, 1 / 3), 2).boundary)
+    e = solve_heat_content(problem, 6e-3, 2 * ts)
+    assert np.array_equal(table[:, 0], ts)
+    assert np.array_equal(table[:, 1], e.vals)
+    for bad in (0, -1.0):
+        with pytest.raises(ValueError, match="diffusivity"):
+            run_command("heat", dict(cfg, diffusivity=bad), tmp_path / "bad")

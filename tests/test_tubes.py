@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from fractaldims.errors import GeometryError, ResolutionError
+from fractaldims.geom import points_to_segments_distance
 from fractaldims.ifs import Similitude2
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
 from fractaldims.tubes import (distance_field, minkowski_fit, prefractal_gap,
                                tube_function, verify_gkf_sfe,
                                verify_tube_scaling)
-from fractaldims.vonkoch import GKCParams, prefractal, snowflake
+from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
+                                 snowflake)
 
 BOX = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 1.5], [-1.0, 1.5]])
 
@@ -41,6 +43,17 @@ def test_field_is_lipschitz():
     h = fld.h
     assert np.all(np.abs(np.diff(v, axis=0)) <= h + 1e-12)
     assert np.all(np.abs(np.diff(v, axis=1)) <= h + 1e-12)
+
+
+def test_pruned_field_is_exact():
+    # per-tile segment pruning must not change a single cell
+    region = snowflake(GKCParams(3, 1 / 3), 3)
+    curve = region.boundary
+    fld = distance_field(curve, sector_region(region, 0), h=1e-2)
+    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    full = points_to_segments_distance(pts, curve[:-1], curve[1:])
+    assert np.all(fld.grid.values == full.reshape(fld.grid.nx, fld.grid.ny))
 
 
 def test_tube_monotone_and_bounded():
