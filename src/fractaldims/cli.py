@@ -166,7 +166,7 @@ def _compute_tube(cfg):
     h = float(cfg.get("h", 1e-3))
     region = snowflake(params, level)
     sector = sector_region(region, int(cfg.get("sector", 0)))
-    fld = distance_field(region.boundary, sector, h,
+    fld = distance_field(region.closed_boundary, sector, h,
                          meta={"level": level, "n": params.n, "r": params.r})
     t_min = float(cfg.get("t_min", max(10 * h, 1e-3)))
     t_max = float(cfg.get("t_max", 0.3))
@@ -292,6 +292,13 @@ def cmd_explicit(cfg):
         delta = float(below[-1]) if len(below) else float(direct_raw.ts[-1])
     lam_min = float(np.min(ratios.ratios)) ** alpha
     delta = min(delta, float(norm.ts[-1]) * lam_min * 0.999)
+    eval_t_min = float(cfg.get("eval_t_min", norm.ts[0] * 5))
+    eval_t_max = float(cfg.get("eval_t_max", delta * 0.8))
+    if not 0 < eval_t_min < eval_t_max:
+        raise ValueError(
+            f"empty evaluation window: need 0 < eval_t_min < eval_t_max, "
+            f"got eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
+            f"(default 0.8*delta), delta={delta:.6g}")
     dims = _locate_poles(ratios, im_max)
     # build_terms reads residues of simple poles only
     residues = [sfe_zeta_residue(ratios, norm, remainder, p.omega, delta,
@@ -303,8 +310,7 @@ def cmd_explicit(cfg):
     extra = remainder_term(ratios, remainder, beta=beta, alpha=alpha, k=k)
     if extra is not None:
         terms.append(extra)
-    t_grid = geometric_grid(float(cfg.get("eval_t_min", norm.ts[0] * 5)),
-                            float(cfg.get("eval_t_max", delta * 0.8)), 24)
+    t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
     series = evaluate_sum(terms, t_grid, im_cutoffs=cutoffs)
     direct = antiderivative(direct_raw, k)
     expected = beta / alpha - 0.0 + k  # remainder order sigma0 = 0
@@ -348,7 +354,7 @@ def cmd_render(cfg):
         closed = False
     else:
         region = snowflake(params, level)
-        verts = np.vstack([region.boundary, region.boundary[:1]])
+        verts = region.closed_boundary
         closed = True
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)

@@ -1,22 +1,27 @@
 """Dirichlet heat inflow on polygonal domains and heat content E(t).
 
 The model problem holds the boundary at temperature 1 with zero initial
-data; E(t) integrates the temperature over the region.  The solver is
-implicit (backward) Euler with the 5-point Laplacian on a masked grid:
-interior cells are unknowns, every non-interior cell bordering the
-interior is a Dirichlet-1 ghost, and each linear solve is conjugate
-gradient to 1e-10 (M-matrix, so the discrete solution is monotone in
-time and obeys 0 <= u <= 1).
+data; E(t) integrates the temperature over the region.  Space is the
+5-point Laplacian A on a masked grid: interior cells are unknowns, every
+non-interior cell bordering the interior is a Dirichlet-1 ghost.  Heat
+content is integrated with trapezoidal closure: interior cells at full
+weight h^2, boundary-cut cells at half weight (value 1).  Without the
+half-weight ring the content of the near-boundary strip of width ~h/2 is
+lost, which at small t is the dominant error.
 
-Heat content is integrated with trapezoidal closure: interior cells at
-full weight h^2, boundary-cut cells at half weight (value 1).  Without
-the half-weight ring the content of the near-boundary strip of width
-~h/2 is lost, which at small t is the dominant error.
-
-Time stepping keeps dt = h^2/2 until the first requested time, then lets
-dt grow geometrically with dt <= growth * t (backward Euler's local error
-on the parabolic boundary layer scales like dt/t, so a capped ratio gives
-a uniform relative error) while always landing exactly on save times.
+Time is backward Euler: dt = h^2/2 until the first requested time, then
+dt grows geometrically with dt <= growth * t (backward Euler's local
+error on the parabolic boundary layer scales like dt/t, so a capped
+ratio gives a uniform relative error), landing exactly on save times;
+I + dt A is an M-matrix, so u is monotone in time with 0 <= u <= 1.
+No step is marched.  A 1 is the ghost source, so 1 - u after steps
+dt_1..dt_k is f_k(A) 1 with f_k(x) = prod_j 1/(1 + dt_j x), and one
+Lanczos run on A from 1/sqrt(n) gives 1^T f_k(A) 1 at every save time by
+Gauss quadrature (Golub & Meurant, Matrices, Moments and Quadrature,
+2010).  The same run could give the semi-discrete exp(-tA) 1, but at
+small t backward Euler's time error cancels most of the closure's
+spatial error: 0.023% against 0.544% off the unit square's Fourier
+series at h=5e-3, t=3e-4.
 
 An independent Brownian-path Monte Carlo estimator cross-checks E(t):
 u(x, t) is the probability that a path from x exits before t, so E(t) is
@@ -27,11 +32,11 @@ Euler-Maruyama walk plus a Brownian-bridge boundary correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
-from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import GeometryError, ResolutionError
 from .geom import (point_in_polygon, point_in_polygon_mask,
@@ -39,10 +44,15 @@ from .geom import (point_in_polygon, point_in_polygon_mask,
 from .sampled import SampledFunction
 from .vonkoch import GKCParams, snowflake
 
-CG_TOL = 1e-10
-
 #: dt may grow to at most this fraction of the current time
 DT_GROWTH = 0.01
+
+#: Lanczos steps between stop checks, the cap on steps, and the stop
+#: threshold for the relative change of E at every save time and, with
+#: fields, for the last Krylov coefficient of every saved field
+KRYLOV_BLOCK = 20
+KRYLOV_MAX = 2000
+KRYLOV_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,152 +120,138 @@ def _build_masks(region: np.ndarray, h: float, pad_cells: int = 2):
     return (x0, y0, nx, ny), interior, ghost
 
 
-def _rectangle_block(interior: np.ndarray):
-    """Index box when the interior mask is a full rectangle, else None.
-
-    For axis-aligned rectangular regions the masked Laplacian coincides
-    with the Dirichlet Laplacian on an index box, which the discrete sine
-    transform diagonalizes; CG then converges immediately with the DST
-    solve as preconditioner.
-    """
-    ii, jj = np.nonzero(interior)
-    if len(ii) == 0:
-        return None
-    i0, i1 = int(ii.min()), int(ii.max()) + 1
-    j0, j1 = int(jj.min()), int(jj.max()) + 1
-    if (i1 - i0) * (j1 - j0) != len(ii):
-        return None
-    if not interior[i0:i1, j0:j1].all():
-        return None
-    return i0, i1, j0, j1
-
-
-def _dst_preconditioner(block, h: float, step: float):
-    i0, i1, j0, j1 = block
-    mx, my = i1 - i0, j1 - j0
-    kx = np.arange(1, mx + 1)
-    ky = np.arange(1, my + 1)
-    lam_x = 2.0 * (1.0 - np.cos(np.pi * kx / (mx + 1))) / h ** 2
-    lam_y = 2.0 * (1.0 - np.cos(np.pi * ky / (my + 1))) / h ** 2
-    denom = 1.0 + step * (lam_x[:, None] + lam_y[None, :])
-
-    def apply(vec):
-        grid = vec.reshape(mx, my)
-        hat = dstn(grid, type=1, norm="ortho")
-        out = idstn(hat / denom, type=1, norm="ortho")
-        return out.reshape(-1)
-
-    return LinearOperator((mx * my, mx * my), matvec=apply)
-
-
 def _assemble(interior: np.ndarray, h: float):
-    """Dirichlet Laplacian A (scaled 1/h^2) and ghost-count source vector."""
-    nx, ny = interior.shape
-    ids = -np.ones(interior.shape, dtype=np.int64)
-    n = int(interior.sum())
-    ids[interior] = np.arange(n)
-    rows, cols = [], []
-    ghost_count = np.zeros(n)
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        src = np.zeros_like(interior)
-        src[max(0, -dx):nx - max(0, dx), max(0, -dy):ny - max(0, dy)] = \
-            interior[max(0, dx):nx - max(0, -dx),
-                     max(0, dy):ny - max(0, -dy)]
-        pair = interior & src
-        rows.append(ids[pair])
-        shifted = np.roll(np.roll(ids, -dx, axis=0), -dy, axis=1)
-        cols.append(shifted[pair])
-        missing = interior & ~src
-        np.add.at(ghost_count, ids[missing], 1.0)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    adj = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    lap = (sparse.identity(n, format="csr") * 4.0 - adj) / h ** 2
-    return ids, lap, ghost_count / h ** 2
+    """Dirichlet Laplacian A (scaled 1/h^2) on the interior unknowns."""
+    # second differences along y (contiguous index) and x of the full grid
+    d2 = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+          for k in interior.shape[::-1]]
+    grid = sparse.kronsum(*d2, format="csr")
+    ids = np.flatnonzero(interior)
+    return grid[ids][:, ids] / h ** 2
 
 
-def solve_heat_fdm(problem: HeatProblem, h: float, dt: float,
-                   t_end: float, save_times,
-                   keep_fields: bool = False) -> HeatField:
-    """March the masked implicit-Euler system, recording E at save times."""
-    if h <= 0 or dt <= 0:
-        raise ValueError("h and dt must be positive")
-    save_times = np.asarray(sorted(set(float(t) for t in save_times)))
-    if np.any(save_times > t_end * (1 + 1e-12)):
-        raise ValueError("save_times must not exceed t_end")
-    (x0, y0, nx, ny), interior, ghost = _build_masks(problem.region, h)
-    ids, lap, ghost_src = _assemble(interior, h)
+def _time_steps(save_times: np.ndarray, dt_floor: float):
+    """Backward-Euler steps and the index of the step ending at each save
+    time.  dt starts at the floor and changes only when the DT_GROWTH cap
+    allows doubling it, so runs of steps share one dt."""
+    steps, ends = [], []
+    t, dt = 0.0, dt_floor
+    for target in save_times:
+        while True:
+            cap = max(dt_floor, DT_GROWTH * t)
+            if cap >= 2.0 * dt:
+                dt = cap
+            step = min(dt, target - t)
+            steps.append(step)
+            t += step
+            if abs(t - target) <= 1e-12 * max(target, 1.0):
+                t = target
+                break
+        ends.append(len(steps) - 1)
+    return np.asarray(steps), np.asarray(ends, dtype=np.int64)
+
+
+def _lanczos(lap):
+    """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on ``lap``
+    from 1/sqrt(n), without reorthogonalization; beta_j couples q_j to
+    q_(j+1)."""
     n = lap.shape[0]
-    half_ring = 0.5 * float(ghost.sum())
-    block = _rectangle_block(interior)
+    q_prev, q = np.zeros(n), np.full(n, 1.0 / np.sqrt(n))
+    beta = 0.0
+    while True:
+        v = lap @ q
+        alpha = float(q @ v)
+        v -= alpha * q
+        v -= beta * q_prev
+        beta = float(np.linalg.norm(v))
+        yield q, alpha, beta
+        q_prev, q = q, v / beta
 
-    u = np.zeros(n)
-    t = 0.0
-    times, contents = [], []
-    fields = {}
-    save_idx = 0
-    dt_floor = dt
-    dt_current = dt_floor
-    matrix_dt = None
-    matrix = None
-    precond = None
-    while save_idx < len(save_times):
-        target = save_times[save_idx]
-        # quantized geometric growth: dt doubles only when the growth cap
-        # allows, so the system matrix stays fixed for runs of steps
-        cap = max(dt_floor, DT_GROWTH * t)
-        if cap >= 2.0 * dt_current:
-            dt_current = cap
-        step = min(dt_current, target - t)
-        step = max(step, min(dt_floor, target - t))
-        if matrix is None or step != matrix_dt:
-            matrix = LinearOperator(
-                (n, n),
-                matvec=lambda v, s=step: v + s * (lap @ v))
-            matrix_dt = step
-            precond = (None if block is None
-                       else _dst_preconditioner(block, h, step))
-        rhs = u + step * ghost_src
-        u_new, info = cg(matrix, rhs, x0=u, rtol=CG_TOL, atol=0.0,
-                         maxiter=10000, M=precond)
-        if info != 0:
+
+def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
+                   keep_fields: bool = False) -> HeatField:
+    """Backward-Euler heat content at the save times by Lanczos quadrature.
+
+    E(t_k) = h^2 (n sum_i s_i^2 (1 - f_k(theta_i)) + ring/2); see the
+    module docstring.  Lanczos steps are added in blocks until E moves by
+    less than KRYLOV_TOL at every save time, or the Krylov space is
+    exhausted.  ``keep_fields`` regenerates the same basis in a second
+    pass to sum u_k = 1 - sqrt(n) Q_m f_k(T_m) e_1.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    save_times = np.asarray(sorted(set(float(t) for t in save_times)))
+    if save_times.size and not save_times[0] >= 0:
+        raise ValueError("save times must not be negative")
+    (x0, y0, nx, ny), interior, ghost = _build_masks(problem.region, h)
+    lap = _assemble(interior, h)
+    n = lap.shape[0]
+    if n == 0:
+        raise ResolutionError(f"no interior cells at h={h}")
+    half_ring = 0.5 * float(ghost.sum())
+    dt_floor = h ** 2 / 2.0
+    steps, ends = _time_steps(save_times, dt_floor)
+    # Gershgorin: ||A|| <= 8/h^2; a coupling below round-off of that
+    # means the Krylov space is invariant and the quadrature exact
+    breakdown = KRYLOV_TOL * 8.0 / h ** 2
+
+    lanczos = _lanczos(lap)
+    alphas, betas = [], []
+    contents = np.inf
+    while True:
+        for _, alpha, beta in islice(lanczos, KRYLOV_BLOCK):
+            alphas.append(alpha)
+            betas.append(beta)
+            if beta <= breakdown:
+                break
+        exhausted = betas[-1] <= breakdown
+        m = len(alphas)
+        theta, vecs = eigh_tridiagonal(alphas, betas[:-1])
+        # log(1 / f_k(theta)), f_k(x) = prod_{j <= k} 1/(1 + dt_j x)
+        logs = np.cumsum(np.log1p(np.outer(theta, steps)), axis=1)[:, ends]
+        s = vecs[0]
+        new = h ** 2 * (n * (s ** 2 @ -np.expm1(-logs)) + half_ring)
+        change = 0.0 if exhausted else float(
+            np.max(np.abs(new - contents) / new, initial=0.0))
+        contents = new
+        # 1 - u_k = sqrt(n) Q_m f_k(T_m) e_1 = Q_m coef[:, k]
+        coef = (np.sqrt(n) * vecs @ (s[:, None] * np.exp(-logs))
+                if keep_fields else None)
+        tail = (0.0 if coef is None or exhausted
+                else float(np.max(np.abs(coef[-1]), initial=0.0)))
+        if change < KRYLOV_TOL and tail < KRYLOV_TOL:
+            break
+        if m >= KRYLOV_MAX:
             raise ArithmeticError(
-                f"conjugate gradient failed (info={info}) at t={t}")
-        u = u_new
-        t += step
-        if abs(t - target) <= 1e-12 * max(target, 1.0):
-            t = target
-            content = h ** 2 * (float(u.sum()) + half_ring)
-            times.append(t)
-            contents.append(content)
-            if keep_fields:
-                grid = np.full(interior.shape, np.nan)
-                grid[interior] = u
-                grid[ghost] = 1.0
-                fields[t] = grid
-            save_idx += 1
+                f"Lanczos quadrature not converged at m={m}: last relative "
+                f"change of E {change:.3e}"
+                + (f", last field coefficient {tail:.3e}" if keep_fields
+                   else ""))
+
+    fields = {}
+    if keep_fields:
+        w = np.zeros((n, len(save_times)))
+        # coef first: zip then stops without one more Lanczos step
+        for row, (q, _, _) in zip(coef, _lanczos(lap)):
+            w += q[:, None] * row
+        for k, t in enumerate(save_times):
+            grid = np.full(interior.shape, np.nan)
+            grid[interior] = 1.0 - w[:, k]
+            grid[ghost] = 1.0
+            fields[t] = grid
     return HeatField(h=h, bbox=(x0, y0, x0 + nx * h, y0 + ny * h),
                      interior=interior, ghost=ghost,
-                     times=np.asarray(times), contents=np.asarray(contents),
-                     fields=fields,
+                     times=save_times, contents=contents, fields=fields,
                      meta={"h": h, "dt_floor": dt_floor,
-                           "dt_growth": DT_GROWTH,
-                           "area": problem.area})
-
-
-def heat_content(field: HeatField) -> SampledFunction:
-    """E(t) series measured during the march (trapezoidal cell closure)."""
-    return SampledFunction(field.times, field.contents, meta=dict(field.meta))
+                           "dt_growth": DT_GROWTH, "area": problem.area,
+                           "krylov_steps": m, "krylov_change": change})
 
 
 def solve_heat_content(problem: HeatProblem, h: float,
                        save_times) -> SampledFunction:
-    """Solve with dt = h^2/2 and return E(t) at the requested times."""
-    save_times = np.asarray(sorted(set(float(t) for t in save_times)))
-    field = solve_heat_fdm(problem, h, h ** 2 / 2.0, float(save_times[-1]),
-                           save_times)
-    return heat_content(field)
+    """E(t) at the requested times (trapezoidal cell closure)."""
+    field = solve_heat_fdm(problem, h, save_times)
+    return SampledFunction(field.times, field.contents, meta=dict(field.meta))
 
 
 # ---------------------------------------------------------------------------

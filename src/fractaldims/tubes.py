@@ -223,7 +223,7 @@ def verify_gkf_sfe(params: GKCParams, level: int, ts, h: float,
                             "tube checks refuse it")
     sector = sector_region(region, sector_index)
     if fld is None:
-        fld = distance_field(region.boundary, sector, h,
+        fld = distance_field(region.closed_boundary, sector, h,
                              meta={"level": level, "n": params.n,
                                    "r": params.r})
     ell, r, n = params.ell, params.r, params.n

@@ -172,6 +172,12 @@ class SnowflakeRegion:
     def area(self) -> float:
         return polygon_area(self.boundary)
 
+    @property
+    def closed_boundary(self) -> np.ndarray:
+        """``boundary`` with the first vertex repeated at the end, the
+        polyline whose segments include the closing edge."""
+        return np.vstack([self.boundary, self.boundary[:1]])
+
 
 def base_polygon(n: int) -> np.ndarray:
     """Unit-side regular n-gon centered at the origin, first vertex on +x,

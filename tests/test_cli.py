@@ -189,3 +189,22 @@ def test_fits_are_reported_not_checked(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["heat_scaling"]
     assert np.isfinite(report["exponent_fit"])
     assert report["remainder_linear_bound_fit"] > 0
+
+
+def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
+    # the window is checked before any pole or residue is computed
+    def no_poles(*args, **kwargs):
+        raise AssertionError("poles located before the window check")
+
+    monkeypatch.setattr(cli, "_locate_poles", no_poles)
+    cfg = dict(TINY_TUBE, im_max=5, eval_t_min=1e-3, eval_t_max=1e-4)
+    with pytest.raises(ValueError, match=r"eval_t_min=0\.001, "
+                       r"eval_t_max=0\.0001 \(default 0\.8\*delta\), "
+                       r"delta=0\.\d+"):
+        run_command("explicit", cfg, tmp_path / "tube")
+    # the heat source's defaults leave eval_t_min above 0.8 delta
+    cfg = dict(TINY_HEAT, source="heat", im_max=5)
+    del cfg["t_min"]
+    with pytest.raises(ValueError, match="empty evaluation window") as err:
+        run_command("explicit", cfg, tmp_path / "heat")
+    assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)

@@ -2,13 +2,15 @@ import csv
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from fractaldims import heat
 from fractaldims.cli import run_command
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.heat import (HeatProblem, decomposition_remainder,
-                              heat_content, heat_content_mc,
-                              heat_exponent_fit, solve_heat_content,
-                              solve_heat_fdm)
+                              heat_content_mc, heat_exponent_fit,
+                              solve_heat_content, solve_heat_fdm)
 from fractaldims.sampled import SampledFunction, geometric_grid
 from fractaldims.vonkoch import GKCParams, snowflake
 
@@ -16,8 +18,8 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def test_initial_interior_zero_and_small_t():
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02, dt=2e-4,
-                           t_end=2e-4, save_times=[2e-4], keep_fields=True)
+    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
+                           save_times=[2e-4], keep_fields=True)
     grid = field.fields[2e-4]
     # deep interior still cold after one step
     assert np.nanmin(grid) >= 0.0
@@ -27,8 +29,8 @@ def test_initial_interior_zero_and_small_t():
 
 def test_discrete_maximum_principle_and_monotonicity():
     times = [1e-3, 5e-3, 2e-2, 1e-1]
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02, dt=2e-4,
-                           t_end=0.1, save_times=times, keep_fields=True)
+    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
+                           save_times=times, keep_fields=True)
     prev = None
     for t in times:
         grid = field.fields[t]
@@ -43,11 +45,61 @@ def test_discrete_maximum_principle_and_monotonicity():
 
 
 def test_steady_state_fills_region():
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02, dt=2e-4,
-                           t_end=3.0, save_times=[3.0], keep_fields=True)
+    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
+                           save_times=[3.0], keep_fields=True)
     grid = field.fields[3.0]
     assert np.nanmin(grid) > 0.999
     assert field.contents[-1] == pytest.approx(1.0, rel=1e-3)
+
+
+def backward_euler_oracle(problem, h, save_times):
+    """E at the save times by sparse-LU backward-Euler steps over the
+    solver's step list: w_j = (I + dt_j A)^-1 w_(j-1), w_0 = 1, u = 1 - w."""
+    _, interior, ghost = heat._build_masks(problem.region, h)
+    lap = heat._assemble(interior, h)
+    n = lap.shape[0]
+    steps, ends = heat._time_steps(np.asarray(save_times), h ** 2 / 2.0)
+    lu = {}
+    w = np.ones(n)
+    contents = []
+    for j, dt in enumerate(steps):
+        if dt not in lu:
+            lu[dt] = splu(sparse.identity(n, format="csc") + dt * lap.tocsc())
+        w = lu[dt].solve(w)
+        if j in ends:
+            contents.append(h ** 2 * (n - w.sum() + 0.5 * ghost.sum()))
+    return np.array(contents), n
+
+
+@pytest.mark.parametrize("region, h, save_times", [
+    (snowflake(GKCParams(3, 1 / 3), 2).boundary, 6e-3,
+     geometric_grid(3e-4, 3e-3, 24)),
+    (SQUARE, 0.2, [0.01, 0.05, 0.2, 1.0]),
+])
+def test_lanczos_matches_backward_euler(region, h, save_times):
+    problem = HeatProblem(region=region)
+    field = solve_heat_fdm(problem, h, save_times)
+    exact, n = backward_euler_oracle(problem, h, save_times)
+    assert np.array_equal(field.times, np.asarray(save_times))
+    assert np.max(np.abs(field.contents - exact) / exact) < 1e-12
+    assert field.meta["krylov_change"] < 1e-12
+    if n < 20:
+        # the Krylov space is exhausted inside the first block
+        assert field.meta["krylov_steps"] <= min(n, heat.KRYLOV_BLOCK - 1)
+        assert field.meta["krylov_change"] == 0.0
+
+
+def test_negative_save_time_is_rejected():
+    with pytest.raises(ValueError, match="save times must not be negative"):
+        solve_heat_fdm(HeatProblem(region=SQUARE), 0.05, [-1e-3, 1e-2])
+
+
+def test_lanczos_cap_raises(monkeypatch):
+    monkeypatch.setattr(heat, "KRYLOV_MAX", 2 * heat.KRYLOV_BLOCK)
+    region = snowflake(GKCParams(3, 1 / 3), 2).boundary
+    with pytest.raises(ArithmeticError,
+                       match=r"m=40: last relative change of E \d\.\d+e"):
+        solve_heat_fdm(HeatProblem(region=region), 6e-3, [1e-3, 3e-3])
 
 
 def test_content_bounded_by_area():
@@ -69,8 +121,8 @@ def test_content_matches_square_oracle_coarse(square_oracle):
 def test_centerline_profile_matches_rod_oracle(rod_profile_oracle):
     rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [0.0, 2.0]])
     t = 0.01
-    field = solve_heat_fdm(HeatProblem(region=rect), h=4e-3, dt=8e-6,
-                           t_end=t, save_times=[t], keep_fields=True)
+    field = solve_heat_fdm(HeatProblem(region=rect), h=4e-3, save_times=[t],
+                           keep_fields=True)
     grid = field.fields[t]
     ys = field.bbox[1] + (np.arange(grid.shape[1]) + 0.5) * field.h
     j = int(np.argmin(np.abs(ys - 1.0)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fractaldims.cli import _compute_tube
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.geom import points_to_segments_distance
 from fractaldims.ifs import Similitude2
@@ -54,6 +55,27 @@ def test_pruned_field_is_exact():
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     full = points_to_segments_distance(pts, curve[:-1], curve[1:])
     assert np.all(fld.grid.values == full.reshape(fld.grid.nx, fld.grid.ny))
+
+
+def test_snowflake_tube_sees_the_closing_edge():
+    # the boundary lists each vertex once, so the tube distance must add
+    # the edge from the last vertex back to the first; sector 2 has cells
+    # nearest to that edge
+    params = GKCParams(3, 1 / 3)
+    _, _, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
+                                  "h": 1e-2, "sector": 2})
+    b = snowflake(params, 3).boundary
+    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
+    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
+    closed = points_to_segments_distance(pts, b, np.roll(b, -1, axis=0))
+    assert np.array_equal(fld.grid.values[fld.inside], closed)
+    assert fld.curve_length == pytest.approx(64 / 9, rel=1e-12)
+    # the library builds the same field: the budget carries curve_length
+    ts = [0.05, 0.07, 0.1]
+    own = verify_gkf_sfe(params, 3, ts, 1e-2, sector_index=2)
+    given = verify_gkf_sfe(params, 3, ts, 1e-2, sector_index=2, fld=fld)
+    assert np.array_equal(own.budget, given.budget)
+    assert np.array_equal(own.tube.vals, given.tube.vals)
 
 
 def test_tube_monotone_and_bounded():
