@@ -15,8 +15,6 @@ are deterministic: identical configs produce identical CSV bytes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -26,51 +24,54 @@ import numpy as np
 
 from . import __version__
 from .cache import ResultCache, config_hash, sha256_file, source_digest
+from .errors import GeometryError
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
                        remainder_term)
 from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
                    solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue
-from .sampled import SampledFunction, antiderivative, geometric_grid
+from .sampled import (SampledFunction, antiderivative, csv_bytes,
+                      geometric_grid, sfe_images)
 from .tubes import distance_field, minkowski_fit, tube_function, verify_gkf_sfe
 from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal,
                       sector_region, snowflake)
-from .zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
-                   RatioMultiset, detect_lattice, lattice_poles,
-                   lower_similarity_dimension, nonlattice_poles,
-                   similarity_dimension)
+from .zeta import (LATTICE_MAX_DENOMINATOR, POLE_TOL, ComplexDimensionSet,
+                   DirichletPoly, RatioMultiset, detect_lattice,
+                   lattice_poles, lower_similarity_dimension,
+                   nonlattice_poles, similarity_dimension)
 
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode()
+POLES_SVG_SIZE = 640  #: side of the square poles.svg plot, in pixels
 
 
 def _ratios_from_config(cfg) -> RatioMultiset:
     if "ratios" in cfg:
-        return RatioMultiset.from_pairs((float(r), int(m))
-                                        for r, m in cfg["ratios"])
+        pairs = ((float(r), int(m)) for r, m in cfg["ratios"])
+    else:
+        pairs = GKCParams(int(cfg["n"]), float(cfg["r"])).ratio_pairs
+    return RatioMultiset.from_pairs(pairs)
+
+
+def _snowflake_from_config(cfg, default_level: int):
+    """(params, level, region) for tube, heat and explicit; refuses an
+    unverified snowflake before any field or solve (render does not)."""
     params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    return RatioMultiset.from_pairs(((params.ell, 2),
-                                     (params.r, params.n - 1)))
+    level = int(cfg.get("level", default_level))
+    region = snowflake(params, level)
+    if not region.verified_simple:
+        raise GeometryError(f"snowflake n={params.n}, r={params.r:g} is "
+                            "not verified simple; lower r below the "
+                            "self-avoidance bound")
+    return params, level, region
 
 
 def _poles_csv(dims: ComplexDimensionSet) -> bytes:
     rows = [(p.omega.real, p.omega.imag, p.residue.real, p.residue.imag,
              p.multiplicity) for p in dims.poles]
-    return _csv_bytes(["re", "im", "res_re", "res_im", "mult"], rows)
+    return csv_bytes(["re", "im", "res_re", "res_im", "mult"], rows)
 
 
-def _poles_svg(dims: ComplexDimensionSet, width: int = 640,
-               height: int = 640) -> bytes:
+def _poles_svg(dims: ComplexDimensionSet) -> bytes:
+    width = height = POLES_SVG_SIZE
     re_min, re_max, im_max = dims.window
     span_re = max(re_max - re_min, 1e-9)
     pad = 0.15 * span_re
@@ -95,7 +96,8 @@ def _poles_svg(dims: ComplexDimensionSet, width: int = 640,
 
 
 def _locate_poles(ratios: RatioMultiset, im_max: float,
-                  max_denominator: int = 64) -> ComplexDimensionSet:
+                  max_denominator: int = LATTICE_MAX_DENOMINATOR
+                  ) -> ComplexDimensionSet:
     lattice = detect_lattice(ratios, max_denominator)
     if lattice is not None:
         return lattice_poles(lattice, im_max)
@@ -113,7 +115,8 @@ def cmd_dims(cfg):
     ratios = _ratios_from_config(cfg)
     d_up = similarity_dimension(ratios)
     d_lo = lower_similarity_dimension(ratios)
-    lattice = detect_lattice(ratios, int(cfg.get("max_denominator", 64)))
+    lattice = detect_lattice(ratios, int(cfg.get("max_denominator",
+                                                 LATTICE_MAX_DENOMINATOR)))
     doc = {
         "similarity_dimension": d_up,
         "lower_similarity_dimension": d_lo,
@@ -126,7 +129,7 @@ def cmd_dims(cfg):
     files = {
         "dims.json": (json.dumps(doc, indent=2, sort_keys=True) + "\n"
                       ).encode(),
-        "dims.csv": _csv_bytes(
+        "dims.csv": csv_bytes(
             ["quantity", "value"],
             [("similarity_dimension", d_up),
              ("lower_similarity_dimension", d_lo),
@@ -140,7 +143,8 @@ def cmd_dims(cfg):
 def cmd_poles(cfg):
     ratios = _ratios_from_config(cfg)
     dims = _locate_poles(ratios, float(cfg.get("im_max", 60.0)),
-                         int(cfg.get("max_denominator", 64)))
+                         int(cfg.get("max_denominator",
+                                     LATTICE_MAX_DENOMINATOR)))
     files = {
         "poles.csv": _poles_csv(dims),
         "poles.svg": _poles_svg(dims),
@@ -161,10 +165,8 @@ def cmd_poles(cfg):
 
 
 def _compute_tube(cfg):
-    params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    level = int(cfg.get("level", 5))
+    params, level, region = _snowflake_from_config(cfg, 5)
     h = float(cfg.get("h", 1e-3))
-    region = snowflake(params, level)
     sector = sector_region(region, int(cfg.get("sector", 0)))
     fld = distance_field(region.closed_boundary, sector, h,
                          meta={"level": level, "n": params.n, "r": params.r})
@@ -197,7 +199,7 @@ def cmd_tube(cfg):
         "minkowski_prefactor": c_est,
     }
     files = {
-        "tube.csv": tube.to_csv().encode(),
+        "tube.csv": tube.to_csv(),
         "tube_meta.json": (tube.meta_json() + "\n").encode(),
         "sfe_report.json": (json.dumps(doc, indent=2, sort_keys=True)
                             + "\n").encode(),
@@ -208,8 +210,7 @@ def cmd_tube(cfg):
 
 
 def cmd_heat(cfg):
-    params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    level = int(cfg.get("level", 4))
+    params, level, region = _snowflake_from_config(cfg, 4)
     h = float(cfg.get("h", 2e-3))
     diffusivity = float(cfg.get("diffusivity", 1.0))
     if diffusivity <= 0:
@@ -217,10 +218,15 @@ def cmd_heat(cfg):
     t_min = float(cfg.get("t_min", 3e-4))
     t_max = float(cfg.get("t_max", 3e-3))
     ts = geometric_grid(t_min, t_max, int(cfg.get("points_per_decade", 24)))
-    region = snowflake(params, level)
     problem = HeatProblem(region=region.boundary)
-    # diffusivity C rescales time: E_C(t) = E_1(C t)
-    content = solve_heat_content(problem, h, diffusivity * ts)
+    # diffusivity C rescales time: E_C(t) = E_1(C t); with the remainder,
+    # its one solve gives the content too
+    rem = None
+    if cfg.get("remainder", False):
+        content, rem = decomposition_remainder(params, level,
+                                               diffusivity * ts, h)
+    else:
+        content = solve_heat_content(problem, h, diffusivity * ts)
     content = SampledFunction(ts, content.vals,
                               meta={**content.meta,
                                     "diffusivity": diffusivity})
@@ -229,12 +235,11 @@ def cmd_heat(cfg):
     doc = {"exponent_fit": heat_exponent_fit(content, (ts[0], ts[-1]))}
     checks = []
     files = {
-        "heat.csv": content.to_csv().encode(),
+        "heat.csv": content.to_csv(),
         "heat_meta.json": (content.meta_json() + "\n").encode(),
     }
-    if cfg.get("remainder", False):
-        rem = decomposition_remainder(params, level, diffusivity * ts, h)
-        files["remainder.csv"] = rem.to_csv().encode()
+    if rem is not None:
+        files["remainder.csv"] = rem.to_csv()
         doc["remainder_linear_bound_fit"] = rem.meta["linear_bound_fit"]
     if cfg.get("scaling_lambda"):
         lam = float(cfg["scaling_lambda"])
@@ -249,42 +254,36 @@ def cmd_heat(cfg):
 
 def cmd_explicit(cfg):
     source = cfg.get("source", "tube")
-    params = GKCParams(int(cfg["n"]), float(cfg["r"]))
     k = int(cfg.get("k", 2))
     im_max = float(cfg.get("im_max", 80.0))
     cutoffs = tuple(float(c) for c in cfg.get("cutoffs",
                                               (10, 20, 40, 80)))
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
-    ratios = _ratios_from_config({"n": params.n, "r": params.r})
     if source == "tube":
         alpha, beta = 1.0, 2.0
-        _, level, fld, tube = _compute_tube(cfg)
+        params, level, fld, tube = _compute_tube(cfg)
         norm = tube.transform_vals(lambda t, v: v / t ** 2)
-        ell, r, n = params.ell, params.r, params.n
-        vv = np.interp
-        rem_vals = (tube.vals
-                    - 2 * ell ** 2 * vv(tube.ts / ell, tube.ts, tube.vals)
-                    - (n - 1) * r ** 2 * vv(tube.ts / r, tube.ts, tube.vals))
-        sel = tube.ts <= tube.ts[-1] * min(ell, r)
+        rem_vals = tube.vals - sfe_images(
+            lambda t: np.interp(t, tube.ts, tube.vals), params.ratio_pairs,
+            1, tube.ts)
+        sel = tube.ts <= tube.ts[-1] * min(params.ell, params.r)
         remainder = SampledFunction(tube.ts[sel],
                                     rem_vals[sel] / tube.ts[sel] ** 2)
         area = fld.region_area
         direct_raw = tube
     else:
         alpha, beta = 2.0, 2.0
-        level = int(cfg.get("level", 4))
+        params, level, region = _snowflake_from_config(cfg, 4)
         h = float(cfg.get("h", 2e-3))
-        region = snowflake(params, level)
         ts = geometric_grid(float(cfg.get("t_min", 25 * h * h * 1.05)),
                             float(cfg.get("t_max", 3e-3)),
                             int(cfg.get("points_per_decade", 24)))
-        content = solve_heat_content(HeatProblem(region=region.boundary),
-                                     h, ts)
+        content, rem = decomposition_remainder(params, level, ts, h)
         norm = content.transform_vals(lambda t, v: v / t)
-        rem = decomposition_remainder(params, level, ts, h)
         remainder = rem.transform_vals(lambda t, v: v / t)
         area = abs(region.area)
         direct_raw = content
+    ratios = RatioMultiset.from_pairs(params.ratio_pairs)
     # default truncation: largest t with data below 90% of saturation
     delta = cfg.get("delta")
     if delta is None:
@@ -314,14 +313,11 @@ def cmd_explicit(cfg):
     series = evaluate_sum(terms, t_grid, im_cutoffs=cutoffs)
     direct = antiderivative(direct_raw, k)
     expected = beta / alpha - 0.0 + k  # remainder order sigma0 = 0
-    comp = compare_explicit(
-        SampledFunction(direct.ts, direct.vals), series,
-        expected_remainder_exp=expected - 0.05)
+    comp = compare_explicit(direct, series,
+                            expected_remainder_exp=expected - 0.05)
     term_rows = [(tm.omega.real, tm.omega.imag, tm.coeff.real, tm.coeff.imag,
                   tm.exponent.real, tm.exponent.imag) for tm in terms]
-    series_rows = [(float(t),) + tuple(float(sv[i])
-                                       for sv in series.sums)
-                   for i, t in enumerate(series.t_grid)]
+    series_rows = np.column_stack([series.t_grid, *series.sums]).tolist()
     doc = {
         "k": k, "alpha": alpha, "beta": beta, "delta": delta,
         "poles": len(dims.poles), "skipped_non_simple": len(built.skipped),
@@ -331,10 +327,10 @@ def cmd_explicit(cfg):
         "imag_leakage": list(series.imag_leakage),
     }
     files = {
-        "terms.csv": _csv_bytes(
+        "terms.csv": csv_bytes(
             ["omega_re", "omega_im", "coeff_re", "coeff_im",
              "exp_re", "exp_im"], term_rows),
-        "series.csv": _csv_bytes(
+        "series.csv": csv_bytes(
             ["t"] + [f"sum_T{c:g}" for c in series.im_cutoffs], series_rows),
         "explicit_report.json": (json.dumps(doc, indent=2, sort_keys=True)
                                  + "\n").encode(),
@@ -370,7 +366,7 @@ def cmd_render(cfg):
            'fill="none" stroke="#123" stroke-width="1"/></svg>')
     files = {
         "render.svg": svg.encode(),
-        "vertices.csv": _csv_bytes(["x", "y"],
+        "vertices.csv": csv_bytes(["x", "y"],
                                    [(float(x), float(y)) for x, y in verts]),
     }
     return files, [{"name": "render", "passed": True,

@@ -26,7 +26,9 @@ from .errors import FitError
 from .sampled import SampledFunction, leading_power_fit
 from .zeta import ComplexDimensionSet, DirichletPoly, RatioMultiset
 
-DEFAULT_CUTOFFS = (10.0, 20.0, 40.0, 80.0, 160.0)
+FLAT_TOL = 0.02  #: largest |fitted power| of a remainder flat at t -> 0
+SLOPE_SLACK = 0.15  #: allowance below the expected remainder exponent
+FLOOR_REL = 1e-12  #: residual noise floor, relative to max |direct|
 
 
 def pochhammer(z: complex, k: int) -> complex:
@@ -88,8 +90,7 @@ def build_terms(dims: ComplexDimensionSet, zeta_residues, beta: float,
 
 
 def remainder_term(ratios: RatioMultiset, remainder: SampledFunction,
-                   beta: float, alpha: float, k: int,
-                   flat_tol: float = 0.02) -> FormulaTerm | None:
+                   beta: float, alpha: float, k: int) -> FormulaTerm | None:
     """Contribution of the remainder transform's own pole at s = 0.
 
     When the normalized remainder tends to a nonzero constant c0 as
@@ -105,7 +106,7 @@ def remainder_term(ratios: RatioMultiset, remainder: SampledFunction,
         p, c0 = leading_power_fit(remainder.ts, remainder.vals)
     except FitError:
         return None
-    if abs(p) > flat_tol or c0 == 0.0:
+    if abs(p) > FLAT_TOL or c0 == 0.0:
         return None
     poly = DirichletPoly(ratios)
     rho = complex(1.0 / poly(0.0)) * alpha * c0
@@ -123,15 +124,13 @@ class PartialSumSeries:
     im_cutoffs: tuple[float, ...]
     sums: np.ndarray = field(repr=False)        # (n_cutoffs, n_t) real parts
     imag_leakage: tuple[float, ...] = ()
-    terms_used: tuple[int, ...] = ()
 
     def best(self) -> np.ndarray:
         """Partial sum at the largest cutoff."""
         return self.sums[-1]
 
 
-def evaluate_sum(terms, t_grid, im_cutoffs=DEFAULT_CUTOFFS
-                 ) -> PartialSumSeries:
+def evaluate_sum(terms, t_grid, im_cutoffs) -> PartialSumSeries:
     """Sum terms with |Im omega| <= T for each cutoff T.
 
     Terms are accumulated in increasing |Im omega| (fixed order, so the
@@ -148,7 +147,6 @@ def evaluate_sum(terms, t_grid, im_cutoffs=DEFAULT_CUTOFFS
     log_t = np.log(t_grid)
     sums = np.zeros((len(cutoffs), len(t_grid)))
     leaks = []
-    used = []
     acc = np.zeros(len(t_grid), dtype=complex)
     idx = 0
     for ci, cutoff in enumerate(cutoffs):
@@ -158,10 +156,8 @@ def evaluate_sum(terms, t_grid, im_cutoffs=DEFAULT_CUTOFFS
             idx += 1
         sums[ci] = acc.real
         leaks.append(float(np.max(np.abs(acc.imag))) if len(acc) else 0.0)
-        used.append(idx)
     return PartialSumSeries(t_grid=t_grid, im_cutoffs=cutoffs, sums=sums,
-                            imag_leakage=tuple(leaks),
-                            terms_used=tuple(used))
+                            imag_leakage=tuple(leaks))
 
 
 @dataclass(frozen=True)
@@ -179,21 +175,18 @@ class ExplicitComparison:
 
 
 def compare_explicit(direct: SampledFunction, series: PartialSumSeries,
-                     expected_remainder_exp: float,
-                     floor: float | None = None,
-                     slope_slack: float = 0.15) -> ExplicitComparison:
+                     expected_remainder_exp: float) -> ExplicitComparison:
     """Fit the decay order of direct - series against the expected one.
 
     Passes when the log-log slope of |residual| reaches
-    expected_remainder_exp - slope_slack, or when the residual sits below
-    the supplied noise floor (closed-form fixtures hit the floor).
+    expected_remainder_exp - SLOPE_SLACK, or when the residual sits below
+    the noise floor (closed-form fixtures hit the floor).
     """
     t = series.t_grid
     direct_vals = direct(t)
     res = direct_vals - series.best()
     scale = float(np.max(np.abs(direct_vals)))
-    if floor is None:
-        floor = 1e-12 * scale
+    floor = FLOOR_REL * scale
     max_rel = float(np.max(np.abs(res) / np.maximum(np.abs(direct_vals),
                                                     1e-300)))
     usable = np.abs(res) > floor
@@ -204,7 +197,7 @@ def compare_explicit(direct: SampledFunction, series: PartialSumSeries,
             at_floor=True, passed=True)
     slope = float(np.polyfit(np.log(t[usable]),
                              np.log(np.abs(res[usable])), 1)[0])
-    passed = slope >= expected_remainder_exp - slope_slack
+    passed = slope >= expected_remainder_exp - SLOPE_SLACK
     return ExplicitComparison(
         t_grid=t, residual=res, max_rel_dev=max_rel, fitted_slope=slope,
         expected_remainder_exp=expected_remainder_exp, floor=floor,

@@ -33,6 +33,7 @@ def polygon_area(vertices: np.ndarray) -> float:
 #: segments per pass of the nearest-segment minimum; bounds its memory to
 #: O(m * SEGMENT_CHUNK)
 SEGMENT_CHUNK = 256
+SNAP_TOL = 1e-14  #: lattice the simplicity test snaps vertices to
 
 
 def segment_distances(points: np.ndarray, seg_a: np.ndarray,
@@ -139,7 +140,6 @@ def point_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    inside = np.zeros(len(p), dtype=bool)
     span = max(np.ptp(y1), 1.0)
     y = p[:, 1] + span * 1e-12 * np.sqrt(2.0)
     # chunk over edges to bound memory
@@ -154,8 +154,7 @@ def point_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
             xc = a_x + (yy - a_y) * (b_x - a_x) / (b_y - a_y)
         hits = straddle & (xc > p[:, 0][:, None])
         crossings += hits.sum(axis=1)
-    inside = (crossings % 2) == 1
-    return inside
+    return (crossings % 2) == 1
 
 
 def clip_polygon_halfplane(polygon: np.ndarray, p0, normal) -> np.ndarray:
@@ -213,20 +212,20 @@ def segments_properly_intersect(a, b, c, d) -> bool:
     return False
 
 
-def check_closed_polyline_simple(vertices: np.ndarray, snap_tol: float = 1e-14):
+def check_closed_polyline_simple(vertices: np.ndarray):
     """Verify that a closed polyline has no non-adjacent segment crossings.
 
     Coordinates are snapped to a lattice before the orientation tests so
     that touching configurations are classified consistently.  Raises
     GeometryError on the first crossing found.
     """
-    v = snap(np.asarray(vertices, dtype=float), snap_tol)
+    v = snap(np.asarray(vertices, dtype=float), SNAP_TOL)
     m = len(v)
     a = v
     b = np.roll(v, -1, axis=0)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    cell = max(float(np.max(np.hypot(*(b - a).T))), snap_tol)
+    cell = max(float(np.max(np.hypot(*(b - a).T))), SNAP_TOL)
     inv = 1.0 / cell
     buckets: dict[tuple[int, int], list[int]] = {}
     for i in range(m):

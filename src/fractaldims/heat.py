@@ -23,6 +23,9 @@ small t backward Euler's time error cancels most of the closure's
 spatial error: 0.023% against 0.544% off the unit square's Fourier
 series at h=5e-3, t=3e-4.
 
+The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
+comes from one solve through the shared kernel ``sampled.sfe_images``.
+
 An independent Brownian-path Monte Carlo estimator cross-checks E(t):
 u(x, t) is the probability that a path from x exits before t, so E(t) is
 area times the exit probability from a uniform start, estimated with an
@@ -41,7 +44,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import GeometryError, ResolutionError
 from .geom import (point_in_polygon, point_in_polygon_mask,
                    points_to_segments_distance, polygon_area)
-from .sampled import SampledFunction
+from .sampled import SampledFunction, sfe_grid, sfe_images
 from .vonkoch import GKCParams, snowflake
 
 #: dt may grow to at most this fraction of the current time
@@ -53,6 +56,10 @@ DT_GROWTH = 0.01
 KRYLOV_BLOCK = 20
 KRYLOV_MAX = 2000
 KRYLOV_TOL = 1e-12
+
+PAD_CELLS = 2  #: grid cells around the region's bounding box
+SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
+MC_CHUNK = 131072  #: Monte Carlo paths walked together
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,7 @@ class HeatProblem:
     region: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        area = polygon_area(np.asarray(self.region, dtype=float))
-        if abs(area) <= 0:
+        if self.area <= 0:
             raise GeometryError("region must have positive area")
 
     @property
@@ -89,17 +95,17 @@ class HeatField:
     meta: dict = field(default_factory=dict)
 
 
-def _build_masks(region: np.ndarray, h: float, pad_cells: int = 2):
+def _build_masks(region: np.ndarray, h: float):
     # grid aligned so axis-parallel polygon edges at multiples of h pass
     # through cell centers: the Dirichlet ghost ring then sits exactly on
     # the boundary and the trapezoidal content closure is second order
     poly = np.asarray(region, dtype=float)
     xmin, ymin = poly.min(axis=0)
     xmax, ymax = poly.max(axis=0)
-    x0 = xmin - (pad_cells + 0.5) * h
-    y0 = ymin - (pad_cells + 0.5) * h
-    nx = int(np.ceil((xmax - x0) / h)) + pad_cells + 1
-    ny = int(np.ceil((ymax - y0) / h)) + pad_cells + 1
+    x0 = xmin - (PAD_CELLS + 0.5) * h
+    y0 = ymin - (PAD_CELLS + 0.5) * h
+    nx = int(np.ceil((xmax - x0) / h)) + PAD_CELLS + 1
+    ny = int(np.ceil((ymax - y0) / h)) + PAD_CELLS + 1
     xs = x0 + (np.arange(nx) + 0.5) * h
     ys = y0 + (np.arange(ny) + 0.5) * h
     interior = point_in_polygon_mask(xs, ys, poly, strict=True)
@@ -259,8 +265,8 @@ def solve_heat_content(problem: HeatProblem, h: float,
 
 
 def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
-                    seed: int, steps_per_t: int = 1500,
-                    chunk: int = 131072) -> tuple[np.ndarray, np.ndarray]:
+                    seed: int, steps_per_t: int = 1500
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Brownian exit-probability estimate of E(t) with statistical errors.
 
     Paths start uniformly in the region and take Euler-Maruyama steps of
@@ -289,7 +295,7 @@ def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
         exited_total = 0
         remaining = n_paths
         while remaining > 0:
-            m = min(chunk, remaining)
+            m = min(MC_CHUNK, remaining)
             remaining -= m
             pts = np.empty((0, 2))
             while len(pts) < m:
@@ -344,8 +350,7 @@ class HeatScalingReport:
 
 
 def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
-                        h: float, budget_rel: float = 0.02
-                        ) -> HeatScalingReport:
+                        h: float) -> HeatScalingReport:
     """Check E_{lambda Omega}(t) = lambda^2 E_Omega(t/lambda^2) with
     independent solves at the same relative resolution."""
     if lam <= 0:
@@ -359,16 +364,16 @@ def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
     return HeatScalingReport(ts=ts, lhs=lhs, rhs=rhs,
                              max_rel_dev=float(rel.max()),
-                             passed=bool(rel.max() <= budget_rel))
+                             passed=bool(rel.max() <= SCALING_BUDGET_REL))
 
 
 def decomposition_remainder(params: GKCParams, level: int, t_list,
-                            h: float) -> SampledFunction:
-    """R(t) = E(t) - [2 ell^2 E(t/ell^2) + (n-1) r^2 E(t/r^2)] on the
-    (n, r) snowflake, using the parabolic scaling law for the images.
+                            h: float
+                            ) -> tuple[SampledFunction, SampledFunction]:
+    """(E, R) at the sorted t_list on the (n, r) snowflake, R(t) = E(t) -
+    sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve on ``sfe_grid``.
 
-    The full-region heat content appears at three parabolic scales from
-    one solve.  meta carries the fitted bound max |R|/t over the window.
+    R's meta carries the fitted bound max |R|/t over the window.
     """
     ts = np.asarray(sorted(t_list), dtype=float)
     if np.any(ts < 25.0 * h ** 2):
@@ -377,22 +382,19 @@ def decomposition_remainder(params: GKCParams, level: int, t_list,
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "heat checks refuse it")
-    ell, r, n = params.ell, params.r, params.n
-    all_ts = np.unique(np.concatenate([ts, ts / ell ** 2, ts / r ** 2]))
+    pairs = params.ratio_pairs
     problem = HeatProblem(region=region.boundary)
-    e = solve_heat_content(problem, h, all_ts)
+    e = solve_heat_content(problem, h, sfe_grid(ts, pairs, 2))
 
     def E(t):
         return np.interp(t, e.ts, e.vals)
 
-    rem = E(ts) - (2 * ell ** 2 * E(ts / ell ** 2)
-                   + (n - 1) * r ** 2 * E(ts / r ** 2))
+    rem = E(ts) - sfe_images(E, pairs, 2, ts)
     c_fit = float(np.max(np.abs(rem) / ts))
-    return SampledFunction(ts, rem, meta={
+    content = SampledFunction(ts, E(ts), meta=dict(e.meta))
+    return content, SampledFunction(ts, rem, meta={
         "h": h, "level": level, "n": params.n, "r": params.r,
         "linear_bound_fit": c_fit, "content_meta": dict(e.meta),
-        "content_ts": [float(x) for x in e.ts],
-        "content_vals": [float(v) for v in e.vals],
     })
 
 

@@ -75,11 +75,11 @@ class SelfSimilarSystem:
     def scales(self) -> np.ndarray:
         return np.array([m.scale for m in self.maps])
 
-    def ratio_entries(self, tol: float = DEDUPE_TOL) -> list[tuple[float, int]]:
+    def ratio_entries(self) -> list[tuple[float, int]]:
         """Group equal scales: [(ratio, multiplicity), ...], ratios decreasing."""
         groups: list[list[float]] = []
         for s in sorted(self.scales, reverse=True):
-            if groups and abs(groups[-1][0] - s) <= tol:
+            if groups and abs(groups[-1][0] - s) <= DEDUPE_TOL:
                 groups[-1].append(s)
             else:
                 groups.append([s])

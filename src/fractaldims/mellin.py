@@ -27,6 +27,8 @@ from .errors import DivergenceDomainError, FitError, SampleRangeError
 from .sampled import SampledFunction, leading_power_fit
 from .zeta import DirichletPoly, RatioMultiset, residue_simple, zeta_eval
 
+POLE_MARGIN = 0.05  #: verify_zeta_identity's least |P/P'| from a pole
+
 
 @dataclass(frozen=True)
 class ZetaSample:
@@ -124,13 +126,13 @@ def _restrict(f: SampledFunction, a: float, b: float):
     return np.concatenate(parts_t), np.concatenate(parts_v)
 
 
-def truncated_mellin(ev: MellinEvaluator, s: complex, a: float, b: float,
-                     margin: float = 0.0) -> ZetaSample:
+def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
+                     b: float) -> ZetaSample:
     """integral of t^(s-1) f(t) dt over [a, b] from the sampled table.
 
     With a = 0 the fitted power tail c t^(-sigma_hat) is integrated in
-    closed form below the first sample, which requires
-    Re(s) > sigma_hat + margin.  The error estimate comes from
+    closed form below the first sample, which requires Re(s) > sigma_hat.
+    The error estimate comes from
     re-evaluating on every second sample (grid-halving Richardson).
     """
     s = complex(s)
@@ -141,7 +143,7 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float, b: float,
     tail_val = 0.0 + 0.0j
     tail_err = 0.0
     if a < t0:
-        if s.real <= ev.sigma_hat + margin:
+        if s.real <= ev.sigma_hat:
             raise DivergenceDomainError(
                 f"Re(s)={s.real} not above the abscissa {ev.sigma_hat}")
         p = -ev.sigma_hat
@@ -265,12 +267,11 @@ class ZetaIdentityReport:
 
 def verify_zeta_identity(ratios: RatioMultiset, f: SampledFunction,
                          remainder: SampledFunction, s_list, delta: float,
-                         alpha: float = 1.0, pole_margin: float = 0.05
-                         ) -> ZetaIdentityReport:
+                         alpha: float = 1.0) -> ZetaIdentityReport:
     """Evaluate both sides of the factorization at each admissible s.
 
     Points whose Newton-step distance estimate |P/P'| at alpha*s falls
-    below ``pole_margin`` are rejected (the identity divides small
+    below POLE_MARGIN are rejected (the identity divides small
     numbers there) and reported separately.
     """
     poly = DirichletPoly(ratios)
@@ -281,7 +282,7 @@ def verify_zeta_identity(ratios: RatioMultiset, f: SampledFunction,
         s = complex(s)
         z = alpha * s
         dist = abs(poly(z)) / max(abs(poly.derivative(z)), 1e-300)
-        if dist < pole_margin:
+        if dist < POLE_MARGIN:
             rejected.append(s)
             continue
         left = truncated_mellin(ev_f, s, 0.0, delta)

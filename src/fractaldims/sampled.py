@@ -4,6 +4,11 @@ A SampledFunction is a table (t_i, f(t_i)) on a strictly increasing
 positive grid, usually geometric (log-uniform).  Provenance travels in
 ``meta`` (grid size, construction level, hashes) so downstream reports can
 declare error budgets.
+
+``sfe_grid`` and ``sfe_images`` implement the scaling functional equation
+F(t) = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R(t) over (ratio
+lambda_k, multiplicity a_k) pairs: alpha = 1 for tube volumes, alpha = 2
+for heat content (Lapidus & van Frankenhuijsen, 2nd ed., ch. 5).
 """
 
 from __future__ import annotations
@@ -19,6 +24,18 @@ from .errors import FitError
 
 #: default geometric sampling density
 POINTS_PER_DECADE = 48
+FIT_DECADE = 10.0  #: leading_power_fit's span of samples above ts[0]
+
+
+def csv_bytes(header, rows) -> bytes:
+    """RFC 4180 CSV with CRLF line ends; floats carry 17 digits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{float(v):.17g}" if isinstance(v, float) else v
+                    for v in row])
+    return buf.getvalue().encode()
 
 
 def geometric_grid(t_min: float, t_max: float,
@@ -57,24 +74,32 @@ class SampledFunction:
             raise ValueError("evaluation outside sampled range")
         return np.interp(t, self.ts, self.vals)
 
-    def transform_vals(self, fn, meta: dict | None = None):
+    def transform_vals(self, fn):
         return SampledFunction(self.ts, fn(self.ts, self.vals),
-                               meta={**self.meta, **(meta or {})})
+                               meta=dict(self.meta))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(["t", "value"])
-        for t, v in zip(self.ts, self.vals):
-            w.writerow([f"{t:.17g}", f"{v:.17g}"])
-        return buf.getvalue()
+    def to_csv(self) -> bytes:
+        return csv_bytes(["t", "value"], zip(self.ts, self.vals))
 
     def meta_json(self) -> str:
         return json.dumps(self.meta, sort_keys=True, default=float)
 
 
-def leading_power_fit(ts: np.ndarray, vals: np.ndarray,
-                      decade: float = 10.0) -> tuple[float, float]:
+def sfe_grid(ts, pairs, alpha: float) -> np.ndarray:
+    """``ts`` and every image time ts / lambda^alpha of the pairs, sorted
+    and without repeats: one sampling of F on it serves both sides."""
+    ts = np.asarray(ts, dtype=float)
+    return np.unique(np.concatenate(
+        [ts] + [ts / lam ** alpha for lam, _ in pairs]))
+
+
+def sfe_images(F, pairs, alpha: float, ts) -> np.ndarray:
+    """sum_k a_k lambda_k^2 F(ts / lambda_k^alpha) for any callable F."""
+    ts = np.asarray(ts, dtype=float)
+    return sum(a * lam ** 2 * F(ts / lam ** alpha) for lam, a in pairs)
+
+
+def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Fit f ~ c * t^p near t -> 0 on the lowest decade of samples.
 
     Uses a median-of-slopes regression on the log-log pairs, which is
@@ -83,7 +108,7 @@ def leading_power_fit(ts: np.ndarray, vals: np.ndarray,
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    sel = ts <= ts[0] * decade
+    sel = ts <= ts[0] * FIT_DECADE
     if sel.sum() < 3:
         sel = np.zeros_like(ts, dtype=bool)
         sel[:3] = True

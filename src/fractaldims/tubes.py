@@ -10,8 +10,9 @@ so the field is exact, not approximate).
 Verification helpers compare measured tube functions against closed
 forms, the similitude scaling identity V_{phi X, phi Omega}(t) =
 lambda^2 V_{X,Omega}(t/lambda), and the von Koch scaling functional
-equation; each check carries a declared grid-error budget
-4h*perimeter + prefractal sandwich width rather than a bare tolerance.
+equation through the shared kernel ``sampled.sfe_images``; each check
+carries a declared grid-error budget 4h*perimeter + prefractal sandwich
+width rather than a bare tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import GeometryError, ResolutionError, SizeLimitError
 from .geom import (point_in_polygon_mask, points_to_segments_distance,
                    polygon_area, polyline_length, segment_distances)
 from .ifs import PointCloud, Similitude2, apply, hausdorff_distance
-from .sampled import SampledFunction
+from .sampled import SampledFunction, sfe_grid, sfe_images
 from .vonkoch import GKCParams, prefractal, sector_region, snowflake
 
 #: cap on grid cells
@@ -196,8 +197,9 @@ def _resample(verts: np.ndarray, n: int) -> np.ndarray:
 class SFEReport:
     """Residual of the von Koch tube scaling functional equation.
 
-    rho(t) = V(t) - [2 ell^2 V(t/ell) + (n-1) r^2 V(t/r)] must lie in
-    [0, (2 cot(theta/2) + theta) t^2] up to the declared grid budget.
+    rho(t) = V(t) - sum_k a_k lambda_k^2 V(t/lambda_k), summed over
+    GKCParams.ratio_pairs, must lie in [0, (2 cot(theta/2) + theta) t^2]
+    up to the declared grid budget.
     """
 
     ts: np.ndarray
@@ -226,28 +228,28 @@ def verify_gkf_sfe(params: GKCParams, level: int, ts, h: float,
         fld = distance_field(region.closed_boundary, sector, h,
                              meta={"level": level, "n": params.n,
                                    "r": params.r})
-    ell, r, n = params.ell, params.r, params.n
-    all_ts = np.unique(np.concatenate([ts, ts / ell, ts / r]))
+    pairs = params.ratio_pairs
+    all_ts = sfe_grid(ts, pairs, 1)
     v = tube_function(fld, all_ts)
 
     def V(t):
         return np.interp(t, v.ts, v.vals)
 
-    rho = V(ts) - (2 * ell ** 2 * V(ts / ell) + (n - 1) * r ** 2 * V(ts / r))
+    rho = V(ts) - sfe_images(V, pairs, 1, ts)
     theta = params.theta
     bound = (2.0 / np.tan(theta / 2.0) + theta) * ts ** 2
 
     gap = prefractal_gap(params, level)
     base = grid_error_budget(fld)
 
-    def sandwich(t):
+    def slack(t):
+        # grid budget plus the prefractal sandwich width of V at t
         hi = np.minimum(t + gap, all_ts[-1])
         lo = np.maximum(t - gap, all_ts[0])
-        return V(hi) - V(lo)
+        return base + (V(hi) - V(lo))
 
-    budget = (base * (1.0 + 2 * ell ** 2 + (n - 1) * r ** 2)
-              + sandwich(ts) + 2 * ell ** 2 * sandwich(ts / ell)
-              + (n - 1) * r ** 2 * sandwich(ts / r))
+    # every term of the equation carries its own slack
+    budget = slack(ts) + sfe_images(slack, pairs, 1, ts)
     passed = bool(np.all(rho >= -budget) and np.all(rho <= bound + budget))
     return SFEReport(ts=ts, rho=rho, bound=bound, budget=budget,
                      passed=passed, tube=v,

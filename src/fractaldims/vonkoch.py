@@ -26,6 +26,7 @@ from .ifs import SelfSimilarSystem, Similitude2, apply
 
 #: cap on prefractal segment counts
 SEGMENT_CAP = 10_000_000
+SVG_DIGITS = 8  #: significant digits of SVG path coordinates
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class GKCParams:
     @property
     def alpha_int(self) -> float:
         return math.pi - 2.0 * math.pi / self.n
+
+    @property
+    def ratio_pairs(self) -> tuple[tuple[float, int], ...]:
+        """Unmerged (ratio, multiplicity) pairs: two flanks scale by ell,
+        the n-1 bump sides by r."""
+        return ((self.ell, 2), (self.r, self.n - 1))
 
 
 def self_avoidance_bound(n: int) -> float:
@@ -187,12 +194,11 @@ def base_polygon(n: int) -> np.ndarray:
     return circum * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def snowflake(params: GKCParams, level: int,
-              cap: int = SEGMENT_CAP) -> SnowflakeRegion:
+def snowflake(params: GKCParams, level: int) -> SnowflakeRegion:
     """n prefractal copies stitched around the base n-gon, bumps outward."""
     n = params.n
     _warn_bound_band(n, params.r)
-    curve = prefractal(params, level, cap=cap).vertices
+    curve = prefractal(params, level).vertices
     cc = curve[:, 0] + 1j * curve[:, 1]
     base = base_polygon(n)
     bc = base[:, 0] + 1j * base[:, 1]
@@ -250,17 +256,17 @@ def snowflake_area_series(params: GKCParams, level: int) -> float:
     bump of side r*s; summing squared segment lengths gives the geometric
     series below.  Used as an independent oracle for the polygon area.
     """
-    n, r, ell = params.n, params.r, params.ell
+    n, r = params.n, params.r
     unit_ngon = n / (4.0 * math.tan(math.pi / n))
-    growth = 2.0 * ell ** 2 + (n - 1) * r ** 2
+    growth = sum(a * lam ** 2 for lam, a in params.ratio_pairs)
     total = 1.0
     for j in range(1, level + 1):
         total += n * r ** 2 * growth ** (j - 1)
     return unit_ngon * total
 
 
-def polyline_to_svg_path(vertices: np.ndarray, digits: int = 8) -> str:
+def polyline_to_svg_path(vertices: np.ndarray) -> str:
     v = np.asarray(vertices, dtype=float)
-    parts = [f"M {v[0, 0]:.{digits}g} {v[0, 1]:.{digits}g}"]
-    parts += [f"L {x:.{digits}g} {y:.{digits}g}" for x, y in v[1:]]
+    parts = [f"M {v[0, 0]:.{SVG_DIGITS}g} {v[0, 1]:.{SVG_DIGITS}g}"]
+    parts += [f"L {x:.{SVG_DIGITS}g} {y:.{SVG_DIGITS}g}" for x, y in v[1:]]
     return " ".join(parts)

@@ -48,7 +48,10 @@ LATTICE_MAX_DENOMINATOR = 64
 #: tolerance of the continued-fraction lattice test
 LATTICE_TOL = 1e-12
 
+MERGE_TOL = 1e-12  #: relative gap below which from_pairs merges ratios
+
 NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-15  #: Newton stops at a step below this * max(1, |x|)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +84,10 @@ class RatioMultiset:
         object.__setattr__(self, "entries", tuple(ent))
 
     @classmethod
-    def from_system(cls, system) -> "RatioMultiset":
-        return cls(tuple(system.ratio_entries()))
-
-    @classmethod
-    def from_pairs(cls, pairs, tol: float = 1e-12) -> "RatioMultiset":
+    def from_pairs(cls, pairs) -> "RatioMultiset":
         """Build from (ratio, multiplicity) pairs, merging equal ratios.
 
-        Ratios within relative ``tol`` of each other collapse into one
+        Ratios within relative MERGE_TOL of each other collapse into one
         entry with summed multiplicity (e.g. the n=3, r=1/3 case where
         the two derived ratios coincide up to rounding).
         """
@@ -96,7 +95,7 @@ class RatioMultiset:
                        key=lambda e: -e[0])
         merged: list[list[float]] = []
         for r, m in items:
-            if merged and abs(merged[-1][0] - r) <= tol * max(r, 1e-300):
+            if merged and abs(merged[-1][0] - r) <= MERGE_TOL * max(r, 1e-300):
                 merged[-1][1] += m
             else:
                 merged.append([r, m])
@@ -117,48 +116,53 @@ class DirichletPoly:
 
     ratios: RatioMultiset
 
+    def _terms(self, s):
+        """a_k lambda_k^s, with k along a new last axis."""
+        return self.ratios.multiplicities * np.power(
+            self.ratios.ratios, np.asarray(s)[..., None])
+
     def __call__(self, s):
-        s = np.asarray(s)
-        lam = self.ratios.ratios
-        mult = self.ratios.multiplicities
-        return 1.0 - np.sum(mult * np.power(lam, s[..., None]), axis=-1)
+        return 1.0 - self.moran_sum(s)
 
     def moran_sum(self, s):
         """sum a_k lambda_k^s (strictly decreasing along the real axis)."""
-        s = np.asarray(s)
-        lam = self.ratios.ratios
-        mult = self.ratios.multiplicities
-        return np.sum(mult * np.power(lam, s[..., None]), axis=-1)
+        return np.sum(self._terms(s), axis=-1)
 
     def derivative(self, s):
         """P'(s) = sum a_k lambda_k^s log(1/lambda_k)."""
-        s = np.asarray(s)
-        lam = self.ratios.ratios
-        mult = self.ratios.multiplicities
-        return np.sum(mult * np.power(lam, s[..., None]) * (-np.log(lam)),
+        return np.sum(self._terms(s) * (-np.log(self.ratios.ratios)),
                       axis=-1)
 
     def second_derivative(self, s):
         """P''(s) = -sum a_k lambda_k^s log(lambda_k)^2."""
-        s = np.asarray(s)
-        lam = self.ratios.ratios
-        mult = self.ratios.multiplicities
-        return -np.sum(mult * np.power(lam, s[..., None]) * np.log(lam) ** 2,
+        return -np.sum(self._terms(s) * np.log(self.ratios.ratios) ** 2,
                        axis=-1)
 
     def with_derivative(self, s):
         """(P(s), P'(s)) from one shared array of a_k lambda_k^s."""
-        s = np.asarray(s)
-        lam = self.ratios.ratios
-        terms = self.ratios.multiplicities * np.power(lam, s[..., None])
-        return 1.0 - np.sum(terms, axis=-1), terms @ -np.log(lam)
+        terms = self._terms(s)
+        log_lam = np.log(self.ratios.ratios)
+        return 1.0 - np.sum(terms, axis=-1), terms @ -log_lam
 
 
 # ---------------------------------------------------------------------------
 # real roots: similarity dimensions
 
 
-def _increasing_root(fn, dfn, lo: float, hi: float, tol: float = 1e-15) -> float:
+def _newton(fn, dfn, x, tol: float = NEWTON_TOL):
+    """Newton iteration until a step is below tol * max(1, |x|)."""
+    for _ in range(NEWTON_MAX_ITER):
+        d = dfn(x)
+        if d == 0:
+            break
+        step = fn(x) / d
+        x = x - step
+        if abs(step) < tol * max(1.0, abs(x)):
+            break
+    return x
+
+
+def _increasing_root(fn, dfn, lo: float, hi: float) -> float:
     """Root of a strictly increasing function: bisection bracket + Newton."""
     flo, fhi = fn(lo), fn(hi)
     while flo > 0:
@@ -176,17 +180,7 @@ def _increasing_root(fn, dfn, lo: float, hi: float, tol: float = 1e-15) -> float
             hi = mid
         if hi - lo < 1e-13 * max(1.0, abs(mid)):
             break
-    x = 0.5 * (lo + hi)
-    for _ in range(NEWTON_MAX_ITER):
-        fx = fn(x)
-        dx = dfn(x)
-        if dx == 0:
-            break
-        step = fx / dx
-        x -= step
-        if abs(step) < tol * max(1.0, abs(x)):
-            break
-    return float(x)
+    return float(_newton(fn, dfn, 0.5 * (lo + hi)))
 
 
 def similarity_dimension(ratios: RatioMultiset) -> float:
@@ -272,12 +266,12 @@ class LatticeStructure:
 
 
 def detect_lattice(ratios: RatioMultiset,
-                   max_denominator: int = LATTICE_MAX_DENOMINATOR,
-                   tol: float = LATTICE_TOL) -> LatticeStructure | None:
+                   max_denominator: int = LATTICE_MAX_DENOMINATOR
+                   ) -> LatticeStructure | None:
     """Rational-relation test on log-ratios via continued fractions.
 
     Returns a structure iff every log lambda_i / log lambda_1 is rational
-    with denominator at most ``max_denominator`` (to within ``tol``),
+    with denominator at most ``max_denominator`` (to within LATTICE_TOL),
     with exponents gcd-reduced.  None is the nonlattice verdict at this
     precision: floating-point input can never be proven irrational.
     """
@@ -288,7 +282,7 @@ def detect_lattice(ratios: RatioMultiset,
         f = Fraction(x / base).limit_denominator(max_denominator)
         if f.numerator <= 0:
             return None
-        if abs(x / base - float(f)) > tol * max(1.0, abs(x / base)):
+        if abs(x / base - float(f)) > LATTICE_TOL * max(1.0, abs(x / base)):
             return None
         fracs.append(f)
     denom_lcm = 1
@@ -303,7 +297,7 @@ def detect_lattice(ratios: RatioMultiset,
     # least-squares generator: logs[i] = k_i * log(lambda0)
     karr = np.array(ks, dtype=float)
     log_lam0 = float(np.dot(karr, logs) / np.dot(karr, karr))
-    if not all(abs(k * log_lam0 - x) <= 10 * tol * max(1.0, abs(x))
+    if not all(abs(k * log_lam0 - x) <= 10 * LATTICE_TOL * max(1.0, abs(x))
                for k, x in zip(ks, logs)):
         return None
     exps = tuple(
@@ -409,19 +403,18 @@ def rescale(dims: ComplexDimensionSet, alpha: float) -> ComplexDimensionSet:
 # direct evaluation and residues
 
 
-def zeta_eval(poly: DirichletPoly, s, near_pole_tol: float = NEAR_POLE_TOL):
-    """zeta(s) = 1/P(s); refuses evaluation when |P(s)| <= near_pole_tol."""
+def zeta_eval(poly: DirichletPoly, s):
+    """zeta(s) = 1/P(s); refuses evaluation when |P(s)| <= NEAR_POLE_TOL."""
     ps = poly(s)
     pa = np.abs(ps)
-    if np.any(pa <= near_pole_tol):
+    if np.any(pa <= NEAR_POLE_TOL):
         raise PoleProximityError(
             f"|P(s)|={float(np.min(pa)):.3e} too close to a pole",
             float(np.min(pa)))
     return 1.0 / ps
 
 
-def residue_simple(poly: DirichletPoly, omega: complex,
-                   pole_tol: float = POLE_TOL) -> complex:
+def residue_simple(poly: DirichletPoly, omega: complex) -> complex:
     """Residue 1/P'(omega) of 1/P at a verified simple pole.
 
     P'(omega) alone does not tell a simple zero from a multiple one
@@ -430,7 +423,7 @@ def residue_simple(poly: DirichletPoly, omega: complex,
     |P'|^2 <= SIMPLE_POLE_MARGIN |P''| max(|P|, round-off of P).
     """
     p = complex(poly(omega))
-    if abs(p) >= pole_tol:
+    if abs(p) >= POLE_TOL:
         raise ValueError(f"omega={omega} is not a pole: |P|={abs(p):.3e}")
     dp = complex(poly.derivative(omega))
     d2p = complex(poly.second_derivative(omega))
@@ -458,8 +451,8 @@ def residue_contour(fn, center: complex, radius: float = 1e-4,
 # lattice pole location
 
 
-def lattice_poles(structure: LatticeStructure, im_max: float,
-                  pole_tol: float = POLE_TOL) -> ComplexDimensionSet:
+def lattice_poles(structure: LatticeStructure,
+                  im_max: float) -> ComplexDimensionSet:
     """All poles with |Im| <= im_max from the lattice polynomial.
 
     Writing z = lambda_0^s turns P into the ordinary polynomial
@@ -484,17 +477,7 @@ def lattice_poles(structure: LatticeStructure, im_max: float,
     def dq(z):
         return -sum(m * k * z ** (k - 1) for k, m in zip(ks, ms))
 
-    polished = []
-    for z in roots:
-        for _ in range(NEWTON_MAX_ITER):
-            d = dq(z)
-            if d == 0:
-                break
-            step = q(z) / d
-            z = z - step
-            if abs(step) < 1e-16 * max(1.0, abs(z)):
-                break
-        polished.append(z)
+    polished = [_newton(q, dq, z, tol=1e-16) for z in roots]
     # cluster multiple roots
     clusters: list[list[complex]] = []
     for z in sorted(polished, key=lambda w: (w.real, w.imag)):
@@ -525,12 +508,12 @@ def lattice_poles(structure: LatticeStructure, im_max: float,
             # exact vertical spacing by construction
             omega = complex(omega0.real, omega0.imag + m * period)
             omega = _newton_polish(poly, omega)
-            if abs(poly(omega)) >= pole_tol:
+            if abs(poly(omega)) >= POLE_TOL:
                 raise ContourError(
                     f"lattice pole failed verification at {omega}",
                     residual=abs(poly(omega)))
             if mult == 1:
-                res = residue_simple(poly, omega, pole_tol=pole_tol)
+                res = residue_simple(poly, omega)
             else:
                 res = residue_contour(lambda s: zeta_eval(poly, s), omega)
             poles.append(Pole(omega, res, mult))
@@ -542,17 +525,8 @@ def lattice_poles(structure: LatticeStructure, im_max: float,
                                lattice=structure)
 
 
-def _newton_polish(poly: DirichletPoly, s: complex,
-                   tol: float = 1e-15) -> complex:
-    for _ in range(NEWTON_MAX_ITER):
-        d = poly.derivative(s)
-        if d == 0:
-            break
-        step = poly(s) / d
-        s = s - step
-        if abs(step) < tol * max(1.0, abs(s)):
-            break
-    return complex(s)
+def _newton_polish(poly: DirichletPoly, s: complex) -> complex:
+    return complex(_newton(poly, poly.derivative, s))
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +542,10 @@ WINDING_BLOCK_NODES = 4096
 #: absolute error allowed on the contour integrals of P'/P and z P'/P
 #: (the latter relative to the largest |z| on the contour)
 WINDING_TOL = 1e-6
+
+EDGE_TOL = 1e-8  #: least min |P| on a zero-free split line or contour
+MIN_RECT = 1e-8  #: a rectangle smaller than this is not split further
+CONJUGATE_TOL = 1e-9  #: real-axis and conjugate-pairing tolerance
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(WINDING_ORDER)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)     # mapped to [0, 1]
@@ -653,10 +631,8 @@ def _winding_number(poly: DirichletPoly, rect):
     return n, moment / (2j * np.pi)
 
 
-def _edge_min_abs(poly: DirichletPoly, z0: complex, z1: complex,
-                  samples: int | None = None) -> float:
-    if samples is None:
-        samples = max(512, min(16384, int(64 * abs(z1 - z0))))
+def _edge_min_abs(poly: DirichletPoly, z0: complex, z1: complex) -> float:
+    samples = max(512, min(16384, int(64 * abs(z1 - z0))))
     t = np.linspace(0.0, 1.0, samples)
     z = z0 + t * (z1 - z0)
     return float(np.min(np.abs(poly(z))))
@@ -669,7 +645,7 @@ def _rect_min_abs(poly: DirichletPoly, rect) -> float:
                for i in range(4))
 
 
-def _split_and_count(poly: DirichletPoly, rect, n: int, edge_tol: float):
+def _split_and_count(poly: DirichletPoly, rect, n: int):
     """Split a rectangle along a zero-free line with consistent child counts.
 
     Candidate split lines are scanned for zeros of P and the two child
@@ -691,7 +667,7 @@ def _split_and_count(poly: DirichletPoly, rect, n: int, edge_tol: float):
         else:
             z0, z1 = complex(ra, x), complex(rb, x)
             kids = [(ra, rb, rc, x), (ra, rb, x, rd)]
-        if _edge_min_abs(poly, z0, z1) <= edge_tol:
+        if _edge_min_abs(poly, z0, z1) <= EDGE_TOL:
             continue
         try:
             found = [(kid, *_winding_number(poly, kid)) for kid in kids]
@@ -709,9 +685,7 @@ def _split_and_count(poly: DirichletPoly, rect, n: int, edge_tol: float):
 
 
 def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
-                     im_max: float, pole_tol: float = POLE_TOL,
-                     edge_tol: float = 1e-8,
-                     min_rect: float = 1e-8) -> ComplexDimensionSet:
+                     im_max: float) -> ComplexDimensionSet:
     """Locate zeros of P in re_band x [-im_max, im_max] by subdivision.
 
     Rectangles are split (along zero-free lines) until each contains at
@@ -733,7 +707,7 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
     for _ in range(10):
         cand = (a - margin_re, b + margin_re, -(float(im_max) + wi),
                 float(im_max) + wi)
-        if _rect_min_abs(poly, cand) > edge_tol:
+        if _rect_min_abs(poly, cand) > EDGE_TOL:
             try:
                 total_count, total_moment = _winding_number(poly, cand)
                 rect = cand
@@ -754,32 +728,32 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
         ra, rb, rc, rd = r
         if n == 0:
             continue
-        if n == 1 or max(rb - ra, rd - rc) < min_rect:
+        if n == 1 or max(rb - ra, rd - rc) < MIN_RECT:
             center = moment / n
             omega = _newton_polish(poly, complex(center))
             inside = (ra - 1e-9 <= omega.real <= rb + 1e-9
                       and rc - 1e-9 <= omega.imag <= rd + 1e-9)
-            if n == 1 and (not inside or abs(poly(omega)) >= pole_tol):
+            if n == 1 and (not inside or abs(poly(omega)) >= POLE_TOL):
                 # refinement escaped; split once more
-                if max(rb - ra, rd - rc) < min_rect:
+                if max(rb - ra, rd - rc) < MIN_RECT:
                     raise ContourError(
                         f"failed to isolate a zero in {r}",
                         residual=abs(poly(omega)))
             else:
-                if abs(poly(omega)) >= pole_tol:
+                if abs(poly(omega)) >= POLE_TOL:
                     raise ContourError(
                         f"pole candidate failed |P| check at {omega}",
                         residual=abs(poly(omega)))
                 if n == 1:
-                    res = residue_simple(poly, omega, pole_tol=pole_tol)
+                    res = residue_simple(poly, omega)
                 else:
                     res = residue_contour(
                         lambda s: zeta_eval(poly, s), omega,
-                        radius=max(min_rect, 1e-6))
+                        radius=max(MIN_RECT, 1e-6))
                 poles.append(Pole(omega, res, n))
                 continue
         # split along the longer side through a zero-free line
-        for kid in _split_and_count(poly, r, n, edge_tol):
+        for kid in _split_and_count(poly, r, n):
             if kid[1]:
                 stack.append(kid)
 
@@ -798,25 +772,25 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
                                search_count=total_count - margin)
 
 
-def _conjugate_canonicalize(poles: list[Pole],
-                            tol: float = 1e-9) -> list[Pole]:
+def _conjugate_canonicalize(poles: list[Pole]) -> list[Pole]:
     """Pair conjugate poles and make the pairing exact (real coefficients)."""
-    upper = [p for p in poles if p.omega.imag > tol]
-    lower = [p for p in poles if p.omega.imag < -tol]
+    upper = [p for p in poles if p.omega.imag > CONJUGATE_TOL]
+    lower = [p for p in poles if p.omega.imag < -CONJUGATE_TOL]
     real = [Pole(complex(p.omega.real, 0.0), complex(p.residue.real, 0.0),
                  p.multiplicity)
-            for p in poles if abs(p.omega.imag) <= tol]
+            for p in poles if abs(p.omega.imag) <= CONJUGATE_TOL]
     out = list(real)
     lower_pool = list(lower)
     for p in upper:
         match = None
         for q in lower_pool:
-            if abs(q.omega - p.omega.conjugate()) <= tol:
+            if abs(q.omega - p.omega.conjugate()) <= CONJUGATE_TOL:
                 match = q
                 break
         if match is None:
             raise ContourError(
-                f"pole {p.omega} has no conjugate partner within {tol}")
+                f"pole {p.omega} has no conjugate partner within "
+                f"{CONJUGATE_TOL}")
         lower_pool.remove(match)
         out.append(p)
         out.append(Pole(p.omega.conjugate(), p.residue.conjugate(),

@@ -6,9 +6,10 @@ import pytest
 
 from dataclasses import replace
 
-from fractaldims import cli
+from fractaldims import cli, heat
 from fractaldims.cache import config_hash
 from fractaldims.cli import run_command
+from fractaldims.errors import GeometryError
 
 TINY_TUBE = {
     "n": 3, "r": 1 / 3, "level": 2, "h": 5e-3,
@@ -208,3 +209,48 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="empty evaluation window") as err:
         run_command("explicit", cfg, tmp_path / "heat")
     assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)
+
+
+def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):
+    # the remainder's solve also gives the content
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    calls = []
+    solve = heat.solve_heat_fdm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    plain = run_command("heat", dict(TINY_HEAT), tmp_path / "plain")
+    monkeypatch.setattr(heat, "solve_heat_fdm", counted)
+    out = run_command("heat", dict(TINY_HEAT, remainder=True),
+                      tmp_path / "rem")
+    assert len(calls) == 1
+    e_plain = np.loadtxt(plain / "heat.csv", delimiter=",", skiprows=1)
+    e_rem = np.loadtxt(out / "heat.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(e_rem[:, 0], e_plain[:, 0])
+    assert np.allclose(e_rem[:, 1], e_plain[:, 1], rtol=1e-5, atol=0)
+    calls.clear()
+    cfg = dict(TINY_HEAT, source="heat", im_max=5)
+    del cfg["t_min"]
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        run_command("explicit", cfg, tmp_path / "explicit")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["heat", "tube", "explicit"])
+def test_unverified_snowflake_is_refused_before_any_work(tmp_path,
+                                                         monkeypatch,
+                                                         command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("field or solve built for an unverified region")
+
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    monkeypatch.setattr(cli, "distance_field", no_work)
+    monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
+    cfg = {"n": 6, "r": 0.3, "level": 2}
+    with pytest.raises(GeometryError, match="not verified simple"):
+        run_command(command, cfg, tmp_path / command)
+    assert not (tmp_path / command).exists()
+    # render draws the curve all the same
+    run_command("render", cfg, tmp_path / "render")
