@@ -10,6 +10,11 @@ set, heavy stages are reused from the cache byte-for-byte; cache entries
 are keyed by the config, the package version and a digest of the
 package source, so results of other code are never served.  All commands
 are deterministic: identical configs produce identical CSV bytes.
+
+``tube``, ``heat`` and ``explicit`` build their snowflake once and pass
+it to ``verify_gkf_sfe(region, fld, ts)`` and ``decomposition_remainder(
+region, ts, h)``; both ``explicit`` sources take R from
+``sampled.sfe_remainder``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
                    solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue
 from .sampled import (SampledFunction, antiderivative, csv_bytes,
-                      geometric_grid, sfe_images)
+                      geometric_grid, sfe_grid, sfe_remainder)
 from .tubes import distance_field, minkowski_fit, tube_function, verify_gkf_sfe
 from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal,
                       sector_region, snowflake)
@@ -52,16 +57,15 @@ def _ratios_from_config(cfg) -> RatioMultiset:
 
 
 def _snowflake_from_config(cfg, default_level: int):
-    """(params, level, region) for tube, heat and explicit; refuses an
+    """The one snowflake of a tube, heat or explicit run; refuses an
     unverified snowflake before any field or solve (render does not)."""
     params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    level = int(cfg.get("level", default_level))
-    region = snowflake(params, level)
+    region = snowflake(params, int(cfg.get("level", default_level)))
     if not region.verified_simple:
         raise GeometryError(f"snowflake n={params.n}, r={params.r:g} is "
                             "not verified simple; lower r below the "
                             "self-avoidance bound")
-    return params, level, region
+    return region
 
 
 def _poles_csv(dims: ComplexDimensionSet) -> bytes:
@@ -165,26 +169,28 @@ def cmd_poles(cfg):
 
 
 def _compute_tube(cfg):
-    params, level, region = _snowflake_from_config(cfg, 5)
+    """(region, sector distance field, tube time grid) of a tube run."""
+    region = _snowflake_from_config(cfg, 5)
+    params = region.params
     h = float(cfg.get("h", 1e-3))
     sector = sector_region(region, int(cfg.get("sector", 0)))
     fld = distance_field(region.closed_boundary, sector, h,
-                         meta={"level": level, "n": params.n, "r": params.r})
+                         meta={"level": region.level, "n": params.n,
+                               "r": params.r})
     t_min = float(cfg.get("t_min", max(10 * h, 1e-3)))
     t_max = float(cfg.get("t_max", 0.3))
     per_decade = int(cfg.get("points_per_decade", 48))
-    ts = geometric_grid(t_min, t_max, per_decade)
-    tube = tube_function(fld, ts)
-    return params, level, fld, tube
+    return region, fld, geometric_grid(t_min, t_max, per_decade)
 
 
 def cmd_tube(cfg):
-    params, level, fld, tube = _compute_tube(cfg)
+    region, fld, ts = _compute_tube(cfg)
+    tube = tube_function(fld, ts)
     h = fld.h
     sfe_ts = np.geomspace(float(cfg.get("sfe_t_min", max(0.01, 5 * h))),
                           float(cfg.get("sfe_t_max", 0.05)),
                           int(cfg.get("sfe_points", 9)))
-    report = verify_gkf_sfe(params, level, sfe_ts, h, fld=fld)
+    report = verify_gkf_sfe(region, fld, sfe_ts)
     window = (float(cfg.get("fit_t_min", tube.ts[0])),
               float(cfg.get("fit_t_max", tube.ts[-1])))
     d_est, c_est = minkowski_fit(tube, window)
@@ -194,7 +200,7 @@ def cmd_tube(cfg):
         "sfe_bound": [float(x) for x in report.bound],
         "sfe_budget": [float(x) for x in report.budget],
         "prefractal_gap": report.gap,
-        "sector_area": report.sector_area,
+        "sector_area": fld.region_area,
         "minkowski_dimension_fit": d_est,
         "minkowski_prefactor": c_est,
     }
@@ -210,7 +216,7 @@ def cmd_tube(cfg):
 
 
 def cmd_heat(cfg):
-    params, level, region = _snowflake_from_config(cfg, 4)
+    region = _snowflake_from_config(cfg, 4)
     h = float(cfg.get("h", 2e-3))
     diffusivity = float(cfg.get("diffusivity", 1.0))
     if diffusivity <= 0:
@@ -223,8 +229,7 @@ def cmd_heat(cfg):
     # its one solve gives the content too
     rem = None
     if cfg.get("remainder", False):
-        content, rem = decomposition_remainder(params, level,
-                                               diffusivity * ts, h)
+        content, rem = decomposition_remainder(region, diffusivity * ts, h)
     else:
         content = solve_heat_content(problem, h, diffusivity * ts)
     content = SampledFunction(ts, content.vals,
@@ -259,31 +264,31 @@ def cmd_explicit(cfg):
     cutoffs = tuple(float(c) for c in cfg.get("cutoffs",
                                               (10, 20, 40, 80)))
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
+    # F = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R: alpha 1 for the
+    # sector tube volume, 2 for the heat content; the tube and heat zeta
+    # functions transform F(t) / t^(beta/alpha)
+    beta = 2.0
     if source == "tube":
-        alpha, beta = 1.0, 2.0
-        params, level, fld, tube = _compute_tube(cfg)
-        norm = tube.transform_vals(lambda t, v: v / t ** 2)
-        rem_vals = tube.vals - sfe_images(
-            lambda t: np.interp(t, tube.ts, tube.vals), params.ratio_pairs,
-            1, tube.ts)
-        sel = tube.ts <= tube.ts[-1] * min(params.ell, params.r)
-        remainder = SampledFunction(tube.ts[sel],
-                                    rem_vals[sel] / tube.ts[sel] ** 2)
+        alpha = 1.0
+        region, fld, ts = _compute_tube(cfg)
+        pairs = region.params.ratio_pairs
+        tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
+        f_ts, r_ts = sfe_remainder(tube, pairs, alpha, ts)
         area = fld.region_area
-        direct_raw = tube
     else:
-        alpha, beta = 2.0, 2.0
-        params, level, region = _snowflake_from_config(cfg, 4)
+        alpha = 2.0
+        region = _snowflake_from_config(cfg, 4)
         h = float(cfg.get("h", 2e-3))
         ts = geometric_grid(float(cfg.get("t_min", 25 * h * h * 1.05)),
                             float(cfg.get("t_max", 3e-3)),
                             int(cfg.get("points_per_decade", 24)))
-        content, rem = decomposition_remainder(params, level, ts, h)
-        norm = content.transform_vals(lambda t, v: v / t)
-        remainder = rem.transform_vals(lambda t, v: v / t)
+        content, rem = decomposition_remainder(region, ts, h)
+        f_ts, r_ts = content.vals, rem.vals
         area = abs(region.area)
-        direct_raw = content
-    ratios = RatioMultiset.from_pairs(params.ratio_pairs)
+    direct_raw = SampledFunction(ts, f_ts)
+    norm = SampledFunction(ts, f_ts / ts ** (beta / alpha))
+    remainder = SampledFunction(ts, r_ts / ts ** (beta / alpha))
+    ratios = RatioMultiset.from_pairs(region.params.ratio_pairs)
     # default truncation: largest t with data below 90% of saturation
     delta = cfg.get("delta")
     if delta is None:
@@ -400,7 +405,7 @@ def _parse_override(text: str):
 def run_command(command: str, config: dict, out_dir: Path,
                 config_path: Path | None = None) -> Path:
     """Execute one command, write outputs + manifest, return the out dir."""
-    started = time.time()
+    started = time.perf_counter()
     key = config_hash(command, config)
     # results of other code are never served: the key carries the code too
     cache_key = config_hash(command, {"config": config,
@@ -436,7 +441,7 @@ def run_command(command: str, config: dict, out_dir: Path,
                    if config_path and config_path.exists() else {}),
         "outputs": {name: sha256_file(out_dir / name) for name in files},
         "from_cache": from_cache,
-        "timing_s": round(time.time() - started, 6),
+        "timing_s": round(time.perf_counter() - started, 6),
         "checks": checks,
     }
     (out_dir / "manifest.json").write_text(

@@ -48,7 +48,6 @@ class FormulaTerm:
     omega: complex
     coeff: complex
     exponent: complex
-    poch_denominator: complex
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ def build_terms(dims: ComplexDimensionSet, zeta_residues, beta: float,
                 f"Pochhammer denominator vanished at omega={pole.omega}")
         terms.append(FormulaTerm(omega=pole.omega,
                                  coeff=complex(rho) / poch,
-                                 exponent=z + k,
-                                 poch_denominator=poch))
+                                 exponent=z + k))
     terms.sort(key=lambda tm: (abs(tm.omega.imag), tm.omega.imag,
                                tm.omega.real))
     return TermBuildResult(terms=tuple(terms), skipped=tuple(skipped))
@@ -112,8 +110,7 @@ def remainder_term(ratios: RatioMultiset, remainder: SampledFunction,
     rho = complex(1.0 / poly(0.0)) * alpha * c0
     z = (beta - 0.0) / alpha
     poch = pochhammer(z + 1.0, k)
-    return FormulaTerm(omega=0.0 + 0.0j, coeff=rho / poch, exponent=z + k,
-                       poch_denominator=poch)
+    return FormulaTerm(omega=0.0 + 0.0j, coeff=rho / poch, exponent=z + k)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ spatial error: 0.023% against 0.544% off the unit square's Fourier
 series at h=5e-3, t=3e-4.
 
 The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
-comes from one solve through the shared kernel ``sampled.sfe_images``.
+comes from ``decomposition_remainder(region, ts, h)``: one solve on the
+region its caller built, read through the shared kernel
+``sampled.sfe_remainder``.
 
 An independent Brownian-path Monte Carlo estimator cross-checks E(t):
 u(x, t) is the probability that a path from x exits before t, so E(t) is
@@ -44,8 +46,8 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import GeometryError, ResolutionError
 from .geom import (point_in_polygon, point_in_polygon_mask,
                    points_to_segments_distance, polygon_area)
-from .sampled import SampledFunction, sfe_grid, sfe_images
-from .vonkoch import GKCParams, snowflake
+from .sampled import SampledFunction, sfe_grid, sfe_remainder
+from .vonkoch import SnowflakeRegion
 
 #: dt may grow to at most this fraction of the current time
 DT_GROWTH = 0.01
@@ -367,10 +369,9 @@ def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
                              passed=bool(rel.max() <= SCALING_BUDGET_REL))
 
 
-def decomposition_remainder(params: GKCParams, level: int, t_list,
-                            h: float
+def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
                             ) -> tuple[SampledFunction, SampledFunction]:
-    """(E, R) at the sorted t_list on the (n, r) snowflake, R(t) = E(t) -
+    """(E, R) at the sorted t_list on a snowflake region, R(t) = E(t) -
     sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve on ``sfe_grid``.
 
     R's meta carries the fitted bound max |R|/t over the window.
@@ -378,22 +379,18 @@ def decomposition_remainder(params: GKCParams, level: int, t_list,
     ts = np.asarray(sorted(t_list), dtype=float)
     if np.any(ts < 25.0 * h ** 2):
         raise ResolutionError("t below 25 h^2 is not resolvable")
-    region = snowflake(params, level)
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "heat checks refuse it")
+    params = region.params
     pairs = params.ratio_pairs
     problem = HeatProblem(region=region.boundary)
     e = solve_heat_content(problem, h, sfe_grid(ts, pairs, 2))
-
-    def E(t):
-        return np.interp(t, e.ts, e.vals)
-
-    rem = E(ts) - sfe_images(E, pairs, 2, ts)
+    e_ts, rem = sfe_remainder(e, pairs, 2, ts)
     c_fit = float(np.max(np.abs(rem) / ts))
-    content = SampledFunction(ts, E(ts), meta=dict(e.meta))
+    content = SampledFunction(ts, e_ts, meta=dict(e.meta))
     return content, SampledFunction(ts, rem, meta={
-        "h": h, "level": level, "n": params.n, "r": params.r,
+        "h": h, "level": region.level, "n": params.n, "r": params.r,
         "linear_bound_fit": c_fit, "content_meta": dict(e.meta),
     })
 

@@ -43,7 +43,7 @@ class ZetaSample:
 
 @dataclass(frozen=True)
 class MellinEvaluator:
-    """Transform evaluator for one sampled function on (0, delta_max].
+    """Transform evaluator for one sampled function on (0, f.ts[-1]].
 
     ``sigma_hat`` is the fitted divergence abscissa: f(t) = O(t^-sigma_hat)
     as t -> 0, i.e. minus the fitted leading power.  ``tail_coef`` is the
@@ -53,25 +53,17 @@ class MellinEvaluator:
     """
 
     f: SampledFunction
-    delta: float
     sigma_hat: float
     tail_coef: float
     tail_ok: bool
 
     @classmethod
-    def build(cls, f: SampledFunction, delta: float | None = None
-              ) -> "MellinEvaluator":
-        if delta is None:
-            delta = float(f.ts[-1])
-        if delta > f.ts[-1] * (1 + 1e-12):
-            raise SampleRangeError("delta beyond the sampled range")
+    def build(cls, f: SampledFunction) -> "MellinEvaluator":
         try:
             p, c = leading_power_fit(f.ts, f.vals)
-            return cls(f=f, delta=float(delta), sigma_hat=-p, tail_coef=c,
-                       tail_ok=True)
+            return cls(f=f, sigma_hat=-p, tail_coef=c, tail_ok=True)
         except FitError:
-            return cls(f=f, delta=float(delta), sigma_hat=0.0, tail_coef=0.0,
-                       tail_ok=False)
+            return cls(f=f, sigma_hat=0.0, tail_coef=0.0, tail_ok=False)
 
 
 def _expm1c(z: np.ndarray) -> np.ndarray:
@@ -221,7 +213,7 @@ def verify_mellin_scaling(ev: MellinEvaluator, lam: float, s: complex,
 def tube_zeta(tube: SampledFunction, s: complex, delta: float) -> ZetaSample:
     """Tube zeta: transform of t^-2 V(t) over (0, delta] (planar case)."""
     ev = MellinEvaluator.build(
-        tube.transform_vals(lambda t, v: v / t ** 2), delta)
+        tube.transform_vals(lambda t, v: v / t ** 2))
     return truncated_mellin(ev, s, 0.0, delta)
 
 
@@ -229,14 +221,14 @@ def heat_zeta(content: SampledFunction, s: complex, delta: float
               ) -> ZetaSample:
     """Heat zeta: transform of t^(-N/2) E(t) = t^-1 E(t) over (0, delta]."""
     ev = MellinEvaluator.build(
-        content.transform_vals(lambda t, v: v / t), delta)
+        content.transform_vals(lambda t, v: v / t))
     return truncated_mellin(ev, s, 0.0, delta)
 
 
 def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
                delta: float, alpha: float = 1.0) -> ZetaSample:
     """Entire correction xi(s) = sum a_k lam_k^(alpha s) M_delta^{delta/lam_k^alpha}[f](s)."""
-    ev = MellinEvaluator.build(f, delta=float(f.ts[-1]))
+    ev = MellinEvaluator.build(f)
     lam = ratios.ratios
     mult = ratios.multiplicities
     need = delta / np.min(lam) ** alpha

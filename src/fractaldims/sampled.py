@@ -5,10 +5,11 @@ positive grid, usually geometric (log-uniform).  Provenance travels in
 ``meta`` (grid size, construction level, hashes) so downstream reports can
 declare error budgets.
 
-``sfe_grid`` and ``sfe_images`` implement the scaling functional equation
-F(t) = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R(t) over (ratio
-lambda_k, multiplicity a_k) pairs: alpha = 1 for tube volumes, alpha = 2
-for heat content (Lapidus & van Frankenhuijsen, 2nd ed., ch. 5).
+``sfe_grid``, ``sfe_images`` and ``sfe_remainder`` implement the scaling
+functional equation F(t) = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R(t)
+over (ratio lambda_k, multiplicity a_k) pairs: alpha = 1 for tube volumes,
+alpha = 2 for heat content (Lapidus & van Frankenhuijsen, 2nd ed., ch. 5).
+``sfe_remainder(F, pairs, alpha, ts)`` is the one place R is formed.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ def sfe_images(F, pairs, alpha: float, ts) -> np.ndarray:
     """sum_k a_k lambda_k^2 F(ts / lambda_k^alpha) for any callable F."""
     ts = np.asarray(ts, dtype=float)
     return sum(a * lam ** 2 * F(ts / lam ** alpha) for lam, a in pairs)
+
+
+def sfe_remainder(F: SampledFunction, pairs, alpha: float, ts
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(F(ts), R(ts)) with R = F - sfe_images(F); F sampled on
+    ``sfe_grid(ts, pairs, alpha)`` is read at its samples only, never
+    interpolated."""
+    ts = np.asarray(ts, dtype=float)
+    f_ts = F(ts)
+    return f_ts, f_ts - sfe_images(F, pairs, alpha, ts)
 
 
 def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:

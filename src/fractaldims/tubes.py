@@ -10,9 +10,11 @@ so the field is exact, not approximate).
 Verification helpers compare measured tube functions against closed
 forms, the similitude scaling identity V_{phi X, phi Omega}(t) =
 lambda^2 V_{X,Omega}(t/lambda), and the von Koch scaling functional
-equation through the shared kernel ``sampled.sfe_images``; each check
-carries a declared grid-error budget 4h*perimeter + prefractal sandwich
-width rather than a bare tolerance.
+equation: ``verify_gkf_sfe(region, fld, ts)`` takes the snowflake and the
+sector field its caller built and forms rho through the shared kernel
+``sampled.sfe_remainder``.  Each check carries a declared grid-error
+budget 4h*perimeter + prefractal sandwich width rather than a bare
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .errors import GeometryError, ResolutionError, SizeLimitError
 from .geom import (point_in_polygon_mask, points_to_segments_distance,
                    polygon_area, polyline_length, segment_distances)
 from .ifs import PointCloud, Similitude2, apply, hausdorff_distance
-from .sampled import SampledFunction, sfe_grid, sfe_images
-from .vonkoch import GKCParams, prefractal, sector_region, snowflake
+from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
+from .vonkoch import GKCParams, SnowflakeRegion, prefractal
+# not called here: the benchmark's layer probes wrap tubes.snowflake
+from .vonkoch import snowflake  # noqa: F401
 
 #: cap on grid cells
 CELL_CAP = 1 << 27
@@ -207,53 +211,41 @@ class SFEReport:
     bound: np.ndarray
     budget: np.ndarray
     passed: bool
-    tube: SampledFunction
-    sector_area: float
     gap: float
 
 
-def verify_gkf_sfe(params: GKCParams, level: int, ts, h: float,
-                   sector_index: int = 0,
-                   fld: DistanceField | None = None) -> SFEReport:
-    """Measure the sector tube function and test its functional equation."""
+def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
+                   ts) -> SFEReport:
+    """Test the functional equation of the tube function of ``fld``, a
+    distance field to ``region``'s boundary on one of its sectors."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 5 * h):
+    if np.any(ts < 5 * fld.h):
         raise ResolutionError("requested t below 5h is not resolvable")
-    region = snowflake(params, level)
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "tube checks refuse it")
-    sector = sector_region(region, sector_index)
-    if fld is None:
-        fld = distance_field(region.closed_boundary, sector, h,
-                             meta={"level": level, "n": params.n,
-                                   "r": params.r})
+    params = region.params
     pairs = params.ratio_pairs
     all_ts = sfe_grid(ts, pairs, 1)
     v = tube_function(fld, all_ts)
-
-    def V(t):
-        return np.interp(t, v.ts, v.vals)
-
-    rho = V(ts) - sfe_images(V, pairs, 1, ts)
+    _, rho = sfe_remainder(v, pairs, 1, ts)
     theta = params.theta
     bound = (2.0 / np.tan(theta / 2.0) + theta) * ts ** 2
 
-    gap = prefractal_gap(params, level)
+    gap = prefractal_gap(params, region.level)
     base = grid_error_budget(fld)
 
     def slack(t):
         # grid budget plus the prefractal sandwich width of V at t
         hi = np.minimum(t + gap, all_ts[-1])
         lo = np.maximum(t - gap, all_ts[0])
-        return base + (V(hi) - V(lo))
+        return base + (v(hi) - v(lo))
 
     # every term of the equation carries its own slack
     budget = slack(ts) + sfe_images(slack, pairs, 1, ts)
     passed = bool(np.all(rho >= -budget) and np.all(rho <= bound + budget))
     return SFEReport(ts=ts, rho=rho, bound=bound, budget=budget,
-                     passed=passed, tube=v,
-                     sector_area=abs(polygon_area(sector)), gap=gap)
+                     passed=passed, gap=gap)
 
 
 def minkowski_fit(samples: SampledFunction,

@@ -6,7 +6,7 @@ import pytest
 
 from dataclasses import replace
 
-from fractaldims import cli, heat
+from fractaldims import cli, heat, tubes
 from fractaldims.cache import config_hash
 from fractaldims.cli import run_command
 from fractaldims.errors import GeometryError
@@ -236,6 +236,48 @@ def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="empty evaluation window"):
         run_command("explicit", cfg, tmp_path / "explicit")
     assert len(calls) == 1
+
+
+def test_snowflake_is_built_once_per_run(tmp_path, monkeypatch):
+    # the library checks take the region the CLI built
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    calls = []
+    build = cli.snowflake
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for owner in (cli, tubes, heat):
+        monkeypatch.setattr(owner, "snowflake", counted, raising=False)
+    run_command("tube", dict(TINY_TUBE), tmp_path / "tube")
+    assert len(calls) == 1
+    calls.clear()
+    run_command("heat", dict(TINY_HEAT, remainder=True), tmp_path / "heat")
+    assert len(calls) == 1
+    calls.clear()
+    cfg = dict(TINY_HEAT, source="heat", im_max=5)
+    del cfg["t_min"]
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        run_command("explicit", cfg, tmp_path / "explicit")
+    assert len(calls) == 1
+
+
+def test_explicit_tube_source_runs(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+           "delta": 0.05, "eval_t_min": 5e-3, "eval_t_max": 4e-2,
+           "im_max": 10, "source": "tube"}
+    out = run_command("explicit", cfg, tmp_path / "tube")
+    doc = json.loads((out / "explicit_report.json").read_text())
+    assert doc["poles"] == 5
+    assert doc["alpha"] == 1.0 and doc["delta"] == 0.05
+    assert np.isfinite(doc["max_rel_dev"])
+    # every pole is simple and the remainder adds no pole at s = 0
+    terms = np.loadtxt(out / "terms.csv", delimiter=",", skiprows=1,
+                       ndmin=2)
+    assert doc["skipped_non_simple"] == 0 and len(terms) == doc["poles"]
+    assert np.all(np.isfinite(terms))
 
 
 @pytest.mark.parametrize("command", ["heat", "tube", "explicit"])

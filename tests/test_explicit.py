@@ -57,8 +57,7 @@ def test_build_terms_skips_non_simple():
 
 
 def test_evaluate_sum_single_real_term():
-    term = FormulaTerm(omega=0.5 + 0j, coeff=2.0 + 0j, exponent=1.5 + 0j,
-                       poch_denominator=1.0 + 0j)
+    term = FormulaTerm(omega=0.5 + 0j, coeff=2.0 + 0j, exponent=1.5 + 0j)
     t = geometric_grid(1e-3, 1.0, 24)
     series = evaluate_sum([term], t, im_cutoffs=(1.0, 10.0))
     for row in series.sums:
@@ -70,10 +69,8 @@ def test_compare_explicit_floor_case():
     # synthetic two-term function with exactly matching terms
     t = geometric_grid(1e-3, 1e-1, 48)
     terms = [
-        FormulaTerm(omega=0.4 + 0j, coeff=1.3 + 0j, exponent=2.6 + 0j,
-                    poch_denominator=1.0 + 0j),
-        FormulaTerm(omega=0.9 + 0j, coeff=-0.4 + 0j, exponent=2.1 + 0j,
-                    poch_denominator=1.0 + 0j),
+        FormulaTerm(omega=0.4 + 0j, coeff=1.3 + 0j, exponent=2.6 + 0j),
+        FormulaTerm(omega=0.9 + 0j, coeff=-0.4 + 0j, exponent=2.1 + 0j),
     ]
     direct = SampledFunction(t, 1.3 * t ** 2.6 - 0.4 * t ** 2.1)
     series = evaluate_sum(terms, t, im_cutoffs=(10.0,))

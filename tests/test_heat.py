@@ -187,7 +187,8 @@ def test_rotation_invariance_of_content():
 
 def test_decomposition_remainder_small_level():
     ts = np.array([1e-3, 2e-3, 3e-3])
-    _, rem = decomposition_remainder(GKCParams(3, 1 / 3), 2, ts, h=4e-3)
+    _, rem = decomposition_remainder(snowflake(GKCParams(3, 1 / 3), 2), ts,
+                                     h=4e-3)
     assert np.isfinite(rem.meta["linear_bound_fit"])
     # contents tend to zero with t, so the remainder does too
     assert np.all(np.abs(rem.vals) < 0.2)
@@ -195,12 +196,14 @@ def test_decomposition_remainder_small_level():
 
 def test_decomposition_remainder_resolution_guard():
     with pytest.raises(ResolutionError):
-        decomposition_remainder(GKCParams(3, 1 / 3), 2, [1e-6], h=4e-3)
+        decomposition_remainder(snowflake(GKCParams(3, 1 / 3), 2), [1e-6],
+                                h=4e-3)
 
 
 def test_heat_refuses_unverified_region():
     with pytest.raises(GeometryError):
-        decomposition_remainder(GKCParams(6, 0.3), 2, [1e-3], h=4e-3)
+        decomposition_remainder(snowflake(GKCParams(6, 0.3), 2), [1e-3],
+                                h=4e-3)
 
 
 def test_exponent_fit_pure_power():

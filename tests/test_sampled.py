@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fractaldims.sampled import sfe_grid, sfe_images
+from fractaldims.sampled import (SampledFunction, sfe_grid, sfe_images,
+                                 sfe_remainder)
 from fractaldims.vonkoch import GKCParams
 from fractaldims.zeta import RatioMultiset
 
@@ -22,6 +23,12 @@ def test_sfe_images_of_a_power_law(alpha, c, p):
     factor = 1.0 - sum(a * lam ** (2 - alpha * p) for lam, a in PAIRS)
     got = F(ts) - sfe_images(F, PAIRS, alpha, ts)
     assert np.allclose(got, c * ts ** p * factor, rtol=1e-14, atol=0)
+    # sampled on sfe_grid, F is read only at its samples
+    grid = sfe_grid(ts, PAIRS, alpha)
+    f_ts, rem = sfe_remainder(SampledFunction(grid, F(grid)), PAIRS, alpha,
+                              ts)
+    assert np.array_equal(f_ts, F(ts))
+    assert np.allclose(rem, c * ts ** p * factor, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

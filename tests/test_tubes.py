@@ -62,20 +62,14 @@ def test_snowflake_tube_sees_the_closing_edge():
     # the edge from the last vertex back to the first; sector 2 has cells
     # nearest to that edge
     params = GKCParams(3, 1 / 3)
-    _, _, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
-                                  "h": 1e-2, "sector": 2})
+    _, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
+                               "h": 1e-2, "sector": 2})
     b = snowflake(params, 3).boundary
     gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
     pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
     closed = points_to_segments_distance(pts, b, np.roll(b, -1, axis=0))
     assert np.array_equal(fld.grid.values[fld.inside], closed)
     assert fld.curve_length == pytest.approx(64 / 9, rel=1e-12)
-    # the library builds the same field: the budget carries curve_length
-    ts = [0.05, 0.07, 0.1]
-    own = verify_gkf_sfe(params, 3, ts, 1e-2, sector_index=2)
-    given = verify_gkf_sfe(params, 3, ts, 1e-2, sector_index=2, fld=fld)
-    assert np.array_equal(own.budget, given.budget)
-    assert np.array_equal(own.tube.vals, given.tube.vals)
 
 
 def test_tube_monotone_and_bounded():
@@ -139,19 +133,28 @@ def test_scaling_koch_curve():
     assert report.max_rel_dev <= 0.02
 
 
+def snowflake_sector(params, level, h):
+    """The snowflake and the distance field on its sector 0."""
+    region = snowflake(params, level)
+    fld = distance_field(region.closed_boundary, sector_region(region, 0), h)
+    return region, fld
+
+
 def test_sfe_refuses_unverified_region():
+    region, fld = snowflake_sector(GKCParams(6, 0.3), 2, 5e-3)
     with pytest.raises(GeometryError):
-        verify_gkf_sfe(GKCParams(6, 0.3), 2, np.array([0.05]), 5e-3)
+        verify_gkf_sfe(region, fld, np.array([0.05]))
 
 
 def test_sfe_rejects_unresolvable_t():
+    region, fld = snowflake_sector(GKCParams(3, 1 / 3), 2, 5e-3)
     with pytest.raises(ResolutionError):
-        verify_gkf_sfe(GKCParams(3, 1 / 3), 2, np.array([1e-4]), 5e-3)
+        verify_gkf_sfe(region, fld, np.array([1e-4]))
 
 
 def test_sfe_small_level_passes():
-    report = verify_gkf_sfe(GKCParams(3, 1 / 3), 4,
-                            np.geomspace(0.02, 0.05, 5), 2e-3)
+    region, fld = snowflake_sector(GKCParams(3, 1 / 3), 4, 2e-3)
+    report = verify_gkf_sfe(region, fld, np.geomspace(0.02, 0.05, 5))
     assert report.passed
     bound_coef = 2 / np.tan(np.pi / 3) + 2 * np.pi / 3
     assert bound_coef == pytest.approx(3.2490956408, abs=1e-9)
