@@ -45,7 +45,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import GeometryError, ResolutionError
 from .geom import (point_in_polygon, point_in_polygon_mask,
-                   points_to_segments_distance, polygon_area)
+                   points_to_segments_distance, polygon_area, rotation_matrix)
 from .sampled import SampledFunction, sfe_grid, sfe_remainder
 from .vonkoch import SnowflakeRegion
 
@@ -61,6 +61,9 @@ KRYLOV_TOL = 1e-12
 
 PAD_CELLS = 2  #: grid cells around the region's bounding box
 SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
+#: rotation of verify_heat_scaling's scaled copy, so that its grid cuts
+#: the region differently from the base solve's grid
+SCALING_ROTATION = 0.3
 MC_CHUNK = 131072  #: Monte Carlo paths walked together
 
 
@@ -354,12 +357,15 @@ class HeatScalingReport:
 def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
                         h: float) -> HeatScalingReport:
     """Check E_{lambda Omega}(t) = lambda^2 E_Omega(t/lambda^2) with
-    independent solves at the same relative resolution."""
+    independent solves at the same relative resolution.  The scaled copy
+    is also rotated by SCALING_ROTATION: heat content is invariant under
+    rotation, and without it both solves would see the same cells."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     ts = np.asarray(sorted(t_list), dtype=float)
     base = solve_heat_content(problem, h, ts / lam ** 2)
-    scaled_problem = HeatProblem(region=np.asarray(problem.region) * lam)
+    sim = lam * rotation_matrix(SCALING_ROTATION)
+    scaled_problem = HeatProblem(region=np.asarray(problem.region) @ sim.T)
     scaled = solve_heat_content(scaled_problem, lam * h, ts)
     lhs = scaled.vals
     rhs = lam ** 2 * base.vals

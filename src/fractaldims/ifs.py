@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SizeLimitError
 from .geom import dedupe_points, rotation_matrix
@@ -127,6 +126,7 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("hausdorff_distance needs non-empty clouds")
+    from scipy.spatial import cKDTree  # only the convergence checks need it
     ta, tb = cKDTree(a.points), cKDTree(b.points)
     d_ab = tb.query(a.points)[0].max()
     d_ba = ta.query(b.points)[0].max()

@@ -66,23 +66,13 @@ class MellinEvaluator:
             return cls(f=f, sigma_hat=0.0, tail_coef=0.0, tail_ok=False)
 
 
-def _expm1c(z: np.ndarray) -> np.ndarray:
-    """Complex expm1 accurate for small |z|."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    out = np.exp(z) - 1.0
-    zs = z[small]
-    out[small] = zs * (1.0 + zs / 2.0 * (1.0 + zs / 3.0 * (1.0 + zs / 4.0)))
-    return out
-
-
 def _power_integral(t1: np.ndarray, t2: np.ndarray, s: complex) -> np.ndarray:
     """integral of t^(s-1) dt over [t1, t2] = (t2^s - t1^s)/s, stable near s=0."""
     u1 = np.log(t1)
     du = np.log(t2) - u1
     if abs(s) < 1e-8:
         z = s * du
-        phi = np.where(np.abs(z) < 1e-30, 1.0, _expm1c(z) / np.where(z == 0, 1, z))
+        phi = np.where(np.abs(z) < 1e-30, 1.0, np.expm1(z) / np.where(z == 0, 1, z))
         return np.exp(s * u1) * du * phi
     return (np.exp(s * np.log(t2)) - np.exp(s * u1)) / s
 

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import GeometryError, ResolutionError, SizeLimitError
 from .geom import (point_in_polygon_mask, points_to_segments_distance,
                    polygon_area, polyline_length, segment_distances)
-from .ifs import PointCloud, Similitude2, apply, hausdorff_distance
+from .ifs import Similitude2, apply
 from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
-from .vonkoch import GKCParams, SnowflakeRegion, prefractal
+from .vonkoch import GKCParams, SnowflakeRegion, generator_vertices
 # not called here: the benchmark's layer probes wrap tubes.snowflake
 from .vonkoch import snowflake  # noqa: F401
 
@@ -177,24 +177,14 @@ def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
 def prefractal_gap(params: GKCParams, level: int) -> float:
     """Hausdorff gap bound between a level-L prefractal and the attractor.
 
-    Uses the fixed-point estimate gap <= lam_max^L * d(X_0, X_1)/(1-lam_max)
-    with d(X_0, X_1) measured on densely resampled polylines.
+    Uses the fixed-point estimate gap <= lam_max^L * d(X_0, X_1)/(1-lam_max).
+    X_1 is the segment X_0 with a convex bump on its middle, so d(X_0, X_1)
+    is the largest distance of a generator vertex from X_0.
     """
     lam = max(params.ell, params.r)
-    p0 = _resample(prefractal(params, 0).vertices, 512)
-    p1 = _resample(prefractal(params, 1).vertices, 512)
-    d01 = hausdorff_distance(PointCloud(p0), PointCloud(p1))
-    return lam ** level * d01 / (1.0 - lam)
-
-
-def _resample(verts: np.ndarray, n: int) -> np.ndarray:
-    seg = np.diff(verts, axis=0)
-    lens = np.hypot(seg[:, 0], seg[:, 1])
-    s = np.concatenate(([0.0], np.cumsum(lens)))
-    u = np.linspace(0.0, s[-1], n)
-    x = np.interp(u, s, verts[:, 0])
-    y = np.interp(u, s, verts[:, 1])
-    return np.column_stack([x, y])
+    d01 = segment_distances(generator_vertices(params), [[0.0, 0.0]],
+                            [[1.0, 0.0]]).max()
+    return lam ** level * float(d01) / (1.0 - lam)
 
 
 @dataclass(frozen=True)

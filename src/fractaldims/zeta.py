@@ -7,17 +7,23 @@ multiplicities a_k.  Its unique real zero is the similarity dimension D
 dimensions of any attractor carrying those ratios.  The associated scaling
 zeta function is zeta(s) = 1/P(s).
 
-Two pole-location routes are provided.  In the lattice case (all ratios
-integer powers of a common generator) the zeros are read off from an
-ordinary polynomial and lie periodically on finitely many vertical lines.
-In the nonlattice case an argument-principle search over adaptively
-subdivided rectangles finds them (Kravanja & Van Barel, *Computing the
-Zeros of Analytic Functions*, LNM 1727, 2000): winding counts and first
-moments of P'/P come from vectorized composite Gauss-Legendre rules on
-the rectangle edges, with P and P' evaluated together on node arrays, so
-no adaptive scalar quadrature is involved.  Everything here is pure and
-operates on immutable values; rectangle subdivision results are merged
-in a fixed (Im, Re) order so output is deterministic.
+Two pole-location routes are provided; both locate only the poles with
+Im >= 0.  P has real coefficients and increases strictly on the real
+axis, so D is its only real zero and ``_conjugate_closed`` mirrors the
+others exactly.  In the lattice case (all ratios integer powers of a
+common generator) the zeros are read off from an ordinary polynomial and
+lie periodically on finitely many vertical lines.  In the nonlattice case
+D comes from Moran's equation, and as
+Im P(sigma + i tau) = sum a_k lambda_k^sigma sin(tau log(1/lambda_k)) > 0
+for 0 < tau < pi / log(1/lambda_min), an argument-principle search over
+adaptively subdivided rectangles above that strip finds the rest
+(Kravanja & Van Barel, *Computing the Zeros of Analytic Functions*, LNM
+1727, 2000): winding counts and first moments of P'/P come from
+vectorized composite Gauss-Legendre rules on the rectangle edges, with P
+and P' evaluated together on node arrays, so no adaptive scalar
+quadrature is involved.  Everything here is pure and operates on
+immutable values; poles are sorted by (Im, Re) so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -330,10 +336,10 @@ class ComplexDimensionSet:
     window: tuple[float, float, float]  # (re_min, re_max, im_max)
     lattice: LatticeStructure | None = None
     alpha: float = 1.0
-    #: actual contour used by the search (slightly expanded window), and its
-    #: winding count less the zeros located in the margin outside the
-    #: window, i.e. the multiplicity the window's poles must add up to,
-    #: for cross-checking against oracles
+    #: actual contour used by the search (the window's upper half, slightly
+    #: expanded), and the multiplicity the window's poles must add up to:
+    #: the real pole plus twice that contour's winding count less the
+    #: zeros located in its top margin, for cross-checking against oracles
     search_rect: tuple[float, float, float, float] | None = None
     search_count: int | None = None
 
@@ -381,8 +387,14 @@ class ComplexDimensionSet:
                    lattice=lattice, alpha=float(doc.get("alpha", 1.0)))
 
 
-def _sorted_poles(poles: list[Pole]) -> tuple[Pole, ...]:
-    return tuple(sorted(poles, key=lambda p: (p.omega.imag, p.omega.real)))
+def _conjugate_closed(poles: list[Pole]) -> tuple[Pole, ...]:
+    """The poles with Im >= 0 and the exact conjugates of those with
+    Im > 0, sorted by (Im, Re): P has real coefficients."""
+    upper = [p for p in poles if p.omega.imag >= 0]
+    mirror = [Pole(p.omega.conjugate(), p.residue.conjugate(),
+                   p.multiplicity) for p in upper if p.omega.imag > 0]
+    return tuple(sorted(upper + mirror,
+                        key=lambda p: (p.omega.imag, p.omega.real)))
 
 
 def rescale(dims: ComplexDimensionSet, alpha: float) -> ComplexDimensionSet:
@@ -459,6 +471,7 @@ def lattice_poles(structure: LatticeStructure,
     1 - sum m_j z^{k_j}; its roots z_j (companion-matrix eigenvalues,
     Newton-polished) give the pole lines omega = log(z_j)/log(lambda_0),
     each repeating vertically with exact period 2*pi/log(1/lambda_0).
+    Poles are located on Im >= 0 and mirrored.
     """
     if im_max <= 0:
         raise ValueError("im_max must be positive")
@@ -502,7 +515,8 @@ def lattice_poles(structure: LatticeStructure,
         # bring the base pole's imaginary part into (-period/2, period/2]
         shift = round(omega0.imag / period)
         omega0 -= 1j * shift * period
-        m_lo = math.ceil((-im_max - omega0.imag) / period - 1e-12)
+        # the lower half is the mirror of the upper one
+        m_lo = math.ceil(-omega0.imag / period - 1e-12)
         m_hi = math.floor((im_max - omega0.imag) / period + 1e-12)
         for m in range(m_lo, m_hi + 1):
             # exact vertical spacing by construction
@@ -520,7 +534,7 @@ def lattice_poles(structure: LatticeStructure,
 
     d_up = similarity_dimension(ratios)
     d_lo = lower_similarity_dimension(ratios)
-    return ComplexDimensionSet(poles=_sorted_poles(poles),
+    return ComplexDimensionSet(poles=_conjugate_closed(poles),
                                window=(d_lo, d_up, float(im_max)),
                                lattice=structure)
 
@@ -545,7 +559,6 @@ WINDING_TOL = 1e-6
 
 EDGE_TOL = 1e-8  #: least min |P| on a zero-free split line or contour
 MIN_RECT = 1e-8  #: a rectangle smaller than this is not split further
-CONJUGATE_TOL = 1e-9  #: real-axis and conjugate-pairing tolerance
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(WINDING_ORDER)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)     # mapped to [0, 1]
@@ -686,30 +699,38 @@ def _split_and_count(poly: DirichletPoly, rect, n: int):
 
 def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
                      im_max: float) -> ComplexDimensionSet:
-    """Locate zeros of P in re_band x [-im_max, im_max] by subdivision.
+    """Locate zeros of P in re_band x [-im_max, im_max].
 
-    Rectangles are split (along zero-free lines) until each contains at
-    most one zero by winding count, then Newton refinement starts from
-    the first-moment estimate.  The emitted pole count always equals the
-    sum of rectangle counts.  Zeros landing on the outer boundary are
-    avoided by nudging it outward by up to ~1e-5.
+    The real zero is D from ``similarity_dimension``.  Im P > 0 for
+    0 < Im s < pi / log(1/lambda_min), so only the rectangle above
+    tau_0 = pi / (2 log(1/lambda_min)) is searched: it is split (along
+    zero-free lines) until each part holds at most one zero by winding
+    count, and Newton refinement starts from the first-moment estimate.
+    The emitted count there always equals the winding count, and the
+    lower half is the exact mirror.  A zero on the top edge is avoided
+    by nudging it upward by up to ~1e-5.
     """
     a, b = re_band
     if not (b > a) or im_max <= 0:
         raise ValueError("need a nonempty band and im_max > 0")
-    # Expand the search rectangle so no zero sits on the contour: the real
-    # direction is always safe (no zeros outside [D_l, D]); the imaginary
-    # margin is retried until the top/bottom edges are verifiably clear.
+    # Expand the search band so no zero sits on the contour: the real
+    # direction is always safe (no zeros outside [D_l, D]); the top margin
+    # is retried until the top edge is verifiably clear.
     margin_re = max(1e-6, 1e-3 * (b - a))
-    total_count = None
+    lo, hi = a - margin_re, b + margin_re
+    d = similarity_dimension(poly.ratios)
+    real = ([Pole(complex(d, 0.0), residue_simple(poly, d))]
+            if lo <= d <= hi else [])
+    # Im P > 0 at every height in (0, 2 tau0): the bottom edge is zero-free
+    tau0 = np.pi / (2.0 * float(np.max(-np.log(poly.ratios.ratios))))
+    bottom = min(tau0, 0.5 * float(im_max))
     rect = None
     wi = max(1e-6, 1e-3 * float(im_max))
     for _ in range(10):
-        cand = (a - margin_re, b + margin_re, -(float(im_max) + wi),
-                float(im_max) + wi)
+        cand = (lo, hi, bottom, float(im_max) + wi)
         if _rect_min_abs(poly, cand) > EDGE_TOL:
             try:
-                total_count, total_moment = _winding_number(poly, cand)
+                upper_count, upper_moment = _winding_number(poly, cand)
                 rect = cand
                 break
             except ContourError:
@@ -717,12 +738,9 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
         wi *= 1.7
     if rect is None:
         raise ContourError("could not free the outer rectangle of zeros")
-    if total_count == 0:
-        return ComplexDimensionSet(
-            poles=(), window=(a, b, float(im_max)), lattice=None)
 
-    poles: list[Pole] = []
-    stack = [(rect, total_count, total_moment)]
+    upper: list[Pole] = []
+    stack = [(rect, upper_count, upper_moment)]
     while stack:
         r, n, moment = stack.pop()
         ra, rb, rc, rd = r
@@ -750,52 +768,22 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
                     res = residue_contour(
                         lambda s: zeta_eval(poly, s), omega,
                         radius=max(MIN_RECT, 1e-6))
-                poles.append(Pole(omega, res, n))
+                upper.append(Pole(omega, res, n))
                 continue
         # split along the longer side through a zero-free line
         for kid in _split_and_count(poly, r, n):
             if kid[1]:
                 stack.append(kid)
 
-    emitted = sum(p.multiplicity for p in poles)
-    if emitted != total_count:
+    emitted = sum(p.multiplicity for p in upper)
+    if emitted != upper_count:
         raise ContourError(
-            f"located {emitted} zeros but winding count was {total_count}")
+            f"located {emitted} zeros but winding count was {upper_count}")
 
-    poles = _conjugate_canonicalize(poles)
-    kept = [p for p in poles if abs(p.omega.imag) <= im_max + 1e-12]
-    margin = sum(p.multiplicity for p in poles) - sum(p.multiplicity
-                                                      for p in kept)
-    return ComplexDimensionSet(poles=_sorted_poles(kept),
+    kept = [p for p in upper if p.omega.imag <= im_max + 1e-12]
+    margin = emitted - sum(p.multiplicity for p in kept)
+    return ComplexDimensionSet(poles=_conjugate_closed(real + kept),
                                window=(a, b, float(im_max)), lattice=None,
                                search_rect=rect,
-                               search_count=total_count - margin)
-
-
-def _conjugate_canonicalize(poles: list[Pole]) -> list[Pole]:
-    """Pair conjugate poles and make the pairing exact (real coefficients)."""
-    upper = [p for p in poles if p.omega.imag > CONJUGATE_TOL]
-    lower = [p for p in poles if p.omega.imag < -CONJUGATE_TOL]
-    real = [Pole(complex(p.omega.real, 0.0), complex(p.residue.real, 0.0),
-                 p.multiplicity)
-            for p in poles if abs(p.omega.imag) <= CONJUGATE_TOL]
-    out = list(real)
-    lower_pool = list(lower)
-    for p in upper:
-        match = None
-        for q in lower_pool:
-            if abs(q.omega - p.omega.conjugate()) <= CONJUGATE_TOL:
-                match = q
-                break
-        if match is None:
-            raise ContourError(
-                f"pole {p.omega} has no conjugate partner within "
-                f"{CONJUGATE_TOL}")
-        lower_pool.remove(match)
-        out.append(p)
-        out.append(Pole(p.omega.conjugate(), p.residue.conjugate(),
-                        p.multiplicity))
-    if lower_pool:
-        raise ContourError(
-            f"unpaired lower-half poles: {[q.omega for q in lower_pool]}")
-    return out
+                               search_count=(len(real)
+                                             + 2 * (upper_count - margin)))

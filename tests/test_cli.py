@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +193,37 @@ def test_fits_are_reported_not_checked(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["heat_scaling"]
     assert np.isfinite(report["exponent_fit"])
     assert report["remainder_linear_bound_fit"] > 0
+
+
+def test_heat_scaling_check_compares_different_grids(tmp_path, monkeypatch):
+    reports = []
+    verify = cli.verify_heat_scaling
+
+    def recorded(*args):
+        reports.append(verify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_heat_scaling", recorded)
+    out = run_command("heat", dict(TINY_HEAT, scaling_lambda=2),
+                      tmp_path / "heat")
+    assert checks_of(out)["heat_scaling"]["passed"]
+    # the same discrete problem solved twice would agree exactly
+    assert 0 < reports[0].max_rel_dev < heat.SCALING_BUDGET_REL
+
+
+def test_heat_scaling_check_can_fail(tmp_path, monkeypatch):
+    monkeypatch.setattr(heat, "SCALING_BUDGET_REL", 1e-3)
+    out = run_command("heat", dict(TINY_HEAT, scaling_lambda=2),
+                      tmp_path / "heat")
+    assert not checks_of(out)["heat_scaling"]["passed"]
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, fractaldims.cli; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):

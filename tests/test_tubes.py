@@ -166,6 +166,13 @@ def test_prefractal_gap_decays():
     gaps = [prefractal_gap(params, L) for L in (2, 3, 4)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[1] / gaps[0] == pytest.approx(1 / 3, rel=1e-6)
+    # d(X_0, X_1) is the height of the generator's apex
+    assert prefractal_gap(params, 0) * (1 - 1 / 3) == \
+        pytest.approx(np.sqrt(3) / 6, rel=1e-12)
+    params = GKCParams(5, 0.19)
+    lam = max(params.ell, params.r)
+    assert prefractal_gap(params, 0) * (1 - lam) == \
+        pytest.approx(0.29237993603, rel=1e-10)
 
 
 def test_minkowski_fit_segment_dimension_one():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractaldims.errors import MultiplePoleError, PoleProximityError
+from fractaldims import zeta
+from fractaldims.errors import (ContourError, MultiplePoleError,
+                                PoleProximityError)
 from fractaldims.zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
                               RatioMultiset, detect_lattice, lattice_poles,
                               lower_similarity_dimension, nonlattice_poles,
@@ -217,6 +219,65 @@ def test_nonlattice_search_count_excludes_margin_zeros():
     assert dims.search_rect[3] > top
     assert max(w.imag for w in dims.omegas()) < top - 1e-4
     assert sum(p.multiplicity for p in dims.poles) == dims.search_count
+
+
+def test_imaginary_part_is_positive_inside_the_strip():
+    # Im P(sigma + i tau) = sum a lambda^sigma sin(tau log(1/lambda)) > 0
+    # for 0 < tau < pi / log(1/lambda_min): the search starts above it
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        rm = random_multiset(rng)
+        tau_max = np.pi / np.log(1.0 / rm.ratios[-1])
+        sigma = np.linspace(-3.0, 3.0, 61)
+        tau = tau_max * np.linspace(0.0, 1.0, 41)[1:-1]
+        s = sigma[:, None] + 1j * tau[None, :]
+        assert np.all(DirichletPoly(rm)(s).imag > 0)
+
+
+def _mirror_closed(dims):
+    poles = {(p.omega, p.residue, p.multiplicity) for p in dims.poles}
+    return len(poles) == len(dims.poles) and all(
+        (w.conjugate(), r.conjugate(), m) in poles for w, r, m in poles)
+
+
+def test_both_routes_return_exact_conjugate_pairs():
+    rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    dims = nonlattice_poles(DirichletPoly(rm), band, 20.0)
+    assert _mirror_closed(dims)
+    real = [p for p in dims.poles if p.omega.imag == 0]
+    assert [p.omega for p in real] == [complex(similarity_dimension(rm))]
+    for rm in (CANTOR, RatioMultiset(((1 / 4, 3), (1 / 8, 2)))):
+        assert _mirror_closed(lattice_poles(detect_lattice(rm), 30.0))
+
+
+def test_double_pole_residues_are_exact_conjugates():
+    poly = DirichletPoly(RatioMultiset(((1 / 4, 3), (1 / 8, 2))))
+    dims = lattice_poles(detect_lattice(poly.ratios), im_max=10.0)
+    doubles = {p.omega: p.residue for p in dims.poles if p.multiplicity == 2}
+    assert len(doubles) == 2
+    for w, res in doubles.items():
+        assert doubles[w.conjugate()] == res.conjugate()
+
+
+def test_nonlattice_search_never_winds_through_the_real_pole(monkeypatch):
+    calls, failures = [], []
+    winding = zeta._winding_number
+
+    def counted(poly, rect):
+        calls.append(rect)
+        try:
+            return winding(poly, rect)
+        except ContourError:
+            failures.append(rect)
+            raise
+
+    monkeypatch.setattr(zeta, "_winding_number", counted)
+    rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    dims = nonlattice_poles(DirichletPoly(rm), band, 12.0)
+    assert len(dims.poles) == dims.search_count == 7
+    assert failures == [] and len(calls) <= 5
 
 
 def test_dirichlet_with_derivative_matches_separate_calls():
