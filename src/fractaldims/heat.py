@@ -23,6 +23,11 @@ small t backward Euler's time error cancels most of the closure's
 spatial error: 0.023% against 0.544% off the unit square's Fourier
 series at h=5e-3, t=3e-4.
 
+The run needs products A q, applied matrix-free in CSR column order
+(bit-identical to a sparse matrix; see ``_assemble``), and one
+tridiagonal eigensolve per stop check, scipy's ``eigh_tridiagonal``,
+which only ``solve_heat_fdm`` imports: no other command loads scipy.
+
 The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
 comes from ``decomposition_remainder(region, ts, h)``: one solve on the
 region its caller built, read through the shared kernel
@@ -40,8 +45,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GeometryError, ResolutionError
 from .geom import (point_in_polygon, point_in_polygon_mask,
@@ -132,13 +135,44 @@ def _build_masks(region: np.ndarray, h: float):
 
 
 def _assemble(interior: np.ndarray, h: float):
-    """Dirichlet Laplacian A (scaled 1/h^2) on the interior unknowns."""
-    # second differences along y (contiguous index) and x of the full grid
-    d2 = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
-          for k in interior.shape[::-1]]
-    grid = sparse.kronsum(*d2, format="csr")
-    ids = np.flatnonzero(interior)
-    return grid[ids][:, ids] / h ** 2
+    """Matvec q -> A q of the Dirichlet Laplacian A (scaled 1/h^2) on the
+    interior unknowns, without forming A.
+
+    A CSR matvec sums each row's products in column order, x-1, y-1,
+    self, y+1, x+1, with -1/h^2 off the diagonal and 4/h^2 on it; this
+    adds the same products in the same order, so A q is bit-identical.
+    Off-diagonal products come from s = (-1/h^2) q, whose last slot is
+    the product with 0, -0.0, read for a non-interior neighbour: adding
+    -0.0 changes no sum, just as a missing CSR entry does.  x-neighbours
+    are gathered through a padded index grid; y-neighbours are the next
+    and previous unknowns, so s is added shifted by one and the cells at
+    the end of a y-run get their sums back.
+    """
+    n = int(np.count_nonzero(interior))
+    idx = np.full(interior.shape, n)
+    idx[interior] = np.arange(n)
+    idx = np.pad(idx, ((1, 1), (0, 0)), constant_values=n)
+    x_lo, x_hi = idx[:-2][interior], idx[2:][interior]
+    inside = np.pad(interior, ((0, 0), (1, 1)))
+    y_lo_out = np.flatnonzero(~inside[:, :-2][interior])
+    y_hi_out = np.flatnonzero(~inside[:, 2:][interior])
+    off, diag = -1.0 / h ** 2, 4.0 / h ** 2
+    s = np.full(n + 1, -0.0)
+
+    def lap(q):
+        np.multiply(q, off, out=s[:n])
+        v = s[x_lo]
+        keep = v[y_lo_out]
+        v[1:] += s[:n - 1]
+        v[y_lo_out] = keep
+        v += diag * q
+        keep = v[y_hi_out]
+        v[:-1] += s[1:n]
+        v[y_hi_out] = keep
+        v += s[x_hi]
+        return v
+
+    return lap
 
 
 def _time_steps(save_times: np.ndarray, dt_floor: float):
@@ -162,15 +196,14 @@ def _time_steps(save_times: np.ndarray, dt_floor: float):
     return np.asarray(steps), np.asarray(ends, dtype=np.int64)
 
 
-def _lanczos(lap):
-    """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on ``lap``
-    from 1/sqrt(n), without reorthogonalization; beta_j couples q_j to
-    q_(j+1)."""
-    n = lap.shape[0]
+def _lanczos(lap, n: int):
+    """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on the
+    matvec ``lap`` over n unknowns from 1/sqrt(n), without
+    reorthogonalization; beta_j couples q_j to q_(j+1)."""
     q_prev, q = np.zeros(n), np.full(n, 1.0 / np.sqrt(n))
     beta = 0.0
     while True:
-        v = lap @ q
+        v = lap(q)
         alpha = float(q @ v)
         v -= alpha * q
         v -= beta * q_prev
@@ -189,14 +222,15 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     exhausted.  ``keep_fields`` regenerates the same basis in a second
     pass to sum u_k = 1 - sqrt(n) Q_m f_k(T_m) e_1.
     """
+    from scipy.linalg import eigh_tridiagonal  # only the solve needs scipy
+
     if h <= 0:
         raise ValueError("h must be positive")
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
     if save_times.size and not save_times[0] >= 0:
         raise ValueError("save times must not be negative")
     (x0, y0, nx, ny), interior, ghost = _build_masks(problem.region, h)
-    lap = _assemble(interior, h)
-    n = lap.shape[0]
+    n = int(np.count_nonzero(interior))
     if n == 0:
         raise ResolutionError(f"no interior cells at h={h}")
     half_ring = 0.5 * float(ghost.sum())
@@ -206,7 +240,8 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     # means the Krylov space is invariant and the quadrature exact
     breakdown = KRYLOV_TOL * 8.0 / h ** 2
 
-    lanczos = _lanczos(lap)
+    lap = _assemble(interior, h)
+    lanczos = _lanczos(lap, n)
     alphas, betas = [], []
     contents = np.inf
     while True:
@@ -243,7 +278,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     if keep_fields:
         w = np.zeros((n, len(save_times)))
         # coef first: zip then stops without one more Lanczos step
-        for row, (q, _, _) in zip(coef, _lanczos(lap)):
+        for row, (q, _, _) in zip(coef, _lanczos(lap, n)):
             w += q[:, None] * row
         for k, t in enumerate(save_times):
             grid = np.full(interior.shape, np.nan)

@@ -265,6 +265,22 @@ class LatticeStructure:
     generator: float
     exponents: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        ks = [k for k, _ in self.exponents]
+        g = math.gcd(*ks)
+        if not 0.0 < self.generator < 1.0:
+            bad = f"generator={self.generator} is not in (0, 1)"
+        elif not ks or any(k < 1 or m < 1 for k, m in self.exponents):
+            bad = (f"exponents={self.exponents} must be a nonempty set of "
+                   "(k, m) with k >= 1 and m >= 1")
+        elif g != 1:
+            bad = (f"the exponents k={ks} have gcd {g}, not 1; the same "
+                   f"ratios have generator {self.generator}^{g} and "
+                   f"exponents k/{g}")
+        else:
+            return
+        raise ValueError(f"invalid lattice structure: {bad}")
+
     @property
     def vertical_period(self) -> float:
         """Exact spacing 2*pi/log(1/lambda_0) of poles on each vertical line."""

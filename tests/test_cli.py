@@ -218,12 +218,35 @@ def test_heat_scaling_check_can_fail(tmp_path, monkeypatch):
     assert not checks_of(out)["heat_scaling"]["passed"]
 
 
-def test_cli_import_leaves_scipy_spatial_out():
+def run_fresh(code: str, cwd: Path) -> None:
+    """Run ``code`` in a fresh interpreter with the package on its path."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, fractaldims.cli; "
-            "sys.exit('scipy.spatial' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    env = {k: v for k, v in os.environ.items() if k != "FRACTAL_DIMS_CACHE"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_commands_without_heat_load_no_scipy(tmp_path):
+    runs = [("dims", {"n": 3, "r": 1 / 3}),
+            ("poles", {"ratios": [[1 / 3, 2]], "im_max": 5}),
+            ("render", {"n": 3, "r": 1 / 3, "level": 2}),
+            ("tube", TINY_TUBE)]
+    run_fresh("import sys\n"
+              "from pathlib import Path\n"
+              "from fractaldims.cli import run_command\n"
+              f"for name, cfg in {runs!r}:\n"
+              "    run_command(name, cfg, Path(name))\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+              "assert not loaded, loaded\n", tmp_path)
+    # the heat solve loads the tridiagonal eigensolver, and nothing sparse
+    run_fresh("import sys\n"
+              "from fractaldims.heat import HeatProblem, solve_heat_fdm\n"
+              "square = [[0, 0], [1, 0], [1, 1], [0, 1]]\n"
+              "solve_heat_fdm(HeatProblem(region=square), 0.2, [0.05])\n"
+              "assert 'scipy.linalg' in sys.modules\n"
+              "assert 'scipy.sparse' not in sys.modules\n", tmp_path)
 
 
 def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):

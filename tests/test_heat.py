@@ -52,11 +52,22 @@ def test_steady_state_fills_region():
     assert field.contents[-1] == pytest.approx(1.0, rel=1e-3)
 
 
+def csr_laplacian(interior, h):
+    """The Dirichlet Laplacian on the interior unknowns as a CSR matrix:
+    the 5-point second differences of the whole grid, restricted to the
+    interior rows and columns."""
+    d2 = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+          for k in interior.shape[::-1]]
+    grid = sparse.kronsum(*d2, format="csr")
+    ids = np.flatnonzero(interior)
+    return grid[ids][:, ids] / h ** 2
+
+
 def backward_euler_oracle(problem, h, save_times):
     """E at the save times by sparse-LU backward-Euler steps over the
     solver's step list: w_j = (I + dt_j A)^-1 w_(j-1), w_0 = 1, u = 1 - w."""
     _, interior, ghost = heat._build_masks(problem.region, h)
-    lap = heat._assemble(interior, h)
+    lap = csr_laplacian(interior, h).tocsc()
     n = lap.shape[0]
     steps, ends = heat._time_steps(np.asarray(save_times), h ** 2 / 2.0)
     lu = {}
@@ -64,11 +75,28 @@ def backward_euler_oracle(problem, h, save_times):
     contents = []
     for j, dt in enumerate(steps):
         if dt not in lu:
-            lu[dt] = splu(sparse.identity(n, format="csc") + dt * lap.tocsc())
+            lu[dt] = splu(sparse.identity(n, format="csc") + dt * lap)
         w = lu[dt].solve(w)
         if j in ends:
             contents.append(h ** 2 * (n - w.sum() + 0.5 * ghost.sum()))
     return np.array(contents), n
+
+
+@pytest.mark.parametrize("region, h", [
+    (snowflake(GKCParams(3, 1 / 3), 2).boundary, 6e-3),
+    (SQUARE, 0.2),
+    (SQUARE, 0.02),
+])
+def test_stencil_matvec_equals_csr_matvec(region, h):
+    _, interior, _ = heat._build_masks(region, h)
+    lap = heat._assemble(interior, h)
+    csr = csr_laplacian(interior, h)
+    n = csr.shape[0]
+    rng = np.random.default_rng(7)
+    for q in [*rng.standard_normal((3, n)), np.zeros(n)]:
+        got, want = lap(q), csr @ q
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("region, h, save_times", [

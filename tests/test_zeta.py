@@ -10,7 +10,7 @@ from fractaldims import zeta
 from fractaldims.errors import (ContourError, MultiplePoleError,
                                 PoleProximityError)
 from fractaldims.zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
-                              RatioMultiset, detect_lattice, lattice_poles,
+                              LatticeStructure, RatioMultiset, detect_lattice, lattice_poles,
                               lower_similarity_dimension, nonlattice_poles,
                               rescale, residue_contour, residue_simple,
                               screen_lower_bound, similarity_dimension,
@@ -119,6 +119,20 @@ def test_detect_lattice_exponent_gcd_reduced():
     assert lat is not None
     ks = [k for k, _ in lat.exponents]
     assert np.gcd.reduce(ks) == 1
+
+
+@pytest.mark.parametrize("generator, exponents, constraint", [
+    # 1 - 3z^4 - 2z^6 has double roots at z = +-i that Newton polishing
+    # splits: unchecked, lattice_poles raised MultiplePoleError
+    (0.225, ((4, 3), (6, 2)), r"gcd 2, not 1.*0\.225\^2"),
+    (1.0, ((1, 2),), r"generator=1\.0 is not in \(0, 1\)"),
+    (0.5, ((0, 2), (1, 1)), "k >= 1 and m >= 1"),
+    (0.5, ((1, 0),), "k >= 1 and m >= 1"),
+    (0.5, (), "nonempty"),
+])
+def test_lattice_structure_rejects_invalid(generator, exponents, constraint):
+    with pytest.raises(ValueError, match=constraint):
+        LatticeStructure(generator, exponents)
 
 
 # ---------------------------------------------------------------- poles
