@@ -56,6 +56,16 @@ def _ratios_from_config(cfg) -> RatioMultiset:
     return RatioMultiset.from_pairs(pairs)
 
 
+def _choice(cfg, key: str, allowed: tuple[str, ...]) -> str:
+    """cfg[key], by default allowed[0]; any other value is refused before
+    the command does any work."""
+    value = cfg.get(key, allowed[0])
+    if value not in allowed:
+        raise ValueError(f"{key} must be one of {', '.join(allowed)}; "
+                         f"got {value!r}")
+    return value
+
+
 def _snowflake_from_config(cfg, default_level: int):
     """The one snowflake of a tube, heat or explicit run; refuses an
     unverified snowflake before any field or solve (render does not)."""
@@ -258,7 +268,7 @@ def cmd_heat(cfg):
 
 
 def cmd_explicit(cfg):
-    source = cfg.get("source", "tube")
+    source = _choice(cfg, "source", ("tube", "heat"))
     k = int(cfg.get("k", 2))
     im_max = float(cfg.get("im_max", 80.0))
     cutoffs = tuple(float(c) for c in cfg.get("cutoffs",
@@ -349,7 +359,7 @@ def cmd_explicit(cfg):
 def cmd_render(cfg):
     params = GKCParams(int(cfg["n"]), float(cfg["r"]))
     level = int(cfg.get("level", 4))
-    kind = cfg.get("kind", "snowflake")
+    kind = _choice(cfg, "kind", ("snowflake", "curve"))
     if kind == "curve":
         verts = prefractal(params, level).vertices
         closed = False

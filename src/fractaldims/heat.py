@@ -9,19 +9,23 @@ weight h^2, boundary-cut cells at half weight (value 1).  Without the
 half-weight ring the content of the near-boundary strip of width ~h/2 is
 lost, which at small t is the dominant error.
 
-Time is backward Euler: dt = h^2/2 until the first requested time, then
-dt grows geometrically with dt <= growth * t (backward Euler's local
-error on the parabolic boundary layer scales like dt/t, so a capped
-ratio gives a uniform relative error), landing exactly on save times;
-I + dt A is an M-matrix, so u is monotone in time with 0 <= u <= 1.
-No step is marched.  A 1 is the ghost source, so 1 - u after steps
-dt_1..dt_k is f_k(A) 1 with f_k(x) = prod_j 1/(1 + dt_j x), and one
-Lanczos run on A from 1/sqrt(n) gives 1^T f_k(A) 1 at every save time by
-Gauss quadrature (Golub & Meurant, Matrices, Moments and Quadrature,
-2010).  The same run could give the semi-discrete exp(-tA) 1, but at
-small t backward Euler's time error cancels most of the closure's
-spatial error: 0.023% against 0.544% off the unit square's Fourier
-series at h=5e-3, t=3e-4.
+Time is backward Euler with the one step dt = h^2/2, taken t/dt times
+for every t, also when t/dt is not an integer.  A 1 is the ghost source,
+so 1 - u(t) = f_t(A) 1 with f_t(x) = (1 + dt x)^(-t/dt): exactly t/dt
+implicit steps when t is a multiple of dt.  Between multiples f_t(x) is
+the mean of exp(-T x) over a Gamma(t/dt, dt) time T (the Laplace
+transform of that law), so 1 - u is a mixture of exact semi-discrete
+solutions exp(-T A) 1, each in [0, 1] because A is an M-matrix with
+nonnegative row sums: 0 <= u <= 1.  With f_(t+s) = f_t f_s and f_t(A)
+entrywise nonnegative, 1 - u(t+s) = f_t(A) f_s(A) 1 <= f_t(A) 1, so u
+grows with t.  E(t) depends on t alone, not on which other times were
+requested.  One Lanczos run on A from 1/sqrt(n) gives 1^T f_t(A) 1 at
+every save time by Gauss quadrature (Golub & Meurant, Matrices, Moments
+and Quadrature, 2010).  The same run could give exp(-tA) 1, but at small t
+the step h^2/2 cancels most of the closure's spatial error: on the unit
+square at h=5e-3 over t in [3e-4, 3e-3] the content is 2.3e-4 off the
+Fourier series, against 5.4e-3 for exp(-tA), and equal steps of h^2/4
+or 3h^2/4 are about ten times worse than h^2/2.
 
 The run needs products A q, applied matrix-free in CSR column order
 (bit-identical to a sparse matrix; see ``_assemble``), and one
@@ -51,9 +55,6 @@ from .geom import (point_in_polygon, point_in_polygon_mask,
                    points_to_segments_distance, polygon_area, rotation_matrix)
 from .sampled import SampledFunction, sfe_grid, sfe_remainder
 from .vonkoch import SnowflakeRegion
-
-#: dt may grow to at most this fraction of the current time
-DT_GROWTH = 0.01
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
 #: threshold for the relative change of E at every save time and, with
@@ -175,27 +176,6 @@ def _assemble(interior: np.ndarray, h: float):
     return lap
 
 
-def _time_steps(save_times: np.ndarray, dt_floor: float):
-    """Backward-Euler steps and the index of the step ending at each save
-    time.  dt starts at the floor and changes only when the DT_GROWTH cap
-    allows doubling it, so runs of steps share one dt."""
-    steps, ends = [], []
-    t, dt = 0.0, dt_floor
-    for target in save_times:
-        while True:
-            cap = max(dt_floor, DT_GROWTH * t)
-            if cap >= 2.0 * dt:
-                dt = cap
-            step = min(dt, target - t)
-            steps.append(step)
-            t += step
-            if abs(t - target) <= 1e-12 * max(target, 1.0):
-                t = target
-                break
-        ends.append(len(steps) - 1)
-    return np.asarray(steps), np.asarray(ends, dtype=np.int64)
-
-
 def _lanczos(lap, n: int):
     """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on the
     matvec ``lap`` over n unknowns from 1/sqrt(n), without
@@ -214,13 +194,16 @@ def _lanczos(lap, n: int):
 
 def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
                    keep_fields: bool = False) -> HeatField:
-    """Backward-Euler heat content at the save times by Lanczos quadrature.
+    """Heat content of t/dt backward-Euler steps of dt = h^2/2 at each
+    save time t by Lanczos quadrature.
 
-    E(t_k) = h^2 (n sum_i s_i^2 (1 - f_k(theta_i)) + ring/2); see the
-    module docstring.  Lanczos steps are added in blocks until E moves by
-    less than KRYLOV_TOL at every save time, or the Krylov space is
-    exhausted.  ``keep_fields`` regenerates the same basis in a second
-    pass to sum u_k = 1 - sqrt(n) Q_m f_k(T_m) e_1.
+    E(t) = h^2 (n sum_i s_i^2 (1 - f_t(theta_i)) + ring/2) with
+    f_t(x) = (1 + dt x)^(-t/dt), the Ritz values theta_i and the first
+    components s_i of their eigenvectors; t/dt need not be an integer
+    (see the module docstring).  Lanczos steps are added in blocks until
+    E moves by less than KRYLOV_TOL at every save time, or the Krylov
+    space is exhausted.  ``keep_fields`` regenerates the same basis in a
+    second pass to sum u(t) = 1 - sqrt(n) Q_m f_t(T_m) e_1.
     """
     from scipy.linalg import eigh_tridiagonal  # only the solve needs scipy
 
@@ -234,8 +217,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     if n == 0:
         raise ResolutionError(f"no interior cells at h={h}")
     half_ring = 0.5 * float(ghost.sum())
-    dt_floor = h ** 2 / 2.0
-    steps, ends = _time_steps(save_times, dt_floor)
+    dt = h ** 2 / 2.0
     # Gershgorin: ||A|| <= 8/h^2; a coupling below round-off of that
     # means the Krylov space is invariant and the quadrature exact
     breakdown = KRYLOV_TOL * 8.0 / h ** 2
@@ -253,14 +235,14 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
         exhausted = betas[-1] <= breakdown
         m = len(alphas)
         theta, vecs = eigh_tridiagonal(alphas, betas[:-1])
-        # log(1 / f_k(theta)), f_k(x) = prod_{j <= k} 1/(1 + dt_j x)
-        logs = np.cumsum(np.log1p(np.outer(theta, steps)), axis=1)[:, ends]
+        # log(1 / f_t(theta)), f_t(x) = (1 + dt x)^(-t/dt)
+        logs = np.outer(np.log1p(dt * theta), save_times / dt)
         s = vecs[0]
         new = h ** 2 * (n * (s ** 2 @ -np.expm1(-logs)) + half_ring)
         change = 0.0 if exhausted else float(
             np.max(np.abs(new - contents) / new, initial=0.0))
         contents = new
-        # 1 - u_k = sqrt(n) Q_m f_k(T_m) e_1 = Q_m coef[:, k]
+        # 1 - u(t_k) = sqrt(n) Q_m f_(t_k)(T_m) e_1 = Q_m coef[:, k]
         coef = (np.sqrt(n) * vecs @ (s[:, None] * np.exp(-logs))
                 if keep_fields else None)
         tail = (0.0 if coef is None or exhausted
@@ -288,8 +270,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     return HeatField(h=h, bbox=(x0, y0, x0 + nx * h, y0 + ny * h),
                      interior=interior, ghost=ghost,
                      times=save_times, contents=contents, fields=fields,
-                     meta={"h": h, "dt_floor": dt_floor,
-                           "dt_growth": DT_GROWTH, "area": problem.area,
+                     meta={"h": h, "dt": dt, "area": problem.area,
                            "krylov_steps": m, "krylov_change": change})
 
 

@@ -127,6 +127,22 @@ def test_render_curve_kind(tmp_path):
     assert body.startswith("<svg") and "path" in body
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("render", {"n": 3, "r": 1 / 3, "level": 2, "kind": "Curve"},
+     r"kind must be one of snowflake, curve; got 'Curve'"),
+    ("explicit", dict(TINY_TUBE, source="Tube"),
+     r"source must be one of tube, heat; got 'Tube'"),
+], ids=["render", "explicit"])
+def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
+                                   message):
+    def no_snowflake(*args, **kwargs):
+        raise AssertionError("snowflake built before the config was checked")
+
+    monkeypatch.setattr(cli, "snowflake", no_snowflake)
+    with pytest.raises(ValueError, match=message):
+        run_command(command, cfg, tmp_path / "a")
+
+
 def checks_of(out: Path) -> dict:
     manifest = json.loads((out / "manifest.json").read_text())
     return {c["name"]: c for c in manifest["checks"]}

@@ -11,7 +11,8 @@ from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.heat import (HeatProblem, decomposition_remainder,
                               heat_content_mc, heat_exponent_fit,
                               solve_heat_content, solve_heat_fdm)
-from fractaldims.sampled import SampledFunction, geometric_grid
+from fractaldims.sampled import (SampledFunction, geometric_grid,
+                                sfe_grid)
 from fractaldims.vonkoch import GKCParams, snowflake
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -63,23 +64,31 @@ def csr_laplacian(interior, h):
     return grid[ids][:, ids] / h ** 2
 
 
-def backward_euler_oracle(problem, h, save_times):
-    """E at the save times by sparse-LU backward-Euler steps over the
-    solver's step list: w_j = (I + dt_j A)^-1 w_(j-1), w_0 = 1, u = 1 - w."""
+def backward_euler_oracle(problem, h, steps):
+    """E after each number of steps in ``steps`` of sparse-LU backward
+    Euler with dt = h^2/2: w_j = (I + dt A)^-1 w_(j-1), w_0 = 1, u = 1 - w."""
     _, interior, ghost = heat._build_masks(problem.region, h)
     lap = csr_laplacian(interior, h).tocsc()
     n = lap.shape[0]
-    steps, ends = heat._time_steps(np.asarray(save_times), h ** 2 / 2.0)
-    lu = {}
+    lu = splu(sparse.identity(n, format="csc") + h ** 2 / 2.0 * lap)
     w = np.ones(n)
     contents = []
-    for j, dt in enumerate(steps):
-        if dt not in lu:
-            lu[dt] = splu(sparse.identity(n, format="csc") + dt * lap)
-        w = lu[dt].solve(w)
-        if j in ends:
+    for j in range(1, max(steps) + 1):
+        w = lu.solve(w)
+        if j in steps:
             contents.append(h ** 2 * (n - w.sum() + 0.5 * ghost.sum()))
     return np.array(contents), n
+
+
+def eigh_oracle(problem, h, save_times):
+    """E at any t from a dense eigendecomposition A = V diag(lam) V^T:
+    1 - u(t) = V (1 + dt lam)^(-t/dt) V^T 1 with dt = h^2/2."""
+    _, interior, ghost = heat._build_masks(problem.region, h)
+    lam, vecs = np.linalg.eigh(csr_laplacian(interior, h).toarray())
+    dt = h ** 2 / 2.0
+    weights = vecs.sum(axis=0) ** 2
+    f = (1.0 + dt * lam[:, None]) ** (-np.asarray(save_times) / dt)
+    return h ** 2 * (len(lam) - weights @ f + 0.5 * ghost.sum())
 
 
 @pytest.mark.parametrize("region, h", [
@@ -99,22 +108,44 @@ def test_stencil_matvec_equals_csr_matvec(region, h):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("region, h, save_times", [
-    (snowflake(GKCParams(3, 1 / 3), 2).boundary, 6e-3,
-     geometric_grid(3e-4, 3e-3, 24)),
-    (SQUARE, 0.2, [0.01, 0.05, 0.2, 1.0]),
-])
-def test_lanczos_matches_backward_euler(region, h, save_times):
+@pytest.mark.parametrize("region, h, steps, between", [
+    (snowflake(GKCParams(3, 1 / 3), 2).boundary, 2e-2,
+     [1, 2, 3, 5, 8, 15, 40], geometric_grid(3e-4, 3e-3, 24)),
+    (SQUARE, 0.05, [1, 8, 40, 160, 800], [2e-3, 0.033, 0.31]),
+    (SQUARE, 0.2, [1, 2, 5, 10, 50], [0.01, 0.05, 0.31]),
+], ids=["snowflake-L2", "square-0.05", "square-0.2"])
+def test_lanczos_matches_backward_euler(region, h, steps, between):
+    # t = m h^2/2 is m implicit steps; between multiples the solver's
+    # (1 + dt A)^(-t/dt) comes from a dense eigendecomposition
     problem = HeatProblem(region=region)
+    at_steps = np.array(steps) * h ** 2 / 2.0
+    save_times = np.union1d(at_steps, between)
     field = solve_heat_fdm(problem, h, save_times)
-    exact, n = backward_euler_oracle(problem, h, save_times)
-    assert np.array_equal(field.times, np.asarray(save_times))
-    assert np.max(np.abs(field.contents - exact) / exact) < 1e-12
+    assert np.array_equal(field.times, save_times)
+    stepped, n = backward_euler_oracle(problem, h, steps)
+    dense = eigh_oracle(problem, h, save_times)
+    got = field.contents[np.searchsorted(save_times, at_steps)]
+    assert np.max(np.abs(got - stepped) / stepped) < 1e-12
+    assert np.max(np.abs(field.contents - dense) / dense) < 1e-12
     assert field.meta["krylov_change"] < 1e-12
     if n < 20:
         # the Krylov space is exhausted inside the first block
         assert field.meta["krylov_steps"] <= min(n, heat.KRYLOV_BLOCK - 1)
         assert field.meta["krylov_change"] == 0.0
+
+
+def test_content_ignores_the_other_save_times():
+    # E at t is f_t of one step h^2/2, whatever else was requested
+    region = snowflake(GKCParams(3, 1 / 3), 3)
+    problem = HeatProblem(region=region.boundary)
+    ts = geometric_grid(3e-4, 3e-3, 24)
+    alone = solve_heat_fdm(problem, 5e-3, ts)
+    union = solve_heat_fdm(problem, 5e-3,
+                           sfe_grid(ts, region.params.ratio_pairs, 2))
+    at_ts = np.searchsorted(union.times, ts)
+    assert np.array_equal(union.times[at_ts], ts)
+    assert np.max(np.abs(union.contents[at_ts] - alone.contents)
+                  / alone.contents) < 1e-12
 
 
 def test_negative_save_time_is_rejected():
@@ -139,11 +170,13 @@ def test_content_bounded_by_area():
 
 
 def test_content_matches_square_oracle_coarse(square_oracle):
-    ts = geometric_grid(1e-4, 1e-2, 8)
-    e = solve_heat_content(HeatProblem(region=SQUARE), h=4e-3,
-                           save_times=ts)
-    rel = np.abs(e.vals - square_oracle(ts)) / square_oracle(ts)
-    assert rel.max() < 0.01
+    for h, window, bound in [(4e-3, (1e-4, 1e-2), 0.01),
+                             (2.5e-3, (3e-4, 3e-3), 1e-4)]:
+        ts = geometric_grid(*window, 8)
+        e = solve_heat_content(HeatProblem(region=SQUARE), h=h,
+                               save_times=ts)
+        rel = np.abs(e.vals - square_oracle(ts)) / square_oracle(ts)
+        assert rel.max() < bound, h
 
 
 def test_centerline_profile_matches_rod_oracle(rod_profile_oracle):
