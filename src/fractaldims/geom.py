@@ -88,11 +88,13 @@ def point_in_polygon_mask(xs: np.ndarray, ys: np.ndarray,
                           strict: bool = False) -> np.ndarray:
     """Even-odd (crossing number) inside test on a grid of cell centers.
 
-    xs: (nx,), ys: (ny,) center coordinates.  Returns a boolean (nx, ny)
-    array.  Scanline over rows: for each y, edges straddling the row are
-    solved for their x-crossing and parity is accumulated left to right.
-    Test rows are nudged by a tiny irrational offset so polygon vertices
-    lying exactly on a row are handled deterministically.
+    xs: (nx,), ys: (ny,) increasing center coordinates.  Returns a boolean
+    (nx, ny) array.  An edge crosses the rows y with lo <= y < hi of its
+    endpoint ordinates, found by bisection.  Every (edge, row) crossing
+    toggles the first center at or right of its x; the cumulative parity
+    of the toggles along x is then the parity of the crossing number, odd
+    inside.  Test rows are nudged by a tiny irrational offset so polygon
+    vertices lying exactly on a row are handled deterministically.
 
     With ``strict`` the test is run with the nudge in both directions and
     both crossing sides, and only centers inside under all variants count:
@@ -116,21 +118,21 @@ def point_in_polygon_mask(xs: np.ndarray, ys: np.ndarray,
         nudges = (span_y * 1e-12 * np.sqrt(2.0),)
         probes = (0.0,)
     mask = np.ones((nx, ny), dtype=bool)
-    for j in range(ny):
-        row = np.ones(nx, dtype=bool)
-        for dy in nudges:
-            y = ys[j] + dy
-            straddle = (y1 <= y) != (y2 <= y)
-            if not straddle.any():
-                row[:] = False
-                break
-            xa, yaa = x1[straddle], y1[straddle]
-            xb, ybb = x2[straddle], y2[straddle]
-            xc = np.sort(xa + (y - yaa) * (xb - xa) / (ybb - yaa))
-            for dx in probes:
-                counts = np.searchsorted(xc, xs + dx, side="right")
-                row &= (counts % 2) == 1
-        mask[:, j] = row
+    for dy in nudges:
+        y = ys + dy
+        # edge e crosses the runs[e] rows from first[e]: lo <= y < hi
+        first = np.searchsorted(y, np.minimum(y1, y2))
+        runs = np.searchsorted(y, np.maximum(y1, y2)) - first
+        edge = np.repeat(np.arange(len(poly)), runs)
+        row = np.arange(len(edge)) - np.repeat(np.cumsum(runs) - runs
+                                               - first, runs)
+        xa, yaa, xb, ybb = x1[edge], y1[edge], x2[edge], y2[edge]
+        xc = xa + (y[row] - yaa) * (xb - xa) / (ybb - yaa)
+        for dx in probes:
+            # a crossing flips the parity of every center at or right of it
+            flips = np.zeros((nx + 1, ny), dtype=bool)
+            np.logical_xor.at(flips, (np.searchsorted(xs + dx, xc), row), True)
+            mask &= np.logical_xor.accumulate(flips[:nx], axis=0)
     return mask
 
 

@@ -421,24 +421,26 @@ def heat_exponent_fit(content: SampledFunction,
                       window: tuple[float, float]) -> float:
     """Fractal exponent p of E(t) ~ a t^p + b t over a window.
 
-    Scans p with linear least squares for (a, b) at each candidate and
-    refines the best by parabolic interpolation; subtracting the t^1 bulk
-    term is what isolates the boundary contribution.
+    Scans p on a grid with the linear least squares for (a, b) of every
+    candidate at once: projected off the unit t column, E and each t^p
+    leave a residual r_E and r_p, and r_E - (r_p.r_E / r_p.r_p) r_p is
+    the residual of that candidate's fit.  The best candidate is refined
+    by parabolic interpolation; subtracting the t^1 bulk term is what
+    isolates the boundary contribution.
     """
     tmin, tmax = window
     sel = (content.ts >= tmin) & (content.ts <= tmax)
     if sel.sum() < 8:
         raise ValueError("need at least 8 samples inside the window")
     t, ev = content.ts[sel], content.vals[sel]
-
-    def sse(p):
-        design = np.column_stack([t ** p, t])
-        coef, *_ = np.linalg.lstsq(design, ev, rcond=None)
-        resid = ev - design @ coef
-        return float(resid @ resid)
-
     grid = np.linspace(0.05, 0.98, 373)
-    errs = np.array([sse(p) for p in grid])
+    q = t / np.linalg.norm(t)
+    ev = ev - (q @ ev) * q
+    powers = t ** grid[:, None]
+    powers -= np.outer(powers @ q, q)
+    a = (powers @ ev) / np.einsum("ij,ij->i", powers, powers)
+    resid = ev - a[:, None] * powers
+    errs = np.einsum("ij,ij->i", resid, resid)
     i = int(np.argmin(errs))
     if i == 0 or i == len(grid) - 1:
         return float(grid[i])

@@ -3,9 +3,11 @@
 The tube function of a curve X relative to a region Ω is measured on a
 uniform grid by cell-center counting: V(t) ~ h^2 #{cells inside Ω with
 d(center, X) < t}.  Distances are exact point-to-segment distances,
-computed tile by tile with a pruned candidate set per tile (the pruning
-bound keeps every segment that could be nearest to any cell of the tile,
-so the field is exact, not approximate).
+computed on square tiles of cells.  One ``segment_distances`` call per
+row of tiles measures every tile centre against every segment; a tile
+then searches only the segments within its centre's nearest distance
+plus its diameter (that bound keeps every segment that could be nearest
+to any cell of the tile, so the field is exact, not approximate).
 
 Verification helpers compare measured tube functions against closed
 forms, the similitude scaling identity V_{phi X, phi Omega}(t) =
@@ -102,22 +104,24 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     seg_a = verts[:-1]
     seg_b = verts[1:]
     values = grid.values
+    ty0 = np.arange(0, ny, TILE)
+    ty1 = np.minimum(ty0 + TILE, ny)
+    cy = 0.5 * (ys[ty0] + ys[ty1 - 1])
     for tx0 in range(0, nx, TILE):
         tx1 = min(tx0 + TILE, nx)
-        for ty0 in range(0, ny, TILE):
-            ty1 = min(ty0 + TILE, ny)
-            cx = 0.5 * (xs[tx0] + xs[tx1 - 1])
-            cy = 0.5 * (ys[ty0] + ys[ty1 - 1])
-            rtile = np.hypot(xs[tx1 - 1] - cx, ys[ty1 - 1] - cy) + 1e-12
-            d_all = segment_distances(np.array([[cx, cy]]), seg_a, seg_b)[0]
-            dbest = d_all.min()
-            # a segment farther than dbest + 2 rtile from the centre is
+        cx = 0.5 * (xs[tx0] + xs[tx1 - 1])
+        rtile = np.hypot(xs[tx1 - 1] - cx, ys[ty1 - 1] - cy) + 1e-12
+        # distances from the centres of this row of tiles to every segment
+        d_all = segment_distances(np.column_stack([np.full_like(cy, cx), cy]),
+                                  seg_a, seg_b)
+        centers = np.dstack(np.meshgrid(xs[tx0:tx1], ys, indexing="ij"))
+        for d, r, y0, y1 in zip(d_all, rtile, ty0, ty1):
+            # a segment farther than d.min() + 2 r from the centre is
             # farther from every cell than the centre's nearest segment
-            cand = d_all <= dbest + 2.0 * rtile
-            gx, gy = np.meshgrid(xs[tx0:tx1], ys[ty0:ty1], indexing="ij")
-            pts = np.column_stack([gx.ravel(), gy.ravel()])
+            cand = d <= d.min() + 2.0 * r
+            pts = centers[:, y0:y1].reshape(-1, 2)
             dmin = points_to_segments_distance(pts, seg_a[cand], seg_b[cand])
-            values[tx0:tx1, ty0:ty1] = dmin.reshape(tx1 - tx0, ty1 - ty0)
+            values[tx0:tx1, y0:y1] = dmin.reshape(tx1 - tx0, y1 - y0)
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),

@@ -281,6 +281,40 @@ def test_exponent_fit_square_is_half(square_oracle):
     assert abs(p - 0.5) < 0.05
 
 
+def lstsq_exponent_fit(content, window):
+    """Reference for heat_exponent_fit: one lstsq of E on [t^p, t] per
+    candidate p, then the same parabolic refinement."""
+    sel = (content.ts >= window[0]) & (content.ts <= window[1])
+    t, ev = content.ts[sel], content.vals[sel]
+
+    def sse(p):
+        design = np.column_stack([t ** p, t])
+        coef, *_ = np.linalg.lstsq(design, ev, rcond=None)
+        resid = ev - design @ coef
+        return float(resid @ resid)
+
+    grid = np.linspace(0.05, 0.98, 373)
+    errs = np.array([sse(p) for p in grid])
+    i = int(np.argmin(errs))
+    assert 0 < i < len(grid) - 1
+    e0, e1, e2 = errs[i - 1], errs[i], errs[i + 1]
+    return grid[i] + 0.5 * (e0 - e2) / (e0 - 2 * e1 + e2) * (grid[i]
+                                                            - grid[i - 1])
+
+
+def test_exponent_fit_matches_lstsq_scan(square_oracle):
+    ts = geometric_grid(1e-4, 1e-2, 24)
+    flake_ts = geometric_grid(3e-4, 3e-3, 24)
+    flake = snowflake(GKCParams(3, 1 / 3), 3).boundary
+    cases = [(SampledFunction(ts, 0.8 * ts ** 0.4), (1e-4, 1e-2)),
+             (SampledFunction(ts, square_oracle(ts)), (1e-4, 1e-2)),
+             (solve_heat_content(HeatProblem(region=flake), 5e-3, flake_ts),
+              (3e-4, 3e-3))]
+    for content, window in cases:
+        p = heat_exponent_fit(content, window)
+        assert abs(p - lstsq_exponent_fit(content, window)) <= 1e-12
+
+
 def test_diffusivity_rescales_time(tmp_path):
     # CLI heat at diffusivity C reports E_1(C t) against the unscaled t
     cfg = {"n": 3, "r": 1 / 3, "level": 2, "h": 6e-3,
