@@ -226,6 +226,12 @@ def cmd_tube(cfg):
 
 
 def cmd_heat(cfg):
+    # an absent scaling_lambda means no scaling check
+    lam = cfg.get("scaling_lambda")
+    if lam is not None:
+        lam = float(lam)
+        if not lam > 0:
+            raise ValueError(f"scaling_lambda must be > 0; got {lam:g}")
     region = _snowflake_from_config(cfg, 4)
     h = float(cfg.get("h", 2e-3))
     diffusivity = float(cfg.get("diffusivity", 1.0))
@@ -256,8 +262,7 @@ def cmd_heat(cfg):
     if rem is not None:
         files["remainder.csv"] = rem.to_csv()
         doc["remainder_linear_bound_fit"] = rem.meta["linear_bound_fit"]
-    if cfg.get("scaling_lambda"):
-        lam = float(cfg["scaling_lambda"])
+    if lam is not None:
         rep = verify_heat_scaling(problem, lam, diffusivity * ts, h)
         checks.append({"name": "heat_scaling", "passed": bool(rep.passed),
                        "detail": f"max rel dev {rep.max_rel_dev:.4g}"})
@@ -371,10 +376,12 @@ def cmd_render(cfg):
     hi = verts.max(axis=0)
     width = int(cfg.get("width", 800))
     span = max(hi[0] - lo[0], hi[1] - lo[1])
-    height = int(width * (hi[1] - lo[1]) / max(hi[0] - lo[0], 1e-9))
     scale = (width * 0.94) / span
-    pts = (verts - lo) * scale + 0.03 * width
-    pts[:, 1] = height - pts[:, 1] + 0.0
+    margin = 0.03 * width
+    # the scaled vertical extent plus a margin above and below it
+    height = int(np.ceil((hi[1] - lo[1]) * scale + 2 * margin))
+    pts = (verts - lo) * scale + margin
+    pts[:, 1] = height - pts[:, 1]
     path = polyline_to_svg_path(pts)
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
            f'height="{height}"><path d="{path}{" Z" if closed else ""}" '

@@ -72,15 +72,8 @@ def points_to_segments_distance(points: np.ndarray, seg_a: np.ndarray,
 
 
 def snap(points: np.ndarray, tol: float) -> np.ndarray:
-    """Round coordinates onto a tol-spaced lattice (for dedup/robust predicates)."""
+    """Round coordinates onto a tol-spaced lattice (for robust predicates)."""
     return np.round(np.asarray(points, dtype=float) / tol) * tol
-
-
-def dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
-    """Remove near-duplicate points by snapping to a tol lattice."""
-    snapped = snap(points, tol)
-    _, idx = np.unique(snapped, axis=0, return_index=True)
-    return np.asarray(points, dtype=float)[np.sort(idx)]
 
 
 def point_in_polygon_mask(xs: np.ndarray, ys: np.ndarray,
@@ -134,29 +127,6 @@ def point_in_polygon_mask(xs: np.ndarray, ys: np.ndarray,
             np.logical_xor.at(flips, (np.searchsorted(xs + dx, xc), row), True)
             mask &= np.logical_xor.accumulate(flips[:nx], axis=0)
     return mask
-
-
-def point_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd inside test for scattered points; returns boolean (m,)."""
-    poly = np.asarray(polygon, dtype=float)
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    span = max(np.ptp(y1), 1.0)
-    y = p[:, 1] + span * 1e-12 * np.sqrt(2.0)
-    # chunk over edges to bound memory
-    crossings = np.zeros(len(p), dtype=np.int64)
-    for k0 in range(0, len(x1), 4096):
-        sl = slice(k0, k0 + 4096)
-        a_x, a_y = x1[sl][None, :], y1[sl][None, :]
-        b_x, b_y = x2[sl][None, :], y2[sl][None, :]
-        yy = y[:, None]
-        straddle = (a_y <= yy) != (b_y <= yy)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xc = a_x + (yy - a_y) * (b_x - a_x) / (b_y - a_y)
-        hits = straddle & (xc > p[:, 0][:, None])
-        crossings += hits.sum(axis=1)
-    return (crossings % 2) == 1
 
 
 def clip_polygon_halfplane(polygon: np.ndarray, p0, normal) -> np.ndarray:

@@ -36,11 +36,6 @@ The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
 comes from ``decomposition_remainder(region, ts, h)``: one solve on the
 region its caller built, read through the shared kernel
 ``sampled.sfe_remainder``.
-
-An independent Brownian-path Monte Carlo estimator cross-checks E(t):
-u(x, t) is the probability that a path from x exits before t, so E(t) is
-area times the exit probability from a uniform start, estimated with an
-Euler-Maruyama walk plus a Brownian-bridge boundary correction.
 """
 
 from __future__ import annotations
@@ -51,8 +46,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .geom import (point_in_polygon, point_in_polygon_mask,
-                   points_to_segments_distance, polygon_area, rotation_matrix)
+from .geom import point_in_polygon_mask, polygon_area, rotation_matrix
 from .sampled import SampledFunction, sfe_grid, sfe_remainder
 from .vonkoch import SnowflakeRegion
 
@@ -68,7 +62,6 @@ SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
 #: rotation of verify_heat_scaling's scaled copy, so that its grid cuts
 #: the region differently from the base solve's grid
 SCALING_ROTATION = 0.3
-MC_CHUNK = 131072  #: Monte Carlo paths walked together
 
 
 @dataclass(frozen=True)
@@ -279,82 +272,6 @@ def solve_heat_content(problem: HeatProblem, h: float,
     """E(t) at the requested times (trapezoidal cell closure)."""
     field = solve_heat_fdm(problem, h, save_times)
     return SampledFunction(field.times, field.contents, meta=dict(field.meta))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-check
-
-
-def heat_content_mc(region: np.ndarray, t_values, n_paths: int,
-                    seed: int, steps_per_t: int = 1500
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Brownian exit-probability estimate of E(t) with statistical errors.
-
-    Paths start uniformly in the region and take Euler-Maruyama steps of
-    standard deviation sqrt(2 dt) per coordinate; a Brownian-bridge
-    correction kills paths that cross the boundary between checkpoints.
-    Each path carries a lower bound on its boundary distance so exact
-    edge distances are only recomputed inside the boundary layer.
-    Returns (E_estimates, one-sigma errors) aligned with t_values.  The
-    RNG stream is fully determined by ``seed``.
-    """
-    poly = np.asarray(region, dtype=float)
-    area = abs(polygon_area(poly))
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    edge_b = np.roll(poly, -1, axis=0)  # edges run poly[i] -> edge_b[i]
-
-    rng = np.random.default_rng(seed)
-    t_values = np.asarray(t_values, dtype=float)
-    estimates = np.zeros(len(t_values))
-    sigmas = np.zeros(len(t_values))
-    for ti, t in enumerate(t_values):
-        n_steps = steps_per_t
-        dt = t / n_steps
-        sd = np.sqrt(2.0 * dt)
-        near = 9.0 * sd  # beyond this a step cannot plausibly reach the wall
-        exited_total = 0
-        remaining = n_paths
-        while remaining > 0:
-            m = min(MC_CHUNK, remaining)
-            remaining -= m
-            pts = np.empty((0, 2))
-            while len(pts) < m:
-                cand = lo + rng.random((2 * m, 2)) * (hi - lo)
-                pts = np.vstack([pts, cand[point_in_polygon(cand, poly)]])
-            pts = pts[:m]
-            # exact at start
-            d_lb = points_to_segments_distance(pts, poly, edge_b)
-            alive_idx = np.arange(m)
-            for _ in range(n_steps):
-                k = len(alive_idx)
-                if k == 0:
-                    break
-                step = rng.normal(0.0, sd, size=(k, 2))
-                pts[alive_idx] += step
-                d_lb[alive_idx] -= np.hypot(step[:, 0], step[:, 1])
-                near_mask = d_lb[alive_idx] < near
-                if near_mask.any():
-                    ni = alive_idx[near_mask]
-                    inside = point_in_polygon(pts[ni], poly)
-                    d_new = points_to_segments_distance(pts[ni], poly,
-                                                        edge_b)
-                    dead = ~inside
-                    d_old = np.maximum(d_lb[ni] + np.hypot(
-                        step[near_mask, 0], step[near_mask, 1]), 0.0)
-                    pcross = np.exp(-np.maximum(d_old * d_new, 0.0) / dt)
-                    kill = rng.random(len(ni)) < pcross
-                    dead |= kill & inside
-                    d_lb[ni] = d_new
-                    if dead.any():
-                        keep = np.ones(k, dtype=bool)
-                        keep[np.flatnonzero(near_mask)[dead]] = False
-                        alive_idx = alive_idx[keep]
-            exited_total += int(m - len(alive_idx))
-        p = exited_total / n_paths
-        estimates[ti] = area * p
-        sigmas[ti] = area * np.sqrt(max(p * (1 - p), 1e-12) / n_paths)
-    return estimates, sigmas
 
 
 # ---------------------------------------------------------------------------

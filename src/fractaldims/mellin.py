@@ -1,4 +1,4 @@
-"""Truncated Mellin transforms, tube/heat zeta functions, factorization.
+"""Truncated Mellin transforms and residues of the factorized zeta functions.
 
 The transform of a sampled function integrates t^(s-1) * f(t) over [a, b]
 with f replaced by its piecewise-linear interpolant; each interval is
@@ -13,8 +13,12 @@ f = sum_k a_k f(t / lambda_k^alpha) + R on (0, delta], the transform
 factorizes as  zeta_f(s; delta) = zeta(alpha s) (xi(s; delta) +
 zeta_R(s; delta))  where zeta = 1/P is the scaling zeta function of the
 ratios and xi is an entire correction built from doubly-truncated
-transforms.  That right side is the only analytic continuation used
-anywhere: the package never quadratures a divergent integral.
+transforms (``partial_xi``).  That right side is the only analytic
+continuation used anywhere: the package never quadratures a divergent
+integral.  ``sfe_zeta_residue`` reads the residue at a simple pole off
+it.  The tube and heat zeta functions are the transforms of
+t^(-beta/alpha) F(t) over (0, delta]; ``cli.cmd_explicit`` forms that
+normalization of the tube volume or heat content F.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ import numpy as np
 
 from .errors import DivergenceDomainError, FitError, SampleRangeError
 from .sampled import SampledFunction, leading_power_fit
-from .zeta import DirichletPoly, RatioMultiset, residue_simple, zeta_eval
-
-POLE_MARGIN = 0.05  #: verify_zeta_identity's least |P/P'| from a pole
+from .zeta import DirichletPoly, RatioMultiset, residue_simple
 
 
 @dataclass(frozen=True)
@@ -156,65 +158,6 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
                       quad_error=abs(full - coarse) + tail_err)
 
 
-def scale_samples(f: SampledFunction, lam: float) -> SampledFunction:
-    """Samples of f(lam * t): exact regridding of the table onto ts/lam."""
-    return SampledFunction(f.ts / lam, f.vals,
-                           meta={**f.meta, "rescaled_by": lam})
-
-
-@dataclass(frozen=True)
-class MellinScalingReport:
-    lhs: complex
-    rhs: complex
-    rel_dev: float
-    quad_error: float
-    passed: bool
-
-
-def verify_mellin_scaling(ev: MellinEvaluator, lam: float, s: complex,
-                          beta: float) -> MellinScalingReport:
-    """Check M^beta[f o S_lam](s) = lam^-s (M^beta[f](s) + M_beta^{lam beta}[f](s)).
-
-    The left side is evaluated directly on a resampled table for
-    f(lam t); the right side combines transforms of f itself.  Deviation
-    within 10x the quadrature error estimate passes.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    scaled = MellinEvaluator.build(scale_samples(ev.f, lam))
-    lhs = truncated_mellin(scaled, s, 0.0, beta)
-    r1 = truncated_mellin(ev, s, 0.0, beta)
-    if lam == 1.0:
-        r2_value, r2_err = 0.0 + 0.0j, 0.0
-    elif lam > 1.0:
-        r2 = truncated_mellin(ev, s, beta, lam * beta)
-        r2_value, r2_err = r2.value, r2.quad_error
-    else:
-        r2 = truncated_mellin(ev, s, lam * beta, beta)
-        r2_value, r2_err = -r2.value, r2.quad_error
-    rhs_val = lam ** (-s) * (r1.value + r2_value)
-    err = lhs.quad_error + abs(lam ** (-s)) * (r1.quad_error + r2_err)
-    dev = abs(lhs.value - rhs_val) / max(abs(lhs.value), 1e-300)
-    tol = 10.0 * max(err / max(abs(lhs.value), 1e-300), 1e-14)
-    return MellinScalingReport(lhs=lhs.value, rhs=rhs_val, rel_dev=dev,
-                               quad_error=err, passed=bool(dev <= tol))
-
-
-def tube_zeta(tube: SampledFunction, s: complex, delta: float) -> ZetaSample:
-    """Tube zeta: transform of t^-2 V(t) over (0, delta] (planar case)."""
-    ev = MellinEvaluator.build(
-        tube.transform_vals(lambda t, v: v / t ** 2))
-    return truncated_mellin(ev, s, 0.0, delta)
-
-
-def heat_zeta(content: SampledFunction, s: complex, delta: float
-              ) -> ZetaSample:
-    """Heat zeta: transform of t^(-N/2) E(t) = t^-1 E(t) over (0, delta]."""
-    ev = MellinEvaluator.build(
-        content.transform_vals(lambda t, v: v / t))
-    return truncated_mellin(ev, s, 0.0, delta)
-
-
 def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
                delta: float, alpha: float = 1.0) -> ZetaSample:
     """Entire correction xi(s) = sum a_k lam_k^(alpha s) M_delta^{delta/lam_k^alpha}[f](s)."""
@@ -233,52 +176,6 @@ def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
         total += w * piece.value
         err += abs(w) * piece.quad_error
     return ZetaSample(s=complex(s), value=total, quad_error=err)
-
-
-@dataclass(frozen=True)
-class ZetaIdentityReport:
-    """Deviations |zeta_f - zeta(alpha s)(xi + zeta_R)| / |zeta_f| per point."""
-
-    s_points: tuple[complex, ...]
-    lhs: tuple[complex, ...]
-    rhs: tuple[complex, ...]
-    rel_dev: tuple[float, ...]
-    rejected: tuple[complex, ...]
-    max_rel_dev: float
-
-
-def verify_zeta_identity(ratios: RatioMultiset, f: SampledFunction,
-                         remainder: SampledFunction, s_list, delta: float,
-                         alpha: float = 1.0) -> ZetaIdentityReport:
-    """Evaluate both sides of the factorization at each admissible s.
-
-    Points whose Newton-step distance estimate |P/P'| at alpha*s falls
-    below POLE_MARGIN are rejected (the identity divides small
-    numbers there) and reported separately.
-    """
-    poly = DirichletPoly(ratios)
-    ev_f = MellinEvaluator.build(f)
-    ev_r = MellinEvaluator.build(remainder)
-    s_pts, lhs, rhs, dev, rejected = [], [], [], [], []
-    for s in s_list:
-        s = complex(s)
-        z = alpha * s
-        dist = abs(poly(z)) / max(abs(poly.derivative(z)), 1e-300)
-        if dist < POLE_MARGIN:
-            rejected.append(s)
-            continue
-        left = truncated_mellin(ev_f, s, 0.0, delta)
-        xi = partial_xi(ratios, f, s, delta, alpha)
-        zr = truncated_mellin(ev_r, s, 0.0, delta)
-        right = zeta_eval(poly, z) * (xi.value + zr.value)
-        s_pts.append(s)
-        lhs.append(left.value)
-        rhs.append(complex(right))
-        dev.append(abs(left.value - right) / max(abs(left.value), 1e-300))
-    return ZetaIdentityReport(
-        s_points=tuple(s_pts), lhs=tuple(lhs), rhs=tuple(rhs),
-        rel_dev=tuple(dev), rejected=tuple(rejected),
-        max_rel_dev=max(dev) if dev else 0.0)
 
 
 def sfe_zeta_residue(ratios: RatioMultiset, f: SampledFunction,

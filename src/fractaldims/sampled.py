@@ -57,8 +57,9 @@ class SampledFunction:
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=float)
         vals = np.asarray(self.vals, dtype=float)
-        if ts.ndim != 1 or ts.shape != vals.shape:
-            raise ValueError("ts and vals must be 1-d arrays of equal length")
+        if ts.ndim != 1 or ts.shape != vals.shape or ts.size == 0:
+            raise ValueError("ts and vals must be non-empty 1-d arrays of "
+                             "equal length")
         if ts[0] <= 0 or np.any(np.diff(ts) <= 0):
             raise ValueError("ts must be strictly increasing and positive")
         object.__setattr__(self, "ts", ts)

@@ -9,14 +9,12 @@ then searches only the segments within its centre's nearest distance
 plus its diameter (that bound keeps every segment that could be nearest
 to any cell of the tile, so the field is exact, not approximate).
 
-Verification helpers compare measured tube functions against closed
-forms, the similitude scaling identity V_{phi X, phi Omega}(t) =
-lambda^2 V_{X,Omega}(t/lambda), and the von Koch scaling functional
-equation: ``verify_gkf_sfe(region, fld, ts)`` takes the snowflake and the
-sector field its caller built and forms rho through the shared kernel
-``sampled.sfe_remainder``.  Each check carries a declared grid-error
+``verify_gkf_sfe(region, fld, ts)`` checks the von Koch scaling
+functional equation: it takes the snowflake and the sector field its
+caller built and forms rho through the shared kernel
+``sampled.sfe_remainder``.  The check carries a declared grid-error
 budget 4h*perimeter + prefractal sandwich width rather than a bare
-tolerance.
+tolerance; ``minkowski_fit`` reads a box dimension off V(t).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import GeometryError, ResolutionError, SizeLimitError
 from .geom import (point_in_polygon_mask, points_to_segments_distance,
                    polygon_area, polyline_length, segment_distances)
-from .ifs import Similitude2, apply
 from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
 from .vonkoch import GKCParams, SnowflakeRegion, generator_vertices
 # not called here: the benchmark's layer probes wrap tubes.snowflake
@@ -145,37 +142,6 @@ def tube_function(fld: DistanceField, ts) -> SampledFunction:
 def grid_error_budget(fld: DistanceField) -> float:
     """Declared cell-counting error: 4h * curve perimeter."""
     return 4.0 * fld.h * fld.curve_length
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    ts: np.ndarray
-    lhs: np.ndarray          # V_{phi X, phi Omega}(t)
-    rhs: np.ndarray          # lambda^2 V_{X, Omega}(t / lambda)
-    budget_abs: float
-    max_rel_dev: float
-    passed: bool
-
-
-def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
-                        sim: Similitude2, ts, h: float) -> ScalingReport:
-    """Check V_{phi X, phi Omega}(t) = lambda^2 V_{X,Omega}(t/lambda)
-    with both sides measured on independent grids."""
-    ts = np.asarray(ts, dtype=float)
-    lam = sim.scale
-    fld1 = distance_field(curve, region, h)
-    base_ts = np.unique(ts / lam)
-    v1 = tube_function(fld1, base_ts)
-    fld2 = distance_field(apply(sim, curve), apply(sim, region), lam * h)
-    v2 = tube_function(fld2, ts)
-    rhs = lam ** 2 * np.interp(ts / lam, v1.ts, v1.vals)
-    lhs = v2.vals
-    budget = grid_error_budget(fld2) + lam ** 2 * grid_error_budget(fld1)
-    dev = np.abs(lhs - rhs)
-    rel = float(np.max(dev / np.maximum(np.abs(lhs), 1e-300)))
-    return ScalingReport(ts=ts, lhs=lhs, rhs=rhs, budget_abs=budget,
-                         max_rel_dev=rel,
-                         passed=bool(np.all(dev <= budget)))
 
 
 def prefractal_gap(params: GKCParams, level: int) -> float:

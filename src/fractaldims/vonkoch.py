@@ -93,7 +93,8 @@ def build_system(params: GKCParams) -> SelfSimilarSystem:
     phi_L scales by ell about the origin; psi_1..psi_{n-1} scale by r with
     rotations alpha_int - (k-1)*theta and translations chained through the
     previous map's image of (1,0); phi_R scales by ell onto [ell+r, 1].
-    Consecutive maps satisfy maps[i](1,0) == maps[i+1](0,0).
+    Consecutive maps chain: apply(maps[i], (1, 0)) equals
+    apply(maps[i + 1], (0, 0)).
     """
     n, r, ell = params.n, params.r, params.ell
     alpha, theta = params.alpha_int, params.theta
@@ -254,7 +255,8 @@ def snowflake_area_series(params: GKCParams, level: int) -> float:
 
     Each substitution step adds, per segment of length s, a regular n-gon
     bump of side r*s; summing squared segment lengths gives the geometric
-    series below.  Used as an independent oracle for the polygon area.
+    series below.  No command calls it: the benchmark checks the polygon
+    area against it, and the tests check it against the polygon.
     """
     n, r = params.n, params.r
     unit_ngon = n / (4.0 * math.tan(math.pi / n))

@@ -233,24 +233,6 @@ def lower_similarity_dimension(ratios: RatioMultiset) -> float:
     return _increasing_root(lambda t: q(t) - 1.0, dq, -1.0, 1.0)
 
 
-def screen_lower_bound(poly: DirichletPoly, sigma: float) -> float:
-    """Lower bound for |P(sigma + i tau)| valid uniformly in tau.
-
-    Equals m_M * r_M^sigma * (1 - q(sigma)) with q the increasing
-    companion polynomial; requires sigma < D_l so that q(sigma) < 1 and
-    the bound is strictly positive.
-    """
-    ratios = poly.ratios
-    q, _ = _lower_poly(ratios)
-    qs = q(sigma)
-    if qs >= 1.0:
-        raise ValueError(
-            f"sigma={sigma} is not below the lower similarity dimension")
-    r_small = float(ratios.ratios[-1])
-    m_small = float(ratios.multiplicities[-1])
-    return m_small * r_small ** sigma * (1.0 - qs)
-
-
 # ---------------------------------------------------------------------------
 # lattice structure
 
@@ -343,9 +325,11 @@ class Pole:
 class ComplexDimensionSet:
     """Located poles of a scaling zeta function inside a window.
 
-    ``alpha`` records an input rescale: stored poles are zeros of
-    s -> P(alpha * s).  Poles are closed under conjugation (P has real
-    coefficients) and sorted by (Im, Re).
+    Poles are zeros of P, closed under conjugation (P has real
+    coefficients) and sorted by (Im, Re).  ``alpha`` is always 1 and
+    nothing rescales a set; it is kept so that ``to_json`` and the
+    ``poles.json`` it writes stay byte-identical.  The explicit formula
+    takes its alpha from the command, not from here.
     """
 
     poles: tuple[Pole, ...]
@@ -383,25 +367,6 @@ class ComplexDimensionSet:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ComplexDimensionSet":
-        doc = json.loads(text)
-        poles = tuple(
-            Pole(complex(p["re"], p["im"]), complex(p["res_re"], p["res_im"]),
-                 int(p["mult"]))
-            for p in doc["poles"])
-        lat = doc.get("lattice")
-        lattice = None
-        if lat is not None:
-            lattice = LatticeStructure(
-                generator=lat["generator"],
-                exponents=tuple((int(k), int(m))
-                                for k, m in lat["exponents"]))
-        w = doc["window"]
-        return cls(poles=poles,
-                   window=(w["re_min"], w["re_max"], w["im_max"]),
-                   lattice=lattice, alpha=float(doc.get("alpha", 1.0)))
-
 
 def _conjugate_closed(poles: list[Pole]) -> tuple[Pole, ...]:
     """The poles with Im >= 0 and the exact conjugates of those with
@@ -411,20 +376,6 @@ def _conjugate_closed(poles: list[Pole]) -> tuple[Pole, ...]:
                    p.multiplicity) for p in upper if p.omega.imag > 0]
     return tuple(sorted(upper + mirror,
                         key=lambda p: (p.omega.imag, p.omega.real)))
-
-
-def rescale(dims: ComplexDimensionSet, alpha: float) -> ComplexDimensionSet:
-    """Poles of s -> zeta(alpha * s): omega -> omega/alpha, residues /alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    poles = tuple(Pole(p.omega / alpha, p.residue / alpha, p.multiplicity)
-                  for p in dims.poles)
-    w = dims.window
-    return ComplexDimensionSet(
-        poles=poles,
-        window=(w[0] / alpha, w[1] / alpha, w[2] / alpha),
-        lattice=dims.lattice,
-        alpha=dims.alpha * alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,7 +134,11 @@ def test_render_curve_kind(tmp_path):
      r"kind must be one of snowflake, curve; got 'Curve'"),
     ("explicit", dict(TINY_TUBE, source="Tube"),
      r"source must be one of tube, heat; got 'Tube'"),
-], ids=["render", "explicit"])
+    ("heat", dict(TINY_HEAT, scaling_lambda=0),
+     r"scaling_lambda must be > 0; got 0"),
+    ("heat", dict(TINY_HEAT, scaling_lambda=-1.5),
+     r"scaling_lambda must be > 0; got -1\.5"),
+], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -141,6 +147,90 @@ def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
     monkeypatch.setattr(cli, "snowflake", no_snowflake)
     with pytest.raises(ValueError, match=message):
         run_command(command, cfg, tmp_path / "a")
+
+
+@pytest.mark.parametrize("kind, n, r, level", [
+    ("curve", 3, 1 / 3, 0), ("curve", 3, 1 / 3, 1), ("curve", 3, 1 / 3, 2),
+    ("curve", 3, 1 / 3, 3), ("snowflake", 3, 1 / 3, 3),
+    ("snowflake", 4, 0.24, 3),
+], ids=["curve-L0", "curve-L1", "curve-L2", "curve-L3", "snowflake-n3",
+        "snowflake-n4"])
+def test_render_stays_on_the_canvas(tmp_path, kind, n, r, level):
+    out = run_command("render", {"n": n, "r": r, "level": level,
+                                 "kind": kind}, tmp_path / "a")
+    body = (out / "render.svg").read_text()
+    width = float(re.search(r'width="([^"]+)"', body).group(1))
+    height = float(re.search(r'height="([^"]+)"', body).group(1))
+    path = re.search(r' d="([^"]+)"', body).group(1)
+    xy = np.array([float(v) for v in re.findall(r"[-0-9.e+]+", path)])
+    xs, ys = xy[0::2], xy[1::2]
+    assert height > 0
+    assert xs.min() >= 0 and xs.max() <= width
+    assert ys.min() >= 0 and ys.max() <= height
+
+
+def _unreached_definitions(package: Path) -> set[str]:
+    """Top-level definitions of ``package`` that no path from the CLI
+    reaches.  The roots are ``cli.main`` and each module's top-level code
+    other than definitions and imports.  A reached definition reaches
+    every name in its body, resolved in its module or through the
+    package's relative imports, and, by name alone, every top-level
+    definition called like an attribute ``x.name``."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    defs, imports = {}, {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[mod, alias.asname or alias.name] = (
+                        node.module or "__init__", alias.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for name in ast.walk(ast.Tuple(elts=targets)):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")):
+                        defs[mod, name.id] = node
+    by_name = {}
+    for mod, name in defs:
+        by_name.setdefault(name, []).append((mod, name))
+
+    def resolve(mod, name):
+        while (mod, name) not in defs and (mod, name) in imports:
+            mod, name = imports[mod, name]
+        return [(mod, name)] if (mod, name) in defs else []
+
+    todo = [(mod, node) for mod, tree in trees.items() for node in tree.body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                     ast.Assign, ast.AnnAssign, ast.Import,
+                                     ast.ImportFrom))]
+    todo.append(("cli", defs["cli", "main"]))
+    reached = {("cli", "main")}
+    while todo:
+        mod, node = todo.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found = resolve(mod, sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found = by_name.get(sub.attr, [])
+            else:
+                continue
+            for key in found:
+                if key not in reached:
+                    reached.add(key)
+                    todo.append((key[0], defs[key]))
+    return {name for mod, name in defs if (mod, name) not in reached}
+
+
+def test_library_is_what_the_cli_reaches():
+    unreached = _unreached_definitions(Path(cli.__file__).parent)
+    # the closed-form snowflake area is the benchmark's oracle for the
+    # polygon area; no command needs it
+    assert unreached == {"snowflake_area_series"}
 
 
 def checks_of(out: Path) -> dict:

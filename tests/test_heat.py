@@ -9,8 +9,8 @@ from fractaldims import heat
 from fractaldims.cli import run_command
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.heat import (HeatProblem, decomposition_remainder,
-                              heat_content_mc, heat_exponent_fit,
-                              solve_heat_content, solve_heat_fdm)
+                              heat_exponent_fit, solve_heat_content,
+                              solve_heat_fdm)
 from fractaldims.sampled import (SampledFunction, geometric_grid,
                                 sfe_grid)
 from fractaldims.vonkoch import GKCParams, snowflake
@@ -199,21 +199,6 @@ def test_small_t_perimeter_law(square_oracle):
     ts = geometric_grid(1e-6, 1e-5, 8)
     coef = square_oracle(ts) / np.sqrt(ts)
     assert np.allclose(coef, 8 / np.sqrt(np.pi), rtol=0.03)
-
-
-def test_mc_cross_check_fast(square_oracle):
-    tv = np.array([2e-3])
-    est, sig = heat_content_mc(SQUARE, tv, n_paths=30000, seed=99,
-                               steps_per_t=800)
-    oracle = square_oracle(tv)
-    assert abs(est[0] - oracle[0]) < 4 * sig[0]
-
-
-def test_mc_deterministic_given_seed():
-    tv = np.array([1e-3])
-    a = heat_content_mc(SQUARE, tv, n_paths=5000, seed=1, steps_per_t=300)
-    b = heat_content_mc(SQUARE, tv, n_paths=5000, seed=1, steps_per_t=300)
-    assert a[0][0] == b[0][0]
 
 
 def test_exact_tiling_toy():

@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from fractaldims.ifs import (PointCloud, SelfSimilarSystem, Similitude2,
-                             apply, attractor_points, hausdorff_distance,
-                             hutchinson)
-from fractaldims.errors import SizeLimitError
-
-
-def cantor_pair():
-    return SelfSimilarSystem((
-        Similitude2(scale=1 / 3),
-        Similitude2(scale=1 / 3, translation=(2 / 3, 0.0)),
-    ))
+from fractaldims.ifs import Similitude2, apply
+from fractaldims.vonkoch import GKCParams, build_system, prefractal
+from fractaldims.zeta import RatioMultiset
 
 
 def test_apply_homothety():
@@ -63,88 +56,30 @@ def test_distance_contraction_exact(scale, rotation, reflect, tx, ty,
     assert abs(d1 - scale * d0) <= 1e-12 * scale * d0 + cancel
 
 
-def test_hutchinson_single_map():
-    system = SelfSimilarSystem((Similitude2(scale=0.5),))
-    out = hutchinson(system, PointCloud([[1.0, 0.0]]))
-    assert np.allclose(out.points, [[0.5, 0.0]])
-
-
-def test_hutchinson_cantor_pair():
-    out = hutchinson(cantor_pair(), PointCloud([[0, 0], [1, 0]]))
-    got = sorted(out.points[:, 0])
-    assert np.allclose(got, [0, 1 / 3, 2 / 3, 1])
-    assert np.allclose(out.points[:, 1], 0)
-
-
-def test_hutchinson_monotone():
-    system = cantor_pair()
-    a = PointCloud([[0.25, 0.0]])
-    b = PointCloud([[0.25, 0.0], [0.75, 0.25]])
-    ha = hutchinson(system, a).points
-    hb = hutchinson(system, b).points
-    for p in ha:
-        assert np.min(np.hypot(*(hb - p).T)) < 1e-12
-
-
-def test_attractor_depth0_identity():
-    seed = PointCloud([[0.2, 0.1]])
-    out = attractor_points(cantor_pair(), 0, seed)
-    assert np.allclose(out.points, seed.points)
-
-
-def test_attractor_cantor_depth2():
-    seed = PointCloud([[0, 0], [1, 0]])
-    out = attractor_points(cantor_pair(), 2, seed)
-    expected = sorted([0, 1 / 9, 2 / 9, 1 / 3, 2 / 3, 7 / 9, 8 / 9, 1])
-    assert np.allclose(sorted(out.points[:, 0]), expected)
-
-
-def test_attractor_size_cap():
-    with pytest.raises(SizeLimitError):
-        attractor_points(cantor_pair(), 40,
-                         PointCloud([[0, 0], [1, 0]]), cap=10000)
-
-
-def test_hausdorff_examples():
-    a = PointCloud([[0.0, 0.0]])
-    b = PointCloud([[3.0, 4.0]])
-    assert hausdorff_distance(a, b) == pytest.approx(5.0)
-    c = PointCloud([[0, 0], [1, 0]])
-    assert hausdorff_distance(c, a) == pytest.approx(1.0)
-    assert hausdorff_distance(c, c) == 0.0
-
-
-@pytest.mark.parametrize("system,label", [
-    (cantor_pair(), "cantor"),
-])
-def test_fixed_point_geometric_convergence(system, label):
-    # successive Hutchinson iterates approach each other at rate <= max scale
-    seed = PointCloud([[0, 0], [1, 0]])
-    lam = float(max(system.scales))
-    clouds = [seed]
-    for _ in range(10):
-        clouds.append(hutchinson(system, clouds[-1]))
-    gaps = [hausdorff_distance(clouds[k], clouds[k + 1]) for k in range(2, 9)]
-    for g0, g1 in zip(gaps, gaps[1:]):
-        assert g1 <= lam * g0 * (1 + 1e-9)
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two finite point sets."""
+    return float(max(cKDTree(b).query(a)[0].max(),
+                     cKDTree(a).query(b)[0].max()))
 
 
 def test_vonkoch_system_convergence():
-    from fractaldims.vonkoch import GKCParams, build_system
-    system = build_system(GKCParams(3, 1 / 3))
-    seed = PointCloud([[0, 0], [1, 0]])
-    lam = float(max(system.scales))
-    clouds = [seed]
-    for _ in range(9):
-        clouds.append(hutchinson(system, clouds[-1]))
-    gaps = [hausdorff_distance(clouds[k], clouds[k + 1]) for k in range(2, 8)]
+    # the level-L prefractal vertices are the L-th image of {(0,0), (1,0)}
+    # under the system's set map (checked in test_vonkoch.py), so
+    # successive levels approach each other at a rate of at most the
+    # largest scale
+    params = GKCParams(3, 1 / 3)
+    lam = max(m.scale for m in build_system(params).maps)
+    levels = [prefractal(params, level).vertices for level in range(9)]
+    gaps = [hausdorff_distance(levels[k], levels[k + 1]) for k in range(2, 8)]
     for g0, g1 in zip(gaps, gaps[1:]):
         assert g1 <= lam * g0 * (1 + 1e-9)
 
 
 def test_ratio_entries_grouping():
-    from fractaldims.vonkoch import GKCParams, build_system
-    entries = build_system(GKCParams(5, 0.19)).ratio_entries()
+    # equal scales of the system's maps merge into one ratio entry
+    system = build_system(GKCParams(5, 0.19))
+    entries = RatioMultiset.from_pairs(
+        (m.scale, 1) for m in system.maps).entries
     assert len(entries) == 2
     (r1, m1), (r2, m2) = entries
     assert (m1, m2) == (2, 4)  # ell twice, r four times; ell > r here

@@ -1,11 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fractaldims.errors import (DivergenceDomainError, MultiplePoleError,
                                 SampleRangeError)
-from fractaldims.mellin import (MellinEvaluator, heat_zeta, partial_xi,
-                                sfe_zeta_residue, truncated_mellin, tube_zeta,
-                                verify_mellin_scaling, verify_zeta_identity)
+from fractaldims.mellin import (MellinEvaluator, partial_xi, sfe_zeta_residue,
+                                truncated_mellin)
 from fractaldims.sampled import SampledFunction, geometric_grid
 from fractaldims.zeta import (DirichletPoly, RatioMultiset, detect_lattice,
                               lattice_poles, residue_contour,
@@ -77,6 +78,49 @@ def test_quadrature_convergence_refinement():
     assert abs(e_fine.value - exact) <= 3 * e_fine.quad_error
 
 
+# ---------------------------------------------- scaling identity oracle
+
+
+def scale_samples(f: SampledFunction, lam: float) -> SampledFunction:
+    """Samples of f(lam * t): exact regridding of the table onto ts/lam."""
+    return SampledFunction(f.ts / lam, f.vals)
+
+
+@dataclass(frozen=True)
+class MellinScalingReport:
+    rel_dev: float
+    passed: bool
+
+
+def verify_mellin_scaling(ev: MellinEvaluator, lam: float, s: complex,
+                          beta: float) -> MellinScalingReport:
+    """Check the transform of f(lam t) on [0, beta] against
+    lam^-s (M^beta[f](s) + M_beta^{lam beta}[f](s)).
+
+    The left side is evaluated directly on a resampled table for
+    f(lam t); the right side combines transforms of f itself.  Deviation
+    within 10x the quadrature error estimate passes.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    scaled = MellinEvaluator.build(scale_samples(ev.f, lam))
+    lhs = truncated_mellin(scaled, s, 0.0, beta)
+    r1 = truncated_mellin(ev, s, 0.0, beta)
+    if lam == 1.0:
+        r2_value, r2_err = 0.0 + 0.0j, 0.0
+    elif lam > 1.0:
+        r2 = truncated_mellin(ev, s, beta, lam * beta)
+        r2_value, r2_err = r2.value, r2.quad_error
+    else:
+        r2 = truncated_mellin(ev, s, lam * beta, beta)
+        r2_value, r2_err = -r2.value, r2.quad_error
+    rhs_val = lam ** (-s) * (r1.value + r2_value)
+    err = lhs.quad_error + abs(lam ** (-s)) * (r1.quad_error + r2_err)
+    dev = abs(lhs.value - rhs_val) / max(abs(lhs.value), 1e-300)
+    tol = 10.0 * max(err / max(abs(lhs.value), 1e-300), 1e-14)
+    return MellinScalingReport(rel_dev=dev, passed=bool(dev <= tol))
+
+
 def test_scaling_identity_lambda_one():
     ev = monomial(2, 3.0, per_decade=1000)
     rep = verify_mellin_scaling(ev, 1.0, 1.5 + 3j, 1.0)
@@ -100,14 +144,23 @@ def test_scaling_identity_segment_tube():
     assert rep.rel_dev < 1e-6
 
 
+def normalized_zeta(f: SampledFunction, beta: float, s: complex,
+                    delta: float):
+    """Transform of t^-beta f(t) over (0, delta]: the tube zeta function
+    with beta = 2, the heat zeta function with beta = 1, as cli's
+    ``explicit`` normalizes them."""
+    ev = MellinEvaluator.build(SampledFunction(f.ts, f.vals / f.ts ** beta))
+    return truncated_mellin(ev, s, 0.0, delta)
+
+
 def test_tube_zeta_point_and_segment():
     ts = geometric_grid(1e-7, 1.0, 3000)
     point = SampledFunction(ts, np.pi * ts ** 2)
     seg = SampledFunction(ts, 2 * ts + np.pi * ts ** 2)
     for s in (2.5 + 0j, 3.0 + 10j):
-        zp = tube_zeta(point, s, 1.0)
+        zp = normalized_zeta(point, 2, s, 1.0)
         assert abs(zp.value - np.pi / s) < 1e-8 * abs(np.pi / s)
-        zs = tube_zeta(seg, s, 1.0)
+        zs = normalized_zeta(seg, 2, s, 1.0)
         exact = 2 / (s - 1) + np.pi / s
         assert abs(zs.value - exact) < 1e-6 * abs(exact)
 
@@ -117,8 +170,8 @@ def test_tube_zeta_delta_shift_is_tame_near_pole():
     ts = geometric_grid(1e-7, 1.0, 2000)
     seg = SampledFunction(ts, 2 * ts + np.pi * ts ** 2)
     s = 1.001  # near the pole of 2/(s-1)
-    z1 = tube_zeta(seg, s, 0.5)
-    z2 = tube_zeta(seg, s, 1.0)
+    z1 = normalized_zeta(seg, 2, s, 0.5)
+    z2 = normalized_zeta(seg, 2, s, 1.0)
     assert abs(z1.value) > 1e2
     assert abs(z2.value - z1.value) < 10.0
 
@@ -128,12 +181,12 @@ def test_heat_zeta_monomials():
     c = 0.37
     ramp = SampledFunction(ts, c * ts)
     s = 1.4 + 2j
-    got = heat_zeta(ramp, s, 0.8)
+    got = normalized_zeta(ramp, 1, s, 0.8)
     exact = c * 0.8 ** s / s
     assert abs(got.value - exact) < 1e-9 * abs(exact)
     a = 1.6
     power = SampledFunction(ts, c * ts ** a)
-    got = heat_zeta(power, s, 0.8)
+    got = normalized_zeta(power, 1, s, 0.8)
     exact = c * 0.8 ** (s + a - 1) / (s + a - 1)
     assert abs(got.value - exact) < 1e-7 * abs(exact)
 
@@ -198,6 +251,52 @@ def exact_sfe_fixture(lam=1 / 3, m=2, delta=0.5):
     f = SampledFunction(ts, ts ** (-d))
     remainder = SampledFunction(ts, np.zeros_like(ts))
     return ratios, d, f, remainder, delta
+
+
+# ------------------------------------------------ factorization oracle
+
+
+POLE_MARGIN = 0.05  #: verify_zeta_identity's least |P/P'| from a pole
+
+
+@dataclass(frozen=True)
+class ZetaIdentityReport:
+    """Largest |zeta_f - zeta(alpha s)(xi + zeta_R)| / |zeta_f| over the
+    admissible points."""
+
+    s_points: tuple[complex, ...]
+    rejected: tuple[complex, ...]
+    max_rel_dev: float
+
+
+def verify_zeta_identity(ratios: RatioMultiset, f: SampledFunction,
+                         remainder: SampledFunction, s_list, delta: float,
+                         alpha: float = 1.0) -> ZetaIdentityReport:
+    """Evaluate both sides of the factorization at each admissible s.
+
+    Points whose Newton-step distance estimate |P/P'| at alpha*s falls
+    below POLE_MARGIN are rejected (the identity divides small
+    numbers there) and reported separately.
+    """
+    poly = DirichletPoly(ratios)
+    ev_f = MellinEvaluator.build(f)
+    ev_r = MellinEvaluator.build(remainder)
+    s_pts, dev, rejected = [], [], []
+    for s in s_list:
+        s = complex(s)
+        z = alpha * s
+        dist = abs(poly(z)) / max(abs(poly.derivative(z)), 1e-300)
+        if dist < POLE_MARGIN:
+            rejected.append(s)
+            continue
+        left = truncated_mellin(ev_f, s, 0.0, delta)
+        xi = partial_xi(ratios, f, s, delta, alpha)
+        zr = truncated_mellin(ev_r, s, 0.0, delta)
+        right = zeta_eval(poly, z) * (xi.value + zr.value)
+        s_pts.append(s)
+        dev.append(abs(left.value - right) / max(abs(left.value), 1e-300))
+    return ZetaIdentityReport(s_points=tuple(s_pts), rejected=tuple(rejected),
+                              max_rel_dev=max(dev, default=0.0))
 
 
 def test_zeta_identity_exact_fixture():

@@ -48,3 +48,8 @@ def test_ratio_pairs_are_unmerged_and_merge_in_the_multiset():
     assert len(koch.ratio_pairs) == 2
     entries = RatioMultiset.from_pairs(koch.ratio_pairs).entries
     assert len(entries) == 1 and entries[0][1] == 4
+
+
+def test_empty_samples_are_refused():
+    with pytest.raises(ValueError, match="non-empty"):
+        SampledFunction([], [])

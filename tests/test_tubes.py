@@ -1,14 +1,16 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fractaldims.cli import _compute_tube
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.geom import points_to_segments_distance
-from fractaldims.ifs import Similitude2
+from fractaldims.ifs import Similitude2, apply
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
-from fractaldims.tubes import (distance_field, minkowski_fit, prefractal_gap,
-                               tube_function, verify_gkf_sfe,
-                               verify_tube_scaling)
+from fractaldims.tubes import (distance_field, grid_error_budget,
+                               minkowski_fit, prefractal_gap, tube_function,
+                               verify_gkf_sfe)
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
                                  snowflake)
 
@@ -99,6 +101,40 @@ def test_tube_isometry_invariance():
     v2 = tube_function(distance_field(rotated_segment(0.9), BOX, 2e-3), ts)
     budget = 2 * 4 * 2e-3 * 2.0
     assert np.max(np.abs(v1.vals - v2.vals)) <= budget
+
+
+# ------------------------------------------------ similitude scaling oracle
+
+
+@dataclass(frozen=True)
+class ScalingReport:
+    ts: np.ndarray
+    lhs: np.ndarray          # V_{phi X, phi Omega}(t)
+    rhs: np.ndarray          # lambda^2 V_{X, Omega}(t / lambda)
+    budget_abs: float
+    max_rel_dev: float
+    passed: bool
+
+
+def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
+                        sim: Similitude2, ts, h: float) -> ScalingReport:
+    """Check V_{phi X, phi Omega}(t) = lambda^2 V_{X,Omega}(t/lambda)
+    with both sides measured on independent grids."""
+    ts = np.asarray(ts, dtype=float)
+    lam = sim.scale
+    fld1 = distance_field(curve, region, h)
+    base_ts = np.unique(ts / lam)
+    v1 = tube_function(fld1, base_ts)
+    fld2 = distance_field(apply(sim, curve), apply(sim, region), lam * h)
+    v2 = tube_function(fld2, ts)
+    rhs = lam ** 2 * np.interp(ts / lam, v1.ts, v1.vals)
+    lhs = v2.vals
+    budget = grid_error_budget(fld2) + lam ** 2 * grid_error_budget(fld1)
+    dev = np.abs(lhs - rhs)
+    rel = float(np.max(dev / np.maximum(np.abs(lhs), 1e-300)))
+    return ScalingReport(ts=ts, lhs=lhs, rhs=rhs, budget_abs=budget,
+                         max_rel_dev=rel,
+                         passed=bool(np.all(dev <= budget)))
 
 
 def test_scaling_rotation_only_is_isometry():

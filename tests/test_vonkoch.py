@@ -3,11 +3,12 @@ import pytest
 
 from fractaldims.errors import GeometryError, SizeLimitError
 from fractaldims.geom import polygon_area
-from fractaldims.ifs import PointCloud, apply, attractor_points
+from fractaldims.ifs import apply
 from fractaldims.vonkoch import (GKCParams, base_polygon, build_system,
                                  generator_vertices, prefractal,
                                  sector_region, self_avoidance_bound,
                                  snowflake, snowflake_area_series)
+from fractaldims.zeta import RatioMultiset
 
 SQRT3 = np.sqrt(3.0)
 
@@ -24,7 +25,7 @@ def test_build_system_koch_generator():
     params = GKCParams(3, 1 / 3)
     system = build_system(params)
     assert len(system.maps) == 4
-    assert np.allclose(system.scales, 1 / 3)
+    assert np.allclose([m.scale for m in system.maps], 1 / 3)
     verts = generator_vertices(params)
     expected = np.array([[0, 0], [1 / 3, 0], [0.5, SQRT3 / 6],
                          [2 / 3, 0], [1, 0]])
@@ -33,8 +34,9 @@ def test_build_system_koch_generator():
 
 def test_build_system_ratio_multiset():
     params = GKCParams(5, 1 / 5)
-    entries = build_system(params).ratio_entries()
-    assert entries == [(pytest.approx(0.4), 2), (pytest.approx(0.2), 4)]
+    entries = RatioMultiset.from_pairs(
+        (m.scale, 1) for m in build_system(params).maps).entries
+    assert entries == ((pytest.approx(0.4), 2), (pytest.approx(0.2), 4))
 
 
 def test_build_system_endpoints_fixed():
@@ -118,13 +120,14 @@ def test_prefractal_cap():
 def test_prefractal_matches_hutchinson_iteration():
     params = GKCParams(3, 1 / 3)
     system = build_system(params)
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0]])
     for level in range(5):
         verts = prefractal(params, level).vertices
-        cloud = attractor_points(system, level,
-                                 PointCloud([[0, 0], [1, 0]]))
-        got = {tuple(np.round(p, 10)) for p in cloud.points}
+        got = {tuple(np.round(p, 10)) for p in cloud}
         expect = {tuple(np.round(p, 10)) for p in verts}
         assert got == expect
+        # the set map X -> union of phi_i(X) over the system's maps
+        cloud = np.vstack([apply(m, cloud) for m in system.maps])
 
 
 def test_snowflake_level0_is_ngon():

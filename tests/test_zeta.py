@@ -10,10 +10,10 @@ from fractaldims import zeta
 from fractaldims.errors import (ContourError, MultiplePoleError,
                                 PoleProximityError)
 from fractaldims.zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
-                              LatticeStructure, RatioMultiset, detect_lattice, lattice_poles,
-                              lower_similarity_dimension, nonlattice_poles,
-                              rescale, residue_contour, residue_simple,
-                              screen_lower_bound, similarity_dimension,
+                              LatticeStructure, RatioMultiset, detect_lattice,
+                              lattice_poles, lower_similarity_dimension,
+                              nonlattice_poles, residue_contour,
+                              residue_simple, similarity_dimension,
                               zeta_eval)
 
 LOG3 = np.log(3.0)
@@ -363,55 +363,13 @@ def test_residue_contour_matches_simple():
     assert res == pytest.approx(residue_simple(poly, d), rel=1e-10)
 
 
-# ---------------------------------------------------------------- screen
+# ------------------------------------------------------- alpha convention
 
 
-def test_screen_bound_cantor_at_zero():
-    assert screen_lower_bound(DirichletPoly(CANTOR), 0.0) == \
-        pytest.approx(1.0, abs=1e-14)
-
-
-def test_screen_bound_vanishes_at_lower_dimension():
-    rm = RatioMultiset(((2 / 5, 2), (1 / 5, 4)))
-    d_lo = lower_similarity_dimension(rm)
-    vals = [screen_lower_bound(DirichletPoly(rm), d_lo - eps)
-            for eps in (0.1, 0.01, 0.001)]
-    assert vals[0] > vals[1] > vals[2] > 0
-    assert vals[2] < 0.01
-
-
-def test_screen_bound_respected_by_samples():
-    # sigma must sit below D_l (~= 0.2805 for this system)
-    rm = RatioMultiset(((2 / 5, 2), (1 / 5, 4)))
-    poly = DirichletPoly(rm)
-    sigma = 0.25
-    bound = screen_lower_bound(poly, sigma)
-    assert bound > 0
-    taus = np.linspace(-100, 100, 40001)
-    sampled = np.abs(poly(sigma + 1j * taus))
-    assert sampled.min() >= bound - 1e-12
-
-
-def test_screen_bound_rejects_sigma_above():
-    with pytest.raises(ValueError):
-        screen_lower_bound(DirichletPoly(CANTOR), 1.0)
-
-
-# ---------------------------------------------------------------- rescale
-
-
-def test_rescale_identity():
+def test_residue_of_zeta_at_half_scale():
+    # the explicit formula's alpha convention: s -> zeta(2s) has a simple
+    # pole at omega/2 with residue residue_simple(P, omega) / 2
     dims = lattice_poles(detect_lattice(CANTOR), im_max=20.0)
-    same = rescale(dims, 1.0)
-    assert np.allclose(same.omegas(), dims.omegas())
-
-
-def test_rescale_halves_poles_and_residues():
-    dims = lattice_poles(detect_lattice(CANTOR), im_max=20.0)
-    half = rescale(dims, 2.0)
-    assert np.allclose(half.omegas(), dims.omegas() / 2)
-    assert np.allclose(half.residues(), dims.residues() / 2)
-    # contour oracle: residue of s -> zeta(2s) at omega/2
     poly = DirichletPoly(CANTOR)
     omega = dims.omegas()[np.argmin(np.abs(dims.omegas().imag))]
     res = residue_contour(lambda s: zeta_eval(poly, 2 * s), omega / 2,
@@ -420,13 +378,19 @@ def test_rescale_halves_poles_and_residues():
 
 
 def test_json_roundtrip():
+    # poles.json carries every pole and residue, the lattice and alpha
     dims = lattice_poles(detect_lattice(CANTOR), im_max=20.0)
-    back = ComplexDimensionSet.from_json(dims.to_json())
-    assert np.allclose(back.omegas(), dims.omegas())
-    assert np.allclose(back.residues(), dims.residues())
-    assert back.lattice.generator == pytest.approx(dims.lattice.generator)
     doc = json.loads(dims.to_json())
-    assert {"re", "im", "res_re", "res_im", "mult"} <= set(doc["poles"][0])
+    poles = doc["poles"]
+    assert {"re", "im", "res_re", "res_im", "mult"} <= set(poles[0])
+    assert np.allclose([complex(p["re"], p["im"]) for p in poles],
+                       dims.omegas())
+    assert np.allclose([complex(p["res_re"], p["res_im"]) for p in poles],
+                       dims.residues())
+    assert [p["mult"] for p in poles] == [p.multiplicity for p in dims.poles]
+    assert doc["lattice"]["generator"] == pytest.approx(
+        dims.lattice.generator)
+    assert doc["alpha"] == 1.0
 
 
 # ------------------------------------------------------- GKF simplicity
