@@ -50,9 +50,10 @@ POLES_SVG_SIZE = 640  #: side of the square poles.svg plot, in pixels
 
 def _ratios_from_config(cfg) -> RatioMultiset:
     if "ratios" in cfg:
-        pairs = ((float(r), int(m)) for r, m in cfg["ratios"])
+        pairs = _number(cfg, "ratios",
+                        kind=lambda v: [(float(r), int(m)) for r, m in v])
     else:
-        pairs = GKCParams(int(cfg["n"]), float(cfg["r"])).ratio_pairs
+        pairs = _params(cfg).ratio_pairs
     return RatioMultiset.from_pairs(pairs)
 
 
@@ -66,11 +67,31 @@ def _choice(cfg, key: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
+def _number(cfg, key: str, default=None, kind=float):
+    """kind(cfg[key]), or kind(default) when the key is absent; without a
+    default the key is required.  kind is float, int (which refuses a
+    fractional value) or a converter of a list.  A value that does not
+    convert raises one ValueError naming the key and the value."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    try:
+        out = kind(value)
+        if kind is int and out != float(value):
+            raise ValueError
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "numeric"
+        raise ValueError(f"{key} must be {what}; got {value!r}") from None
+    return out
+
+
+def _params(cfg) -> GKCParams:
+    return GKCParams(_number(cfg, "n", kind=int), _number(cfg, "r"))
+
+
 def _snowflake_from_config(cfg, default_level: int):
     """The one snowflake of a tube, heat or explicit run; refuses an
     unverified snowflake before any field or solve (render does not)."""
-    params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    region = snowflake(params, int(cfg.get("level", default_level)))
+    params = _params(cfg)
+    region = snowflake(params, _number(cfg, "level", default_level, int))
     if not region.verified_simple:
         raise GeometryError(f"snowflake n={params.n}, r={params.r:g} is "
                             "not verified simple; lower r below the "
@@ -129,8 +150,8 @@ def cmd_dims(cfg):
     ratios = _ratios_from_config(cfg)
     d_up = similarity_dimension(ratios)
     d_lo = lower_similarity_dimension(ratios)
-    lattice = detect_lattice(ratios, int(cfg.get("max_denominator",
-                                                 LATTICE_MAX_DENOMINATOR)))
+    lattice = detect_lattice(ratios, _number(cfg, "max_denominator",
+                                             LATTICE_MAX_DENOMINATOR, int))
     doc = {
         "similarity_dimension": d_up,
         "lower_similarity_dimension": d_lo,
@@ -156,9 +177,9 @@ def cmd_dims(cfg):
 
 def cmd_poles(cfg):
     ratios = _ratios_from_config(cfg)
-    dims = _locate_poles(ratios, float(cfg.get("im_max", 60.0)),
-                         int(cfg.get("max_denominator",
-                                     LATTICE_MAX_DENOMINATOR)))
+    dims = _locate_poles(ratios, _number(cfg, "im_max", 60.0),
+                         _number(cfg, "max_denominator",
+                                 LATTICE_MAX_DENOMINATOR, int))
     files = {
         "poles.csv": _poles_csv(dims),
         "poles.svg": _poles_svg(dims),
@@ -180,29 +201,29 @@ def cmd_poles(cfg):
 
 def _compute_tube(cfg):
     """(region, sector distance field, tube time grid) of a tube run."""
+    h = _number(cfg, "h", 1e-3)
+    ts = geometric_grid(_number(cfg, "t_min", max(10 * h, 1e-3)),
+                        _number(cfg, "t_max", 0.3),
+                        _number(cfg, "points_per_decade", 48, int))
+    index = _number(cfg, "sector", 0, int)
     region = _snowflake_from_config(cfg, 5)
     params = region.params
-    h = float(cfg.get("h", 1e-3))
-    sector = sector_region(region, int(cfg.get("sector", 0)))
-    fld = distance_field(region.closed_boundary, sector, h,
-                         meta={"level": region.level, "n": params.n,
-                               "r": params.r})
-    t_min = float(cfg.get("t_min", max(10 * h, 1e-3)))
-    t_max = float(cfg.get("t_max", 0.3))
-    per_decade = int(cfg.get("points_per_decade", 48))
-    return region, fld, geometric_grid(t_min, t_max, per_decade)
+    fld = distance_field(region.closed_boundary, sector_region(region, index),
+                         h, meta={"level": region.level, "n": params.n,
+                                  "r": params.r})
+    return region, fld, ts
 
 
 def cmd_tube(cfg):
     region, fld, ts = _compute_tube(cfg)
     tube = tube_function(fld, ts)
     h = fld.h
-    sfe_ts = np.geomspace(float(cfg.get("sfe_t_min", max(0.01, 5 * h))),
-                          float(cfg.get("sfe_t_max", 0.05)),
-                          int(cfg.get("sfe_points", 9)))
+    sfe_ts = np.geomspace(_number(cfg, "sfe_t_min", max(0.01, 5 * h)),
+                          _number(cfg, "sfe_t_max", 0.05),
+                          _number(cfg, "sfe_points", 9, int))
     report = verify_gkf_sfe(region, fld, sfe_ts)
-    window = (float(cfg.get("fit_t_min", tube.ts[0])),
-              float(cfg.get("fit_t_max", tube.ts[-1])))
+    window = (_number(cfg, "fit_t_min", tube.ts[0]),
+              _number(cfg, "fit_t_max", tube.ts[-1]))
     d_est, c_est = minkowski_fit(tube, window)
     doc = {
         "sfe_passed": report.passed,
@@ -229,17 +250,17 @@ def cmd_heat(cfg):
     # an absent scaling_lambda means no scaling check
     lam = cfg.get("scaling_lambda")
     if lam is not None:
-        lam = float(lam)
+        lam = _number(cfg, "scaling_lambda")
         if not lam > 0:
             raise ValueError(f"scaling_lambda must be > 0; got {lam:g}")
-    region = _snowflake_from_config(cfg, 4)
-    h = float(cfg.get("h", 2e-3))
-    diffusivity = float(cfg.get("diffusivity", 1.0))
+    h = _number(cfg, "h", 2e-3)
+    diffusivity = _number(cfg, "diffusivity", 1.0)
     if diffusivity <= 0:
         raise ValueError("diffusivity must be positive")
-    t_min = float(cfg.get("t_min", 3e-4))
-    t_max = float(cfg.get("t_max", 3e-3))
-    ts = geometric_grid(t_min, t_max, int(cfg.get("points_per_decade", 24)))
+    ts = geometric_grid(_number(cfg, "t_min", 3e-4),
+                        _number(cfg, "t_max", 3e-3),
+                        _number(cfg, "points_per_decade", 24, int))
+    region = _snowflake_from_config(cfg, 4)
     problem = HeatProblem(region=region.boundary)
     # diffusivity C rescales time: E_C(t) = E_1(C t); with the remainder,
     # its one solve gives the content too
@@ -274,10 +295,10 @@ def cmd_heat(cfg):
 
 def cmd_explicit(cfg):
     source = _choice(cfg, "source", ("tube", "heat"))
-    k = int(cfg.get("k", 2))
-    im_max = float(cfg.get("im_max", 80.0))
-    cutoffs = tuple(float(c) for c in cfg.get("cutoffs",
-                                              (10, 20, 40, 80)))
+    k = _number(cfg, "k", 2, int)
+    im_max = _number(cfg, "im_max", 80.0)
+    cutoffs = _number(cfg, "cutoffs", (10, 20, 40, 80),
+                      lambda v: tuple(float(c) for c in v))
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
     # F = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R: alpha 1 for the
     # sector tube volume, 2 for the heat content; the tube and heat zeta
@@ -292,11 +313,11 @@ def cmd_explicit(cfg):
         area = fld.region_area
     else:
         alpha = 2.0
+        h = _number(cfg, "h", 2e-3)
+        ts = geometric_grid(_number(cfg, "t_min", 25 * h * h * 1.05),
+                            _number(cfg, "t_max", 3e-3),
+                            _number(cfg, "points_per_decade", 24, int))
         region = _snowflake_from_config(cfg, 4)
-        h = float(cfg.get("h", 2e-3))
-        ts = geometric_grid(float(cfg.get("t_min", 25 * h * h * 1.05)),
-                            float(cfg.get("t_max", 3e-3)),
-                            int(cfg.get("points_per_decade", 24)))
         content, rem = decomposition_remainder(region, ts, h)
         f_ts, r_ts = content.vals, rem.vals
         area = abs(region.area)
@@ -309,10 +330,12 @@ def cmd_explicit(cfg):
     if delta is None:
         below = direct_raw.ts[direct_raw.vals <= 0.9 * area]
         delta = float(below[-1]) if len(below) else float(direct_raw.ts[-1])
+    else:
+        delta = _number(cfg, "delta")
     lam_min = float(np.min(ratios.ratios)) ** alpha
     delta = min(delta, float(norm.ts[-1]) * lam_min * 0.999)
-    eval_t_min = float(cfg.get("eval_t_min", norm.ts[0] * 5))
-    eval_t_max = float(cfg.get("eval_t_max", delta * 0.8))
+    eval_t_min = _number(cfg, "eval_t_min", norm.ts[0] * 5)
+    eval_t_max = _number(cfg, "eval_t_max", delta * 0.8)
     if not 0 < eval_t_min < eval_t_max:
         raise ValueError(
             f"empty evaluation window: need 0 < eval_t_min < eval_t_max, "
@@ -362,9 +385,12 @@ def cmd_explicit(cfg):
 
 
 def cmd_render(cfg):
-    params = GKCParams(int(cfg["n"]), float(cfg["r"]))
-    level = int(cfg.get("level", 4))
+    params = _params(cfg)
+    level = _number(cfg, "level", 4, int)
     kind = _choice(cfg, "kind", ("snowflake", "curve"))
+    width = _number(cfg, "width", 800, int)
+    if width < 1:
+        raise ValueError(f"width must be a positive integer; got {width}")
     if kind == "curve":
         verts = prefractal(params, level).vertices
         closed = False
@@ -374,7 +400,6 @@ def cmd_render(cfg):
         closed = True
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
-    width = int(cfg.get("width", 800))
     span = max(hi[0] - lo[0], hi[1] - lo[1])
     scale = (width * 0.94) / span
     margin = 0.03 * width
@@ -391,8 +416,10 @@ def cmd_render(cfg):
         "vertices.csv": csv_bytes(["x", "y"],
                                    [(float(x), float(y)) for x, y in verts]),
     }
-    return files, [{"name": "render", "passed": True,
-                    "detail": f"{len(verts)} vertices"}]
+    off = int(np.sum(~np.all((pts >= 0) & (pts <= [width, height]), axis=1)))
+    return files, [{"name": "render", "passed": off == 0,
+                    "detail": f"{len(verts)} vertices, {off} off the "
+                              f"{width}x{height} canvas"}]
 
 
 COMMANDS = {

@@ -4,11 +4,12 @@ For a function F whose normalization t^(-beta/alpha) F(t) satisfies a
 scaling functional equation, the k-fold antiderivative expands as
 
     F^[k](t) = sum over poles omega of
-               rho_omega * t^((beta-omega)/alpha + k)
-                         / ((beta-omega)/alpha + 1)_k  + remainder,
+               (rho_omega / alpha) * t^((beta-omega)/alpha + k)
+                                   / ((beta-omega)/alpha + 1)_k  + remainder,
 
 valid pointwise for k >= 2, where rho_omega is the residue of
-s -> zeta_f(s/alpha; delta) at omega and (z)_k is the Pochhammer
+s -> zeta_f(s/alpha; delta) at omega, the 1/alpha comes from du/alpha in
+the Mellin inversion (``formula_term``), and (z)_k is the Pochhammer
 symbol.  The sum is a symmetric limit: terms are added in order of
 |Im omega| under increasing cutoffs, so conjugate pairs cancel their
 imaginary parts.  Residues come in closed form from the zeta
@@ -50,6 +51,29 @@ class FormulaTerm:
     exponent: complex
 
 
+def formula_term(omega: complex, rho: complex, beta: float, alpha: float,
+                 k: int) -> FormulaTerm:
+    """Term of F^[k] from a simple pole omega of s -> zeta_f(s/alpha).
+
+    With f(t) = t^(-beta/alpha) F(t), Mellin inversion in u = alpha s reads
+
+        f(t) = (1/2 pi i) integral t^(-s) zeta_f(s) ds
+             = (1/2 pi i) integral t^(-u/alpha) zeta_f(u/alpha) du/alpha,
+
+    so a residue rho of u -> zeta_f(u/alpha) at omega gives f the term
+    (rho/alpha) t^(-omega/alpha).  With z = (beta - omega)/alpha, F then
+    carries (rho/alpha) t^z, and its k-fold antiderivative from 0 carries
+    (rho/alpha) t^(z+k) / (z+1)_k.
+    """
+    z = (beta - omega) / alpha
+    poch = pochhammer(z + 1.0, k)
+    if poch == 0:
+        raise ZeroDivisionError(
+            f"Pochhammer denominator vanished at omega={omega}")
+    return FormulaTerm(omega=complex(omega), coeff=complex(rho) / alpha / poch,
+                       exponent=z + k)
+
+
 @dataclass(frozen=True)
 class TermBuildResult:
     terms: tuple[FormulaTerm, ...]
@@ -74,14 +98,7 @@ def build_terms(dims: ComplexDimensionSet, zeta_residues, beta: float,
         if pole.multiplicity != 1:
             skipped.append(pole.omega)
             continue
-        z = (beta - pole.omega) / alpha
-        poch = pochhammer(z + 1.0, k)
-        if poch == 0:
-            raise ZeroDivisionError(
-                f"Pochhammer denominator vanished at omega={pole.omega}")
-        terms.append(FormulaTerm(omega=pole.omega,
-                                 coeff=complex(rho) / poch,
-                                 exponent=z + k))
+        terms.append(formula_term(pole.omega, rho, beta, alpha, k))
     terms.sort(key=lambda tm: (abs(tm.omega.imag), tm.omega.imag,
                                tm.omega.real))
     return TermBuildResult(terms=tuple(terms), skipped=tuple(skipped))
@@ -106,11 +123,8 @@ def remainder_term(ratios: RatioMultiset, remainder: SampledFunction,
         return None
     if abs(p) > FLAT_TOL or c0 == 0.0:
         return None
-    poly = DirichletPoly(ratios)
-    rho = complex(1.0 / poly(0.0)) * alpha * c0
-    z = (beta - 0.0) / alpha
-    poch = pochhammer(z + 1.0, k)
-    return FormulaTerm(omega=0.0 + 0.0j, coeff=rho / poch, exponent=z + k)
+    rho = complex(1.0 / DirichletPoly(ratios)(0.0)) * alpha * c0
+    return formula_term(0.0, rho, beta, alpha, k)
 
 
 @dataclass(frozen=True)

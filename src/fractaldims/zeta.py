@@ -15,15 +15,14 @@ common generator) the zeros are read off from an ordinary polynomial and
 lie periodically on finitely many vertical lines.  In the nonlattice case
 D comes from Moran's equation, and as
 Im P(sigma + i tau) = sum a_k lambda_k^sigma sin(tau log(1/lambda_k)) > 0
-for 0 < tau < pi / log(1/lambda_min), an argument-principle search over
-adaptively subdivided rectangles above that strip finds the rest
-(Kravanja & Van Barel, *Computing the Zeros of Analytic Functions*, LNM
-1727, 2000): winding counts and first moments of P'/P come from
-vectorized composite Gauss-Legendre rules on the rectangle edges, with P
-and P' evaluated together on node arrays, so no adaptive scalar
-quadrature is involved.  Everything here is pure and operates on
-immutable values; poles are sorted by (Im, Re) so output is
-deterministic.
+for 0 < tau < pi / log(1/lambda_min), the rest lie in one rectangle above
+that strip.  Newton's method from a seed lattice over the rectangle,
+deflated by the zeros already found, locates them; the rectangle's
+winding count of P'/P, from vectorized composite Gauss-Legendre rules on
+its edges, certifies that none is missing (Kravanja & Van Barel,
+*Computing the Zeros of Analytic Functions*, LNM 1727, 2000).  Everything
+here is pure and operates on immutable values; poles are sorted by
+(Im, Re) so output is deterministic.
 """
 
 from __future__ import annotations
@@ -511,7 +510,7 @@ def _newton_polish(poly: DirichletPoly, s: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# nonlattice pole location (argument principle on rectangles)
+# nonlattice pole location (deflated Newton, certified by a winding count)
 
 
 #: Gauss-Legendre order of each winding panel
@@ -520,12 +519,11 @@ WINDING_ORDER = 16
 #: nodes evaluated per block, so long contours run in flat memory
 WINDING_BLOCK_NODES = 4096
 
-#: absolute error allowed on the contour integrals of P'/P and z P'/P
-#: (the latter relative to the largest |z| on the contour)
+#: absolute error allowed on the contour integral of P'/P
 WINDING_TOL = 1e-6
 
-EDGE_TOL = 1e-8  #: least min |P| on a zero-free split line or contour
-MIN_RECT = 1e-8  #: a rectangle smaller than this is not split further
+SEED_ROUNDS = 6  #: seed-lattice halvings before a missing zero is reported
+DISTINCT_TOL = 1e-8  #: relative gap below which two polished zeros are one
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(WINDING_ORDER)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)     # mapped to [0, 1]
@@ -533,35 +531,30 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 def _panel_integrals(poly: DirichletPoly, start: np.ndarray,
-                     step: np.ndarray):
-    """Gauss-Legendre sums of P'/P dz and z P'/P dz on each panel
-    start + [0, 1] * step, evaluated WINDING_BLOCK_NODES nodes at a time."""
+                     step: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre sums of P'/P dz on each panel start + [0, 1] * step,
+    evaluated WINDING_BLOCK_NODES nodes at a time."""
     f = np.empty(len(start), dtype=complex)
-    g = np.empty(len(start), dtype=complex)
     per_block = WINDING_BLOCK_NODES // WINDING_ORDER
     for lo in range(0, len(start), per_block):
         sl = slice(lo, lo + per_block)
         z = start[sl, None] + step[sl, None] * _GL_NODES
         p, dp = poly.with_derivative(z)
-        q = dp / p * _GL_WEIGHTS
-        f[sl] = step[sl] * q.sum(axis=1)
-        g[sl] = step[sl] * (q * z).sum(axis=1)
-    return f, g
+        f[sl] = step[sl] * (dp / p * _GL_WEIGHTS).sum(axis=1)
+    return f
 
 
-def _winding_number(poly: DirichletPoly, rect):
-    """Winding count and first moment of P'/P around a rectangle boundary.
+def _winding_number(poly: DirichletPoly, rect) -> int:
+    """Number of zeros of P inside a rectangle, by the argument principle.
 
     The boundary starts as panels about half the fastest period of
-    lambda_k^z long.  Each panel's Gauss-Legendre sums of P'/P dz and
-    z P'/P dz are compared with the sums over its two halves; a panel
-    whose sums still change is halved again, so refinement gathers where
-    a zero lies close to the contour and stops once count and moment no
-    longer change (within WINDING_TOL, shared out by panel length).  A
-    zero on the contour itself ends in ContourError.  The count is
-    rounded to the nearest integer and rejected if it is more than 0.25
-    from one; the first moment (1/2 pi i) * integral of z P'/P dz is the
-    zero itself when the count is one.
+    lambda_k^z long.  Each panel's Gauss-Legendre sum of P'/P dz is
+    compared with the sum over its two halves; a panel whose sum still
+    changes is halved again, so refinement gathers where a zero lies
+    close to the contour and stops once the count no longer changes
+    (within WINDING_TOL, shared out by panel length).  A zero on the
+    contour itself ends in ContourError.  The count is rounded to the
+    nearest integer and rejected if it is more than 0.25 from one.
     """
     a, b, c, d = rect  # re in [a,b], im in [c,d]
     corners = np.array([complex(a, c), complex(b, c), complex(b, d),
@@ -572,19 +565,16 @@ def _winding_number(poly: DirichletPoly, rect):
     start = np.concatenate([z0 + dz * np.arange(m) / m
                             for z0, dz, m in zip(corners, edges, pieces)])
     step = np.repeat(edges / pieces, pieces)
-    f, g = _panel_integrals(poly, start, step)
+    f = _panel_integrals(poly, start, step)
     perimeter = float(np.sum(np.abs(edges)))
-    scale = max(1.0, float(np.max(np.abs(corners))))
     total = 0.0 + 0.0j
-    moment = 0.0 + 0.0j
     while len(start):
         half = 0.5 * step
         m = len(start)
-        hf, hg = _panel_integrals(poly, np.concatenate([start, start + half]),
-                                  np.concatenate([half, half]))
+        hf = _panel_integrals(poly, np.concatenate([start, start + half]),
+                              np.concatenate([half, half]))
         f2 = hf[:m] + hf[m:]
-        g2 = hg[:m] + hg[m:]
-        err = np.maximum(np.abs(f2 - f), np.abs(g2 - g) / scale)
+        err = np.abs(f2 - f)
         if not np.all(np.isfinite(err)):
             raise ContourError(f"winding integral diverged on {rect}")
         # each panel's share of WINDING_TOL, floored above the round-off
@@ -592,7 +582,6 @@ def _winding_number(poly: DirichletPoly, rect):
         done = err <= WINDING_TOL * np.maximum(np.abs(step) / perimeter,
                                                1e-7)
         total += f2[done].sum()
-        moment += g2[done].sum()
         todo = ~done
         if np.any(np.abs(half[todo]) < 1e-9 * perimeter):
             raise ContourError(
@@ -601,67 +590,45 @@ def _winding_number(poly: DirichletPoly, rect):
         start = np.concatenate([start[todo], start[todo] + half[todo]])
         step = np.tile(half[todo], 2)
         f = np.concatenate([hf[:m][todo], hf[m:][todo]])
-        g = np.concatenate([hg[:m][todo], hg[m:][todo]])
     count = total / (2j * np.pi)
     n = int(round(count.real))
     if abs(count - n) > 0.25:
         raise ContourError(
             f"winding count {count} too far from an integer on {rect}",
             residual=abs(count - n))
-    return n, moment / (2j * np.pi)
+    return n
 
 
-def _edge_min_abs(poly: DirichletPoly, z0: complex, z1: complex) -> float:
-    samples = max(512, min(16384, int(64 * abs(z1 - z0))))
-    t = np.linspace(0.0, 1.0, samples)
-    z = z0 + t * (z1 - z0)
-    return float(np.min(np.abs(poly(z))))
+def _centres(u: float, v: float, spacing: float) -> np.ndarray:
+    """Centres of the fewest equal cells no wider than spacing on [u, v]."""
+    n = max(1, math.ceil((v - u) / spacing))
+    return u + (np.arange(n) + 0.5) * (v - u) / n
 
 
-def _rect_min_abs(poly: DirichletPoly, rect) -> float:
-    a, b, c, d = rect
-    corners = [complex(a, c), complex(b, c), complex(b, d), complex(a, d)]
-    return min(_edge_min_abs(poly, corners[i], corners[(i + 1) % 4])
-               for i in range(4))
+def _deflated_newton(poly: DirichletPoly, seeds: np.ndarray,
+                     zeros: list[complex], box) -> np.ndarray:
+    """Limits of Newton's method on P(s) / prod_j (s - z_j) from all seeds.
 
-
-def _split_and_count(poly: DirichletPoly, rect, n: int):
-    """Split a rectangle along a zero-free line with consistent child counts.
-
-    Candidate split lines are scanned for zeros of P and the two child
-    winding counts must sum to the parent's; otherwise the next candidate
-    fraction is tried (a zero close to the line poisons the quadrature).
-    Returns the two children as (rect, count, moment) triples.
+    The step 1 / (P'/P - sum_j 1/(s - z_j)) repels the iterates from the
+    zeros z_j already found.  A seed is dropped once its step is below
+    1e-12 (and returned) or once it leaves ``box``, before P is evaluated
+    there: seeds running off to Re s -> -inf never overflow lambda^s.
     """
-    ra, rb, rc, rd = rect
-    vertical = (rb - ra) >= (rd - rc)
-    lo, hi = (ra, rb) if vertical else (rc, rd)
-    width = hi - lo
-    last_err = None
-    for frac in (0.5, 0.47, 0.53, 0.43, 0.57, 0.39, 0.61, 0.35, 0.65,
-                 0.31, 0.69):
-        x = lo + frac * width
-        if vertical:
-            z0, z1 = complex(x, rc), complex(x, rd)
-            kids = [(ra, x, rc, rd), (x, rb, rc, rd)]
-        else:
-            z0, z1 = complex(ra, x), complex(rb, x)
-            kids = [(ra, rb, rc, x), (ra, rb, x, rd)]
-        if _edge_min_abs(poly, z0, z1) <= EDGE_TOL:
-            continue
-        try:
-            found = [(kid, *_winding_number(poly, kid)) for kid in kids]
-        except ContourError as err:
-            last_err = err
-            continue
-        counts = [kn for _, kn, _ in found]
-        if sum(counts) != n:
-            last_err = ContourError(
-                f"child counts {counts} disagree with parent {n} on {rect}")
-            continue
-        return found
-    raise last_err or ContourError(
-        f"no zero-free split line found for {rect}")
+    a, b, c, d = box
+    found, s, limits = np.asarray(zeros, dtype=complex), seeds, []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            p, dp = poly.with_derivative(s)
+            step = 1.0 / (dp / p - np.sum(1.0 / (s[:, None] - found), 1))
+            s = s - step
+            keep = ((a <= s.real) & (s.real <= b)
+                    & (c <= s.imag) & (s.imag <= d))
+            small = np.abs(step) < 1e-12 * np.maximum(1.0, np.abs(s))
+            limits.append(s[keep & small])
+            s = s[keep & ~small]
+            if not len(s):
+                break
+    return np.concatenate(limits)
 
 
 def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
@@ -669,20 +636,27 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
     """Locate zeros of P in re_band x [-im_max, im_max].
 
     The real zero is D from ``similarity_dimension``.  Im P > 0 for
-    0 < Im s < pi / log(1/lambda_min), so only the rectangle above
-    tau_0 = pi / (2 log(1/lambda_min)) is searched: it is split (along
-    zero-free lines) until each part holds at most one zero by winding
-    count, and Newton refinement starts from the first-moment estimate.
-    The emitted count there always equals the winding count, and the
-    lower half is the exact mirror.  A zero on the top edge is avoided
-    by nudging it upward by up to ~1e-5.
+    0 < Im s < pi / log(1/lambda_min), so the others are searched in the
+    rectangle above tau_0 = pi / (2 log(1/lambda_min)), whose winding
+    count is the certificate.  Newton runs from a seed lattice of spacing
+    tau_0 over it, deflated by the zeros already found, and each limit is
+    polished on P.  The spacing is halved until the distinct zeros inside
+    number the winding count; after SEED_ROUNDS rounds, or with more zeros
+    than that, ContourError names both numbers.  The lower half is the
+    exact mirror.  A zero on the top edge is avoided by nudging the edge
+    upward by up to ~1e-5.
+
+    Only simple zeros are located: the count matches only when each zero
+    is simple, and a multiple one is refused by the count check or by
+    ``residue_simple``'s MultiplePoleError.  No test or workload has one,
+    and floating point cannot tell one from a tight cluster.
     """
     a, b = re_band
     if not (b > a) or im_max <= 0:
         raise ValueError("need a nonempty band and im_max > 0")
     # Expand the search band so no zero sits on the contour: the real
     # direction is always safe (no zeros outside [D_l, D]); the top margin
-    # is retried until the top edge is verifiably clear.
+    # is retried until the winding count settles.
     margin_re = max(1e-6, 1e-3 * (b - a))
     lo, hi = a - margin_re, b + margin_re
     d = similarity_dimension(poly.ratios)
@@ -691,66 +665,42 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
     # Im P > 0 at every height in (0, 2 tau0): the bottom edge is zero-free
     tau0 = np.pi / (2.0 * float(np.max(-np.log(poly.ratios.ratios))))
     bottom = min(tau0, 0.5 * float(im_max))
-    rect = None
     wi = max(1e-6, 1e-3 * float(im_max))
     for _ in range(10):
-        cand = (lo, hi, bottom, float(im_max) + wi)
-        if _rect_min_abs(poly, cand) > EDGE_TOL:
-            try:
-                upper_count, upper_moment = _winding_number(poly, cand)
-                rect = cand
-                break
-            except ContourError:
-                pass
-        wi *= 1.7
-    if rect is None:
+        rect = (lo, hi, bottom, float(im_max) + wi)
+        try:
+            count = _winding_number(poly, rect)
+            break
+        except ContourError:
+            wi *= 1.7
+    else:
         raise ContourError("could not free the outer rectangle of zeros")
 
-    upper: list[Pole] = []
-    stack = [(rect, upper_count, upper_moment)]
-    while stack:
-        r, n, moment = stack.pop()
-        ra, rb, rc, rd = r
-        if n == 0:
-            continue
-        if n == 1 or max(rb - ra, rd - rc) < MIN_RECT:
-            center = moment / n
-            omega = _newton_polish(poly, complex(center))
-            inside = (ra - 1e-9 <= omega.real <= rb + 1e-9
-                      and rc - 1e-9 <= omega.imag <= rd + 1e-9)
-            if n == 1 and (not inside or abs(poly(omega)) >= POLE_TOL):
-                # refinement escaped; split once more
-                if max(rb - ra, rd - rc) < MIN_RECT:
-                    raise ContourError(
-                        f"failed to isolate a zero in {r}",
-                        residual=abs(poly(omega)))
-            else:
-                if abs(poly(omega)) >= POLE_TOL:
-                    raise ContourError(
-                        f"pole candidate failed |P| check at {omega}",
-                        residual=abs(poly(omega)))
-                if n == 1:
-                    res = residue_simple(poly, omega)
-                else:
-                    res = residue_contour(
-                        lambda s: zeta_eval(poly, s), omega,
-                        radius=max(MIN_RECT, 1e-6))
-                upper.append(Pole(omega, res, n))
-                continue
-        # split along the longer side through a zero-free line
-        for kid in _split_and_count(poly, r, n):
-            if kid[1]:
-                stack.append(kid)
+    top = rect[3]
+    zeros, inside, spacing = [], [], tau0
+    for _ in range(SEED_ROUNDS):
+        if len(inside) >= count:
+            break
+        seeds = (_centres(lo, hi, spacing)[None, :]
+                 + 1j * _centres(bottom, top, spacing)[:, None]).ravel()
+        box = (lo - spacing, hi + spacing, bottom - spacing, top + spacing)
+        for w in _deflated_newton(poly, seeds, zeros, box):
+            z = _newton_polish(poly, complex(w))
+            if abs(poly(z)) < POLE_TOL and all(
+                    abs(z - y) > DISTINCT_TOL * max(1.0, abs(z))
+                    for y in zeros):
+                zeros.append(z)
+        inside = [z for z in zeros
+                  if lo <= z.real <= hi and bottom <= z.imag <= top]
+        spacing *= 0.5
+    if len(inside) != count:
+        raise ContourError(f"located {len(inside)} distinct zeros but "
+                           f"winding count was {count} on {rect}")
 
-    emitted = sum(p.multiplicity for p in upper)
-    if emitted != upper_count:
-        raise ContourError(
-            f"located {emitted} zeros but winding count was {upper_count}")
-
-    kept = [p for p in upper if p.omega.imag <= im_max + 1e-12]
-    margin = emitted - sum(p.multiplicity for p in kept)
+    kept = [Pole(z, residue_simple(poly, z)) for z in inside
+            if z.imag <= im_max + 1e-12]
+    # len(inside) == count: twice the count less the top-margin zeros
     return ComplexDimensionSet(poles=_conjugate_closed(real + kept),
                                window=(a, b, float(im_max)), lattice=None,
                                search_rect=rect,
-                               search_count=(len(real)
-                                             + 2 * (upper_count - margin)))
+                               search_count=len(real) + 2 * len(kept))

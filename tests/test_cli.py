@@ -138,7 +138,21 @@ def test_render_curve_kind(tmp_path):
      r"scaling_lambda must be > 0; got 0"),
     ("heat", dict(TINY_HEAT, scaling_lambda=-1.5),
      r"scaling_lambda must be > 0; got -1\.5"),
-], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative"])
+    ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": 0},
+     r"width must be a positive integer; got 0"),
+    ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": -100},
+     r"width must be a positive integer; got -100"),
+    ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": 12.5},
+     r"width must be an integer; got 12\.5"),
+    ("tube", dict(TINY_TUBE, h="abc"), r"h must be numeric; got 'abc'"),
+    ("heat", dict(TINY_HEAT, points_per_decade="many"),
+     r"points_per_decade must be an integer; got 'many'"),
+    ("poles", {"ratios": [[0.5, 1], ["x", 1]]},
+     r"ratios must be numeric; got \[\[0\.5, 1\], \['x', 1\]\]"),
+], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
+        "render-width-zero", "render-width-negative",
+        "render-width-fractional", "tube-h", "heat-points-per-decade",
+        "poles-ratios"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -158,6 +172,8 @@ def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
 def test_render_stays_on_the_canvas(tmp_path, kind, n, r, level):
     out = run_command("render", {"n": n, "r": r, "level": level,
                                  "kind": kind}, tmp_path / "a")
+    (check,) = json.loads((out / "manifest.json").read_text())["checks"]
+    assert check["passed"] and ", 0 off the 800x" in check["detail"]
     body = (out / "render.svg").read_text()
     width = float(re.search(r'width="([^"]+)"', body).group(1))
     height = float(re.search(r'height="([^"]+)"', body).group(1))

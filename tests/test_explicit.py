@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fractaldims.explicit import (FormulaTerm, build_terms, compare_explicit,
-                                  evaluate_sum, pochhammer, remainder_term)
+                                  evaluate_sum, formula_term, pochhammer,
+                                  remainder_term)
 from fractaldims.mellin import sfe_zeta_residue
 from fractaldims.sampled import SampledFunction, geometric_grid
 from fractaldims.zeta import (ComplexDimensionSet, Pole, RatioMultiset,
@@ -80,10 +81,25 @@ def test_compare_explicit_floor_case():
     assert comp.max_rel_dev < 1e-12
 
 
-@pytest.fixture(scope="module")
-def cantor_terms(cantor_string):
+def test_formula_term_divides_by_alpha():
+    w, rho = 0.6 + 2.0j, 0.3 - 0.2j
+    for alpha in (1.0, 2.0):
+        z = (2.0 - w) / alpha
+        term = formula_term(w, rho, beta=2.0, alpha=alpha, k=2)
+        assert term.exponent == z + 2
+        assert term.coeff == pytest.approx(rho / alpha / ((z + 1) * (z + 2)),
+                                           rel=1e-15)
+
+
+def cantor_explicit_terms(cs, alpha, im_max=90.0):
+    """Cantor string terms for the tube volume read at t^(1/alpha).
+
+    With V = sum_k a_k lambda_k V(t / lambda_k) + R, G(t) = V(t^(1/alpha))
+    satisfies G = sum_k a_k lambda_k G(t / lambda_k^alpha) + R(t^(1/alpha)):
+    the same ratios with this alpha and beta = 1.  The samples are those
+    of V, at t^alpha.
+    """
     ratios = RatioMultiset(((1 / 3, 2),))
-    cs = cantor_string
     tg = np.geomspace(1e-5, 0.4, 4000)
     vg = cs.volume(tg)
     delta = float(tg[np.searchsorted(vg, 0.9) - 1])
@@ -91,14 +107,34 @@ def cantor_terms(cantor_string):
         geometric_grid(1e-8, 3 * delta * 1.01, 400),
         cs.lens / 2, cs.lens * (1 + 1e-9)]))
     ts = ts[ts > 0]
-    f = SampledFunction(ts, cs.volume(ts) / ts)
-    rn = SampledFunction(ts, cs.remainder(ts) / ts)
-    dims = lattice_poles(detect_lattice(ratios), im_max=90.0)
-    residues = [sfe_zeta_residue(ratios, f, rn, p.omega, delta, alpha=1.0)
+    f = SampledFunction(ts ** alpha, cs.volume(ts) / ts)
+    rn = SampledFunction(ts ** alpha, cs.remainder(ts) / ts)
+    dims = lattice_poles(detect_lattice(ratios), im_max=im_max)
+    residues = [sfe_zeta_residue(ratios, f, rn, p.omega, delta ** alpha,
+                                 alpha=alpha)
                 for p in dims.poles]
-    built = build_terms(dims, residues, beta=1.0, alpha=1.0, k=2)
-    extra = remainder_term(ratios, rn, beta=1.0, alpha=1.0, k=2)
-    return ratios, cs, delta, dims, built, extra
+    built = build_terms(dims, residues, beta=1.0, alpha=alpha, k=2)
+    extra = remainder_term(ratios, rn, beta=1.0, alpha=alpha, k=2)
+    return ratios, delta, dims, built, extra
+
+
+def cantor_sqrt_anti2(cs, t):
+    """Exact second antiderivative of G(t) = V(sqrt(t)): per length l,
+    integral (t - u) min(2 sqrt(u), l) du over [0, t]."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    ell = cs.lens[None, :]
+    knee = ell ** 2 / 4
+    piece = np.where(t <= knee, 8 / 15 * t ** 2.5,
+                     t * ell ** 3 / 6 - ell ** 5 / 40
+                     + ell * (t - knee) ** 2 / 2)
+    return np.sum(cs.mults[None, :] * piece, axis=1)
+
+
+@pytest.fixture(scope="module")
+def cantor_terms(cantor_string):
+    ratios, delta, dims, built, extra = cantor_explicit_terms(cantor_string,
+                                                              1.0)
+    return ratios, cantor_string, delta, dims, built, extra
 
 
 def test_cantor_remainder_term_is_minus_third(cantor_terms):
@@ -147,3 +183,28 @@ def test_remainder_term_none_for_decaying_remainder():
     decaying = SampledFunction(ts, ts ** 0.5)
     ratios = RatioMultiset(((1 / 3, 2),))
     assert remainder_term(ratios, decaying, beta=1.0, alpha=1.0, k=2) is None
+
+
+def test_cantor_alpha_two_oracle(cantor_terms, cantor_string):
+    # G(t) = V(sqrt t) is the alpha = 2 Cantor fixture, with its exact
+    # second antiderivative; without the 1/alpha of formula_term the
+    # series is twice the direct side
+    cs = cantor_string
+    t = geometric_grid(1e-3, 1e-1, 60)
+    devs = {}
+    for alpha, direct_vals in ((1.0, cs.volume_anti2(t)),
+                               (2.0, cantor_sqrt_anti2(cs, t ** 2))):
+        if alpha == 1.0:
+            _, _, _, _, built, extra = cantor_terms
+        else:
+            _, _, _, built, extra = cantor_explicit_terms(cs, alpha)
+        series = evaluate_sum(list(built.terms) + [extra], t ** alpha,
+                              im_cutoffs=(12.0,))
+        comp = compare_explicit(SampledFunction(t ** alpha, direct_vals),
+                                series, expected_remainder_exp=2.0)
+        devs[alpha] = comp.max_rel_dev
+    assert devs[1.0] < 1e-4
+    assert devs[2.0] < 10 * devs[1.0]
+    # zeta(0) c0 / (3/2)_2 with zeta(0) = -1 and c0 = 2
+    assert extra.coeff == pytest.approx(-8 / 15, rel=1e-9)
+    assert extra.exponent == pytest.approx(2.5)

@@ -291,7 +291,46 @@ def test_nonlattice_search_never_winds_through_the_real_pole(monkeypatch):
     band = (lower_similarity_dimension(rm), similarity_dimension(rm))
     dims = nonlattice_poles(DirichletPoly(rm), band, 12.0)
     assert len(dims.poles) == dims.search_count == 7
-    assert failures == [] and len(calls) <= 5
+    # one winding count, of the outer rectangle, certifies the search
+    assert failures == [] and calls == [dims.search_rect]
+
+
+def test_nonlattice_locates_a_near_double_zero_pair():
+    # 1 - 3 z^2 - 2 z^3 has a double root; perturbing one ratio by 1e-9
+    # splits each double pole into two simple zeros 1.6e-4 apart
+    rm = RatioMultiset(((1 / 4, 3), (1 / 8 * (1 + 1e-9), 2)))
+    assert detect_lattice(rm) is None
+    poly = DirichletPoly(rm)
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    dims = nonlattice_poles(poly, band, 10.0)
+    assert len(dims.poles) == dims.search_count == 7
+    near = sorted((w for w in dims.omegas() if w.imag > 0),
+                  key=lambda w: w.imag)[:2]
+    assert 1e-5 < abs(near[0] - near[1]) < 1e-3
+    assert max(abs(poly(w)) for w in dims.omegas()) < POLE_TOL
+
+
+def test_nonlattice_random_multisets_count_and_simplicity():
+    rng = np.random.default_rng(11)
+    seen = 0
+    while seen < 20:
+        rm = random_multiset(rng)
+        if detect_lattice(rm) is not None:
+            continue
+        seen += 1
+        poly = DirichletPoly(rm)
+        band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dims = nonlattice_poles(poly, band, 30.0)
+        assert len(dims.poles) == dims.search_count, rm
+        for p in dims.poles:
+            assert p.multiplicity == 1
+            # residue_simple's test: a polished simple zero clears it by far
+            dp = abs(poly.derivative(p.omega))
+            assert dp ** 2 > zeta.SIMPLE_POLE_MARGIN * abs(
+                poly.second_derivative(p.omega)) * max(abs(poly(p.omega)),
+                                                       1e-16)
 
 
 def test_dirichlet_with_derivative_matches_separate_calls():
