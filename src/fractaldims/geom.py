@@ -36,23 +36,47 @@ SEGMENT_CHUNK = 256
 SNAP_TOL = 1e-14  #: lattice the simplicity test snaps vertices to
 
 
+def _squared_distances(points: np.ndarray, seg_a: np.ndarray,
+                       seg_b: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each segment [a_j, b_j].
+
+    Clamp-and-project: t = clip((p - a).(b - a) / |b - a|^2, 0, 1), and
+    the squared length of (p - a) - t (b - a).  Each segment's direction
+    and 1/|b - a|^2 are formed once; the (m, k) arrays are then updated
+    in place, with no division and no square root per pair.  Measured
+    from p - a, a point near the curve loses to rounding about eps |b - a|
+    of its distance, against eps |a| for p - (a + t (b - a)).  A
+    zero-length segment gets t = 0: its single point.
+    """
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(seg_a, dtype=float)
+    ab = np.asarray(seg_b, dtype=float) - a
+    den = np.einsum("ij,ij->i", ab, ab)
+    inv = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
+    dx = p[:, 0][:, None] - a[:, 0]
+    dy = p[:, 1][:, None] - a[:, 1]
+    t = dx * ab[:, 0]
+    tmp = dy * ab[:, 1]
+    t += tmp
+    t *= inv
+    np.clip(t, 0.0, 1.0, out=t)
+    dx -= np.multiply(t, ab[:, 0], out=tmp)
+    dy -= np.multiply(t, ab[:, 1], out=tmp)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def segment_distances(points: np.ndarray, seg_a: np.ndarray,
                       seg_b: np.ndarray) -> np.ndarray:
     """Exact distances from each point to each segment [a_j, b_j].
 
-    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m, k).  A zero-length
+    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m, k), the square
+    root of the squared clamp-and-project distances.  A zero-length
     segment is its single point.
     """
-    p = np.asarray(points, dtype=float)
-    a = np.asarray(seg_a, dtype=float)
-    b = np.asarray(seg_b, dtype=float)
-    px, py = p[:, 0][:, None], p[:, 1][:, None]
-    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
-    abx, aby = b[:, 0][None, :] - ax, b[:, 1][None, :] - ay
-    denom = abx * abx + aby * aby
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(((px - ax) * abx + (py - ay) * aby) / denom, 0.0, 1.0)
-    return np.hypot(px - (ax + t * abx), py - (ay + t * aby))
+    return np.sqrt(_squared_distances(points, seg_a, seg_b))
 
 
 def points_to_segments_distance(points: np.ndarray, seg_a: np.ndarray,
@@ -60,15 +84,17 @@ def points_to_segments_distance(points: np.ndarray, seg_a: np.ndarray,
     """Distance from each point to the nearest of a batch of segments.
 
     points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m,), +inf for k = 0.
+    The minimum is taken over squared distances, chunk by chunk, and
+    each point takes one square root at the end.
     """
     seg_a = np.asarray(seg_a, dtype=float)
     seg_b = np.asarray(seg_b, dtype=float)
     out = np.full(len(points), np.inf)
     for k0 in range(0, len(seg_a), SEGMENT_CHUNK):
         sl = slice(k0, k0 + SEGMENT_CHUNK)
-        d = segment_distances(points, seg_a[sl], seg_b[sl])
-        np.minimum(out, d.min(axis=1), out=out)
-    return out
+        d2 = _squared_distances(points, seg_a[sl], seg_b[sl])
+        np.minimum(out, d2.min(axis=1), out=out)
+    return np.sqrt(out, out=out)
 
 
 def snap(points: np.ndarray, tol: float) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 The tube function of a curve X relative to a region Ω is measured on a
 uniform grid by cell-center counting: V(t) ~ h^2 #{cells inside Ω with
-d(center, X) < t}.  Distances are exact point-to-segment distances,
-computed on square tiles of cells.  One ``segment_distances`` call per
-row of tiles measures every tile centre against every segment; a tile
-then searches only the segments within its centre's nearest distance
-plus its diameter (that bound keeps every segment that could be nearest
-to any cell of the tile, so the field is exact, not approximate).
+d(center, X) < t}.  Only the cells inside Ω are measured, since only
+they are counted; the others hold +inf.  Distances are exact
+point-to-segment distances, computed on square tiles of cells.  A tile
+with no inside cell is skipped.  One ``segment_distances`` call per row
+of tiles measures every remaining tile centre against every segment; a
+tile then measures its inside cells against only the segments within
+its centre's nearest distance plus its diameter (that bound keeps every
+segment that could be nearest to any cell of the tile, so the field is
+exact, not approximate).
 
 ``verify_gkf_sfe(region, fld, ts)`` checks the von Koch scaling
 functional equation: it takes the snowflake and the sector field its
@@ -20,6 +23,7 @@ tolerance; ``minkowski_fit`` reads a box dimension off V(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +61,11 @@ class Grid2:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Exact distances from cell centers to a polyline, plus an Ω mask."""
+    """Exact distances from the cell centres inside Ω to a polyline.
+
+    ``grid.values`` covers Ω's bounding box, but only the cells of the
+    ``inside`` mask hold distances; every other cell holds +inf.
+    """
 
     grid: Grid2
     inside: np.ndarray = field(repr=False)
@@ -69,17 +77,20 @@ class DistanceField:
     def h(self) -> float:
         return self.grid.h
 
+    @cached_property
     def sorted_inside_distances(self) -> np.ndarray:
-        d = np.sort(self.grid.values[self.inside])
-        return d
+        """The inside distances in increasing order, sorted once."""
+        return np.sort(self.grid.values[self.inside])
 
 
 def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
                    meta: dict | None = None) -> DistanceField:
-    """Exact distance field to ``curve`` on a grid covering ``region``.
+    """Exact distances to ``curve`` from the cells inside ``region``.
 
-    The grid covers the region polygon's bounding box.  Inside membership
-    uses the even-odd rule on the region polygon.
+    The grid covers the region polygon's bounding box; inside membership
+    uses the even-odd rule on the region polygon.  Only inside cells are
+    measured, and every other cell holds +inf, so ``d < t`` never counts
+    it.  A tile with no inside cell is skipped, its centre included.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -94,7 +105,7 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     if nx * ny > CELL_CAP:
         raise SizeLimitError(f"grid {nx}x{ny} exceeds cap {CELL_CAP}")
     grid = Grid2(bbox=(xmin, ymin, xmax, ymax), h=h, nx=nx, ny=ny,
-                 values=np.empty((nx, ny)))
+                 values=np.full((nx, ny), np.inf))
     xs, ys = grid.xs, grid.ys
     inside = point_in_polygon_mask(xs, ys, poly)
 
@@ -106,19 +117,26 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     cy = 0.5 * (ys[ty0] + ys[ty1 - 1])
     for tx0 in range(0, nx, TILE):
         tx1 = min(tx0 + TILE, nx)
+        # the tiles of this row that hold an inside cell
+        live = np.logical_or.reduceat(inside[tx0:tx1].any(axis=0), ty0)
+        if not live.any():
+            continue
+        y0s, y1s, cys = ty0[live], ty1[live], cy[live]
         cx = 0.5 * (xs[tx0] + xs[tx1 - 1])
-        rtile = np.hypot(xs[tx1 - 1] - cx, ys[ty1 - 1] - cy) + 1e-12
-        # distances from the centres of this row of tiles to every segment
-        d_all = segment_distances(np.column_stack([np.full_like(cy, cx), cy]),
-                                  seg_a, seg_b)
-        centers = np.dstack(np.meshgrid(xs[tx0:tx1], ys, indexing="ij"))
-        for d, r, y0, y1 in zip(d_all, rtile, ty0, ty1):
+        rtile = np.hypot(xs[tx1 - 1] - cx, ys[y1s - 1] - cys) + 1e-12
+        # distances from the centres of these tiles to every segment
+        d_all = segment_distances(np.column_stack([np.full_like(cys, cx),
+                                                   cys]), seg_a, seg_b)
+        for d, r, y0, y1 in zip(d_all, rtile, y0s, y1s):
             # a segment farther than d.min() + 2 r from the centre is
             # farther from every cell than the centre's nearest segment
             cand = d <= d.min() + 2.0 * r
-            pts = centers[:, y0:y1].reshape(-1, 2)
-            dmin = points_to_segments_distance(pts, seg_a[cand], seg_b[cand])
-            values[tx0:tx1, y0:y1] = dmin.reshape(tx1 - tx0, y1 - y0)
+            ix, iy = np.nonzero(inside[tx0:tx1, y0:y1])
+            ix += tx0
+            iy += y0
+            pts = np.column_stack([xs[ix], ys[iy]])
+            values[ix, iy] = points_to_segments_distance(pts, seg_a[cand],
+                                                         seg_b[cand])
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),
@@ -127,11 +145,15 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
 
 
 def tube_function(fld: DistanceField, ts) -> SampledFunction:
-    """V(t) = h^2 #{cells: d < t and inside}, nondecreasing in t."""
+    """V(t) = h^2 #{cells: d < t and inside}, nondecreasing in t.
+
+    Counts by bisection in the field's inside distances, which are
+    sorted once per field however many times this is called.
+    """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be positive and increasing")
-    d = fld.sorted_inside_distances()
+    d = fld.sorted_inside_distances
     counts = np.searchsorted(d, ts, side="left")
     vals = fld.h ** 2 * counts
     meta = {**fld.meta, "h": fld.h, "curve_length": fld.curve_length,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,48 @@ def test_no_segments_is_infinitely_far():
     d = points_to_segments_distance(np.zeros((3, 2)), np.zeros((0, 2)),
                                     np.zeros((0, 2)))
     assert np.all(np.isinf(d))
+
+
+def exact_distance(p, a, b) -> float:
+    """Clamp-and-project distance from p to [a, b] in exact rational
+    arithmetic, rounded once to a float."""
+    px, py, ax, ay, bx, by = map(Fraction, (*p, *a, *b))
+    abx, aby = bx - ax, by - ay
+    t = ((px - ax) * abx + (py - ay) * aby) / (abx * abx + aby * aby)
+    t = min(Fraction(1), max(Fraction(0), t))
+    dx, dy = px - ax - t * abx, py - ay - t * aby
+    return math.sqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("level", [4, 7])
+def test_near_curve_distances_match_exact_arithmetic(level):
+    # points 1e-7 to 1e-5 off interior points of tilted snowflake
+    # segments, where p - (a + t (b - a)) cancels to a few digits.
+    # Rounding t (b - a) costs about eps |b - a| absolute, so the bound
+    # is 1e-12 relative, or eps |b - a| / delta where that is larger
+    # (level 4 below delta ~ 1e-6); at level 7 it is 1e-12 throughout.
+    # Forming a + t (b - a) first costs eps |a| instead, tens to
+    # thousands of times more here, and fails the bound.
+    b = snowflake(GKCParams(3, 1 / 3), level).closed_boundary
+    seg_a, seg_b = b[:-1], b[1:]
+    ab = seg_b - seg_a
+    length = np.hypot(ab[:, 0], ab[:, 1])
+    tilted = np.flatnonzero(np.abs(ab[:, 1]) > 0.1 * length)
+    rng = np.random.default_rng(11)
+    sel = rng.choice(tilted, 100)
+    delta = 10.0 ** rng.uniform(-7.0, -5.0, 100)
+    normal = np.column_stack([-ab[sel, 1], ab[sel, 0]]) / length[sel, None]
+    side = rng.choice([-1.0, 1.0], (100, 1))
+    points = (seg_a[sel] + rng.uniform(0.2, 0.8, (100, 1)) * ab[sel]
+              + side * delta[:, None] * normal)
+    exact = np.array([exact_distance(p, seg_a[j], seg_b[j])
+                      for p, j in zip(points, sel)])
+    d = np.diag(segment_distances(points, seg_a[sel], seg_b[sel]))
+    nearest = points_to_segments_distance(points, seg_a, seg_b)
+    bound = np.maximum(1e-12, np.finfo(float).eps * length[sel] / delta)
+    rel = np.abs(d - exact) / exact
+    assert np.all(rel <= bound), rel.max()
+    assert np.array_equal(nearest, d)
 
 
 def row_scan_mask(xs, ys, polygon, strict=False):

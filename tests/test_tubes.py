@@ -8,7 +8,7 @@ from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.geom import points_to_segments_distance
 from fractaldims.ifs import Similitude2, apply
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
-from fractaldims.tubes import (distance_field, grid_error_budget,
+from fractaldims.tubes import (TILE, distance_field, grid_error_budget,
                                minkowski_fit, prefractal_gap, tube_function,
                                verify_gkf_sfe)
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
@@ -49,14 +49,54 @@ def test_field_is_lipschitz():
 
 
 def test_pruned_field_is_exact():
-    # per-tile segment pruning must not change a single cell
+    # per-tile segment pruning must not change a single inside cell, and
+    # the cells outside Ω are not measured
     region = snowflake(GKCParams(3, 1 / 3), 3)
     curve = region.boundary
     fld = distance_field(curve, sector_region(region, 0), h=1e-2)
     gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
     full = points_to_segments_distance(pts, curve[:-1], curve[1:])
-    assert np.all(fld.grid.values == full.reshape(fld.grid.nx, fld.grid.ny))
+    assert np.array_equal(fld.grid.values[fld.inside], full)
+    assert np.all(np.isinf(fld.grid.values[~fld.inside]))
+
+
+def test_tiles_without_inside_cells_are_skipped():
+    # the sector's bounding box holds whole tiles outside Ω; skipping
+    # them must leave every inside cell measured and every count exact
+    region = snowflake(GKCParams(3, 1 / 3), 3)
+    curve = region.closed_boundary
+    fld = distance_field(curve, sector_region(region, 0), h=2e-3)
+    nx, ny = fld.grid.nx, fld.grid.ny
+    padded = np.zeros((-(-nx // TILE) * TILE, -(-ny // TILE) * TILE), bool)
+    padded[:nx, :ny] = fld.inside
+    tiles = padded.reshape(len(padded) // TILE, TILE, -1, TILE)
+    assert not tiles.any(axis=(1, 3)).all()
+    d = fld.grid.values[fld.inside]
+    assert not np.any(np.isinf(d))
+    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
+    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
+    full = points_to_segments_distance(pts, curve[:-1], curve[1:])
+    ts = np.geomspace(5e-3, 0.3, 20)
+    counts = (full[:, None] < ts).sum(axis=0)
+    assert np.array_equal(tube_function(fld, ts).vals, fld.h ** 2 * counts)
+
+
+def test_inside_distances_are_sorted_once(monkeypatch):
+    region = snowflake(GKCParams(3, 1 / 3), 2)
+    fld = distance_field(region.closed_boundary, sector_region(region, 0),
+                         h=1e-2)
+    sort, sorted_sizes = np.sort, []
+
+    def counting_sort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    ts = np.geomspace(0.02, 0.2, 8)
+    first, second = tube_function(fld, ts), tube_function(fld, ts)
+    assert sorted_sizes == [int(fld.inside.sum())]
+    assert np.array_equal(first.vals, second.vals)
 
 
 def test_snowflake_tube_sees_the_closing_edge():
