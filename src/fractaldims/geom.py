@@ -30,38 +30,46 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-#: segments per pass of the nearest-segment minimum; bounds its memory to
-#: O(m * SEGMENT_CHUNK)
-SEGMENT_CHUNK = 256
 SNAP_TOL = 1e-14  #: lattice the simplicity test snaps vertices to
+#: bucket pairs per pass of the simplicity test; bounds its memory
+PAIR_CHUNK = 1 << 16
 
 
-def _squared_distances(points: np.ndarray, seg_a: np.ndarray,
-                       seg_b: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each segment [a_j, b_j].
-
-    Clamp-and-project: t = clip((p - a).(b - a) / |b - a|^2, 0, 1), and
-    the squared length of (p - a) - t (b - a).  Each segment's direction
-    and 1/|b - a|^2 are formed once; the (m, k) arrays are then updated
-    in place, with no division and no square root per pair.  Measured
-    from p - a, a point near the curve loses to rounding about eps |b - a|
-    of its distance, against eps |a| for p - (a + t (b - a)).  A
-    zero-length segment gets t = 0: its single point.
-    """
-    p = np.asarray(points, dtype=float)
+def _segment_frames(seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """The (5, k) rows a_x, a_y, (b - a)_x, (b - a)_y and 1/|b - a|^2 of
+    the segments [a_j, b_j], the last 0 for a zero-length segment."""
     a = np.asarray(seg_a, dtype=float)
     ab = np.asarray(seg_b, dtype=float) - a
     den = np.einsum("ij,ij->i", ab, ab)
     inv = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0.0)
-    dx = p[:, 0][:, None] - a[:, 0]
-    dy = p[:, 1][:, None] - a[:, 1]
-    t = dx * ab[:, 0]
-    tmp = dy * ab[:, 1]
+    return np.vstack([a.T, ab.T, inv])
+
+
+def _squared_distances(px: np.ndarray, py: np.ndarray,
+                       frames: np.ndarray) -> np.ndarray:
+    """Squared distances from points (px, py) to segments, broadcast.
+
+    ``frames`` holds the segments' ``_segment_frames`` columns, whose
+    trailing axes broadcast with px and py: (m, 1) points against (5, k)
+    frames give the (m, k) table, (P,) points against (5, P) gathered
+    frames the P (point, segment) pairs.  Clamp-and-project: t =
+    clip((p - a).(b - a) / |b - a|^2, 0, 1), and the squared length of
+    (p - a) - t (b - a), updated in place with no division and no square
+    root.  Measured from p - a, a point near the curve loses to rounding
+    about eps |b - a| of its distance, against eps |a| for
+    p - (a + t (b - a)).  A zero-length segment gets t = 0: its single
+    point.
+    """
+    ax, ay, abx, aby, inv = frames
+    dx = px - ax
+    dy = py - ay
+    t = dx * abx
+    tmp = dy * aby
     t += tmp
     t *= inv
     np.clip(t, 0.0, 1.0, out=t)
-    dx -= np.multiply(t, ab[:, 0], out=tmp)
-    dy -= np.multiply(t, ab[:, 1], out=tmp)
+    dx -= np.multiply(t, abx, out=tmp)
+    dy -= np.multiply(t, aby, out=tmp)
     dx *= dx
     dy *= dy
     dx += dy
@@ -76,25 +84,9 @@ def segment_distances(points: np.ndarray, seg_a: np.ndarray,
     root of the squared clamp-and-project distances.  A zero-length
     segment is its single point.
     """
-    return np.sqrt(_squared_distances(points, seg_a, seg_b))
-
-
-def points_to_segments_distance(points: np.ndarray, seg_a: np.ndarray,
-                                seg_b: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest of a batch of segments.
-
-    points: (m, 2); seg_a, seg_b: (k, 2).  Returns (m,), +inf for k = 0.
-    The minimum is taken over squared distances, chunk by chunk, and
-    each point takes one square root at the end.
-    """
-    seg_a = np.asarray(seg_a, dtype=float)
-    seg_b = np.asarray(seg_b, dtype=float)
-    out = np.full(len(points), np.inf)
-    for k0 in range(0, len(seg_a), SEGMENT_CHUNK):
-        sl = slice(k0, k0 + SEGMENT_CHUNK)
-        d2 = _squared_distances(points, seg_a[sl], seg_b[sl])
-        np.minimum(out, d2.min(axis=1), out=out)
-    return np.sqrt(out, out=out)
+    p = np.asarray(points, dtype=float)
+    return np.sqrt(_squared_distances(p[:, :1], p[:, 1:],
+                                      _segment_frames(seg_a, seg_b)))
 
 
 def snap(points: np.ndarray, tol: float) -> np.ndarray:
@@ -156,66 +148,48 @@ def point_in_polygon_mask(xs: np.ndarray, ys: np.ndarray,
 
 
 def clip_polygon_halfplane(polygon: np.ndarray, p0, normal) -> np.ndarray:
-    """Sutherland-Hodgman clip: keep the side where (p - p0) . normal >= 0."""
+    """Sutherland-Hodgman clip: keep the side where (p - p0) . normal >= 0.
+
+    Vertex i is kept where d_i >= 0, and the edge to vertex i + 1 adds
+    the point at t = d_i / (d_i - d_{i+1}) where d changes side; the two
+    outputs of step i take the places 2i and 2i + 1.
+    """
     poly = np.asarray(polygon, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     n = np.asarray(normal, dtype=float)
-    out = []
-    m = len(poly)
     d = (poly - p0) @ n
-    for i in range(m):
-        j = (i + 1) % m
-        di, dj = d[i], d[j]
-        if di >= 0:
-            out.append(poly[i])
-        if (di >= 0) != (dj >= 0):
-            t = di / (di - dj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
+    keep = d >= 0
+    cross = keep != np.roll(keep, -1)
+    nxt = np.roll(poly, -1, axis=0)[cross]
+    dc = d[cross]
+    t = dc / (dc - np.roll(d, -1)[cross])
+    out = np.stack([poly, poly], axis=1)
+    out[cross, 1] += t[:, None] * (nxt - poly[cross])
+    out = out[np.column_stack([keep, cross])]
     if len(out) < 3:
         return np.zeros((0, 2))
-    return np.asarray(out)
+    return out
 
 
-def _orient(a, b, c):
-    """Sign of the cross product (b-a) x (c-a); 0 for collinear."""
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def _on_segment(a, b, p):
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def segments_properly_intersect(a, b, c, d) -> bool:
-    """True if segments [a,b] and [c,d] intersect (orientation predicates).
-
-    Shared endpoints count as intersections here; callers exclude adjacent
-    segments before asking.
-    """
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[j] + arange(counts[j])."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
 
 
 def check_closed_polyline_simple(vertices: np.ndarray):
     """Verify that a closed polyline has no non-adjacent segment crossings.
 
     Coordinates are snapped to a lattice before the orientation tests so
-    that touching configurations are classified consistently.  Raises
-    GeometryError on the first crossing found.
+    that touching configurations are classified consistently.  Each
+    segment enters the buckets (squares of the longest segment's side)
+    its bounding box meets; every non-adjacent pair sharing a bucket
+    whose bounding boxes meet is tested with the orientation predicates,
+    where a shared endpoint counts as an intersection.  Buckets are
+    taken in the order segment by segment fills them, pairs in
+    increasing segment order within a bucket, PAIR_CHUNK pairs per
+    pass.  Raises GeometryError on the first crossing found.
     """
     v = snap(np.asarray(vertices, dtype=float), SNAP_TOL)
     m = len(v)
@@ -225,27 +199,56 @@ def check_closed_polyline_simple(vertices: np.ndarray):
     hi = np.maximum(a, b)
     cell = max(float(np.max(np.hypot(*(b - a).T))), SNAP_TOL)
     inv = 1.0 / cell
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(m):
-        i0, i1 = int(np.floor(lo[i, 0] * inv)), int(np.floor(hi[i, 0] * inv))
-        j0, j1 = int(np.floor(lo[i, 1] * inv)), int(np.floor(hi[i, 1] * inv))
-        for ii in range(i0, i1 + 1):
-            for jj in range(j0, j1 + 1):
-                buckets.setdefault((ii, jj), []).append(i)
-    checked = set()
-    for ids in buckets.values():
-        for u in range(len(ids)):
-            for w in range(u + 1, len(ids)):
-                i, j = ids[u], ids[w]
-                if abs(i - j) in (0, 1) or abs(i - j) == m - 1:
-                    continue  # adjacent segments share a vertex
-                key = (min(i, j), max(i, j))
-                if key in checked:
-                    continue
-                checked.add(key)
-                if (lo[i, 0] > hi[j, 0] or lo[j, 0] > hi[i, 0]
-                        or lo[i, 1] > hi[j, 1] or lo[j, 1] > hi[i, 1]):
-                    continue
-                if segments_properly_intersect(a[i], b[i], a[j], b[j]):
-                    raise GeometryError(
-                        f"non-adjacent segments {i} and {j} intersect")
+    c0 = np.floor(lo * inv).astype(np.int64)
+    span = np.floor(hi * inv).astype(np.int64) - c0 + 1
+    # one entry per (segment, bucket), segment by segment, x before y
+    seg = np.repeat(np.arange(m), span[:, 0] * span[:, 1])
+    k = _ranges(np.zeros(m, np.int64), span[:, 0] * span[:, 1])
+    bx = c0[seg, 0] + k // span[seg, 1]
+    by = c0[seg, 1] + k % span[seg, 1]
+    key = (bx - bx.min()) * (by.max() - by.min() + 1) + (by - by.min())
+    # group the entries by bucket, buckets in the order they were filled
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first[which], kind="stable")
+    seg, filled = seg[order], first[which][order]
+    # entry e pairs with the later entries of its bucket
+    end = np.searchsorted(filled, filled, side="right")
+    partners = end - np.arange(len(seg)) - 1
+    done = np.cumsum(partners)
+    e0 = 0
+    while e0 < len(seg):
+        e1 = max(int(np.searchsorted(done, done[e0] - partners[e0]
+                                     + PAIR_CHUNK, side="right")), e0 + 1)
+        cnt = partners[e0:e1]
+        i = np.repeat(seg[e0:e1], cnt)
+        j = seg[_ranges(np.arange(e0 + 1, e1 + 1), cnt)]
+        gap = np.abs(i - j)
+        near = ((gap > 1) & (gap != m - 1)
+                & np.all(lo[i] <= hi[j], axis=1)
+                & np.all(lo[j] <= hi[i], axis=1))
+        i, j = i[near], j[near]
+        hit = np.flatnonzero(_segments_meet(a, b, lo, hi, i, j))
+        if len(hit):
+            i, j = i[hit[0]], j[hit[0]]
+            raise GeometryError(
+                f"non-adjacent segments {i} and {j} intersect")
+        e0 = e1
+
+
+def _segments_meet(a, b, lo, hi, i, j):
+    """Whether segments [a_i, b_i] and [a_j, b_j], with bounding boxes
+    [lo, hi], meet, pair by pair; a shared endpoint counts."""
+    def orient(p, q, r):
+        # sign of (q - p) x (r - p); 0 for collinear
+        return np.sign((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+                       - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+
+    def on(s, p):
+        return np.all((lo[s] <= p) & (p <= hi[s]), axis=1)
+
+    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+    o1, o2 = orient(ai, bi, aj), orient(ai, bi, bj)
+    o3, o4 = orient(aj, bj, ai), orient(aj, bj, bi)
+    return (((o1 != o2) & (o3 != o4))
+            | ((o1 == 0) & on(i, aj)) | ((o2 == 0) & on(i, bj))
+            | ((o3 == 0) & on(j, ai)) | ((o4 == 0) & on(j, bi)))

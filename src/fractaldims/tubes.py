@@ -4,13 +4,18 @@ The tube function of a curve X relative to a region Ω is measured on a
 uniform grid by cell-center counting: V(t) ~ h^2 #{cells inside Ω with
 d(center, X) < t}.  Only the cells inside Ω are measured, since only
 they are counted; the others hold +inf.  Distances are exact
-point-to-segment distances, computed on square tiles of cells.  A tile
-with no inside cell is skipped.  One ``segment_distances`` call per row
-of tiles measures every remaining tile centre against every segment; a
-tile then measures its inside cells against only the segments within
-its centre's nearest distance plus its diameter (that bound keeps every
-segment that could be nearest to any cell of the tile, so the field is
-exact, not approximate).
+point-to-segment distances, found through a two-level bound on square
+tiles of TILE x TILE cells and their SUB x SUB sub-tiles.  A box of
+cells whose centres lie within r of its centre c need only keep the
+segments within d_min(c) + 2r of c, where d_min(c) is c's nearest
+distance: a segment farther than that is farther from every cell of
+the box than c's nearest segment.  Per row of tiles, every tile with
+an inside cell applies the bound to every segment; every sub-tile with
+an inside cell applies it again, with its own centre and radius, to
+its tile's segments only, which is exact because the sub-tile centre
+lies in the tile, so its nearest segment survived the first pass.  Each
+inside cell then takes the nearest of its sub-tile's segments; every
+level runs on one set of ragged (point, segment) pair arrays per row.
 
 ``verify_gkf_sfe(region, fld, ts)`` checks the von Koch scaling
 functional equation: it takes the snowflake and the sector field its
@@ -28,8 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, SizeLimitError
-from .geom import (point_in_polygon_mask, points_to_segments_distance,
-                   polygon_area, polyline_length, segment_distances)
+from .geom import (_ranges, _segment_frames, _squared_distances,
+                   point_in_polygon_mask, polygon_area, polyline_length,
+                   segment_distances)
 from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
 from .vonkoch import GKCParams, SnowflakeRegion, generator_vertices
 # not called here: the benchmark's layer probes wrap tubes.snowflake
@@ -40,6 +46,8 @@ CELL_CAP = 1 << 27
 
 #: side of the square cell tiles that share one pruned segment set
 TILE = 16
+#: side of the sub-tiles that prune their tile's segment set again
+SUB = 4
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,9 @@ class DistanceField:
     """Exact distances from the cell centres inside Ω to a polyline.
 
     ``grid.values`` covers Ω's bounding box, but only the cells of the
-    ``inside`` mask hold distances; every other cell holds +inf.
+    ``inside`` mask hold distances; every other cell holds +inf.  The
+    two-level tile bound (see the module docstring) keeps each cell's
+    nearest segment, so each distance is the minimum over all of them.
     """
 
     grid: Grid2
@@ -90,7 +100,8 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     The grid covers the region polygon's bounding box; inside membership
     uses the even-odd rule on the region polygon.  Only inside cells are
     measured, and every other cell holds +inf, so ``d < t`` never counts
-    it.  A tile with no inside cell is skipped, its centre included.
+    it.  A tile or sub-tile with no inside cell is skipped, its centre
+    included.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -106,42 +117,81 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
         raise SizeLimitError(f"grid {nx}x{ny} exceeds cap {CELL_CAP}")
     grid = Grid2(bbox=(xmin, ymin, xmax, ymax), h=h, nx=nx, ny=ny,
                  values=np.full((nx, ny), np.inf))
-    xs, ys = grid.xs, grid.ys
+    xs, ys, values = grid.xs, grid.ys, grid.values
     inside = point_in_polygon_mask(xs, ys, poly)
 
-    seg_a = verts[:-1]
-    seg_b = verts[1:]
-    values = grid.values
-    ty0 = np.arange(0, ny, TILE)
-    ty1 = np.minimum(ty0 + TILE, ny)
-    cy = 0.5 * (ys[ty0] + ys[ty1 - 1])
+    frames = _segment_frames(verts[:-1], verts[1:])
+    nsy = -(-ny // SUB)
     for tx0 in range(0, nx, TILE):
-        tx1 = min(tx0 + TILE, nx)
-        # the tiles of this row that hold an inside cell
-        live = np.logical_or.reduceat(inside[tx0:tx1].any(axis=0), ty0)
-        if not live.any():
+        ix, iy = np.nonzero(inside[tx0:tx0 + TILE])
+        if not len(ix):
             continue
-        y0s, y1s, cys = ty0[live], ty1[live], cy[live]
-        cx = 0.5 * (xs[tx0] + xs[tx1 - 1])
-        rtile = np.hypot(xs[tx1 - 1] - cx, ys[y1s - 1] - cys) + 1e-12
-        # distances from the centres of these tiles to every segment
-        d_all = segment_distances(np.column_stack([np.full_like(cys, cx),
-                                                   cys]), seg_a, seg_b)
-        for d, r, y0, y1 in zip(d_all, rtile, y0s, y1s):
-            # a segment farther than d.min() + 2 r from the centre is
-            # farther from every cell than the centre's nearest segment
-            cand = d <= d.min() + 2.0 * r
-            ix, iy = np.nonzero(inside[tx0:tx1, y0:y1])
-            ix += tx0
-            iy += y0
-            pts = np.column_stack([xs[ix], ys[iy]])
-            values[ix, iy] = points_to_segments_distance(pts, seg_a[cand],
-                                                         seg_b[cand])
+        # the live sub-tiles of this row of tiles, and the live tiles
+        subs, cell_sub = _live(ix // SUB * nsy + iy // SUB, TILE // SUB * nsy)
+        sx, sy = np.divmod(subs, nsy)
+        tiles, sub_tile = _live(sy // (TILE // SUB), -(-ny // TILE))
+        # a tile keeps the segments within its centre's nearest distance
+        # plus its diameter
+        cx, cy, r = _boxes(xs, ys, np.full_like(tiles, tx0), tiles * TILE,
+                           TILE)
+        d = np.sqrt(_squared_distances(cx[:, None], cy[:, None], frames))
+        near = d <= d.min(axis=1, keepdims=True) + 2.0 * r[:, None]
+        cand, count = np.nonzero(near)[1], near.sum(axis=1)
+        # each sub-tile prunes its tile's segments again
+        cand, count = _prune(*_boxes(xs, ys, tx0 + sx * SUB, sy * SUB, SUB),
+                             *_inherit(cand, count, sub_tile), frames)
+        # and each inside cell takes the nearest of its sub-tile's
+        cand, count = _inherit(cand, count, cell_sub)
+        ix += tx0
+        d2 = _squared_distances(np.repeat(xs[ix], count),
+                                np.repeat(ys[iy], count),
+                                np.take(frames, cand, axis=1))
+        values[ix, iy] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(count)
+                                                     - count))
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),
                          region_area=abs(polygon_area(poly)),
                          meta={"h": h, **(meta or {})})
+
+
+def _live(key, size):
+    """The distinct values of ``key``, all in [0, size), in increasing
+    order, and the index of each key among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+
+
+def _boxes(xs, ys, x0, y0, side):
+    """Centres and radii of the boxes of cell centres [x0, x0 + side) x
+    [y0, y0 + side), cut at the grid's edge.  The radius bounds the
+    distance from the centre to every cell centre of its box."""
+    x1 = np.minimum(x0 + side, len(xs)) - 1
+    y1 = np.minimum(y0 + side, len(ys)) - 1
+    cx = 0.5 * (xs[x0] + xs[x1])
+    cy = 0.5 * (ys[y0] + ys[y1])
+    return cx, cy, np.hypot(xs[x1] - cx, ys[y1] - cy) + 1e-12
+
+
+def _inherit(cand, count, parent):
+    """Candidate lists copied from groups to their children: child j
+    gets group parent[j]'s count[parent[j]] consecutive entries of cand."""
+    start = np.cumsum(count) - count
+    return cand[_ranges(start[parent], count[parent])], count[parent]
+
+
+def _prune(cx, cy, radii, cand, count, frames):
+    """Keep, of the count[j] consecutive entries of cand that box j holds,
+    those within d_min + 2 radii[j] of its centre (cx[j], cy[j]), where
+    d_min is the centre's nearest distance.  Returns cand and count."""
+    d = np.sqrt(_squared_distances(np.repeat(cx, count),
+                                   np.repeat(cy, count),
+                                   np.take(frames, cand, axis=1)))
+    first = np.cumsum(count) - count
+    keep = d <= np.repeat(np.minimum.reduceat(d, first) + 2.0 * radii,
+                          count)
+    return cand[keep], np.add.reduceat(keep, first)
 
 
 def tube_function(fld: DistanceField, ts) -> SampledFunction:

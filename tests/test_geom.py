@@ -4,11 +4,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractaldims import heat
-from fractaldims.geom import (SEGMENT_CHUNK, point_in_polygon_mask,
-                              points_to_segments_distance, rotation_matrix,
-                              segment_distances)
+from fractaldims import geom, heat
+from fractaldims.errors import GeometryError
+from fractaldims.geom import (SNAP_TOL, _segment_frames, _squared_distances,
+                              check_closed_polyline_simple,
+                              clip_polygon_halfplane, point_in_polygon_mask,
+                              rotation_matrix, segment_distances, snap)
 from fractaldims.vonkoch import GKCParams, snowflake
+
+#: segments per pass of the brute-force nearest-segment minimum; bounds
+#: its memory to O(m * SEGMENT_CHUNK)
+SEGMENT_CHUNK = 256
+
+
+def points_to_segments_distance(points, seg_a, seg_b) -> np.ndarray:
+    """Brute-force field oracle: the distance from each point to the
+    nearest of all the segments [a_j, b_j], +inf for k = 0.
+
+    The minimum is taken over the shared kernel's squared distances,
+    chunk by chunk, and each point takes one square root at the end.
+    """
+    p = np.asarray(points, dtype=float)
+    seg_a = np.asarray(seg_a, dtype=float)
+    seg_b = np.asarray(seg_b, dtype=float)
+    out = np.full(len(p), np.inf)
+    for k0 in range(0, len(seg_a), SEGMENT_CHUNK):
+        sl = slice(k0, k0 + SEGMENT_CHUNK)
+        d2 = _squared_distances(p[:, :1], p[:, 1:],
+                                _segment_frames(seg_a[sl], seg_b[sl]))
+        np.minimum(out, d2.min(axis=1), out=out)
+    return np.sqrt(out, out=out)
 
 
 # the reference repeats the kernel's arithmetic, but math.hypot may round
@@ -203,3 +228,230 @@ def test_polygon_mask_vertex_on_a_nudged_row():
     for strict in (False, True):
         assert np.array_equal(point_in_polygon_mask(xs, ys, poly, strict),
                               row_scan_mask(xs, ys, poly, strict))
+
+
+# ------------------------------------------------ scalar simplicity oracle
+
+
+def _orient(a, b, c):
+    """Sign of the cross product (b-a) x (c-a); 0 for collinear."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def _on_segment(a, b, p):
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def segments_properly_intersect(a, b, c, d) -> bool:
+    """True if segments [a,b] and [c,d] intersect (orientation predicates).
+
+    Shared endpoints count as intersections here; callers exclude adjacent
+    segments before asking.
+    """
+    o1 = _orient(a, b, c)
+    o2 = _orient(a, b, d)
+    o3 = _orient(c, d, a)
+    o4 = _orient(c, d, b)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_segment(a, b, c):
+        return True
+    if o2 == 0 and _on_segment(a, b, d):
+        return True
+    if o3 == 0 and _on_segment(c, d, a):
+        return True
+    if o4 == 0 and _on_segment(c, d, b):
+        return True
+    return False
+
+
+def scalar_crossing(vertices):
+    """The message of the first crossing the bucket loop finds, or None.
+
+    Segments enter the buckets their bounding boxes meet, segment by
+    segment; the buckets are scanned in the order they were filled and
+    each bucket's pairs in increasing order, one pair at a time.
+    """
+    v = snap(np.asarray(vertices, dtype=float), SNAP_TOL)
+    m = len(v)
+    a = v
+    b = np.roll(v, -1, axis=0)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    cell = max(float(np.max(np.hypot(*(b - a).T))), SNAP_TOL)
+    inv = 1.0 / cell
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(m):
+        i0, i1 = int(np.floor(lo[i, 0] * inv)), int(np.floor(hi[i, 0] * inv))
+        j0, j1 = int(np.floor(lo[i, 1] * inv)), int(np.floor(hi[i, 1] * inv))
+        for ii in range(i0, i1 + 1):
+            for jj in range(j0, j1 + 1):
+                buckets.setdefault((ii, jj), []).append(i)
+    checked = set()
+    for ids in buckets.values():
+        for u in range(len(ids)):
+            for w in range(u + 1, len(ids)):
+                i, j = ids[u], ids[w]
+                if abs(i - j) in (0, 1) or abs(i - j) == m - 1:
+                    continue  # adjacent segments share a vertex
+                if (i, j) in checked:
+                    continue
+                checked.add((i, j))
+                if (lo[i, 0] > hi[j, 0] or lo[j, 0] > hi[i, 0]
+                        or lo[i, 1] > hi[j, 1] or lo[j, 1] > hi[i, 1]):
+                    continue
+                if segments_properly_intersect(a[i], b[i], a[j], b[j]):
+                    return f"non-adjacent segments {i} and {j} intersect"
+    return None
+
+
+def array_crossing(vertices):
+    """The message ``check_closed_polyline_simple`` raises, or None."""
+    try:
+        check_closed_polyline_simple(vertices)
+    except GeometryError as err:
+        return str(err)
+    return None
+
+
+def random_polylines(rng, count):
+    """Closed polylines of 3 to 40 vertices in three kinds, in turn: on a
+    5 x 5 integer lattice (touching vertices, collinear overlaps and
+    repeated points), star-shaped with a perturbation (simple or
+    slightly tangled) and uniformly scattered at a random scale."""
+    for trial in range(count):
+        m = int(rng.integers(3, 41))
+        kind = trial % 3
+        if kind == 0:
+            yield rng.integers(0, 5, (m, 2)).astype(float)
+        elif kind == 1:
+            ang = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+            rad = rng.uniform(0.5, 1.5, m)
+            star = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+            yield star + rng.normal(0.0, rng.choice([0.0, 0.02, 0.3]),
+                                    star.shape)
+        else:
+            yield rng.uniform(-1.0, 1.0, (m, 2)) * rng.uniform(0.01, 100.0)
+
+
+def test_simplicity_matches_scalar_oracle():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for v in random_polylines(rng, 3000):
+        expect = scalar_crossing(v)
+        assert array_crossing(v) == expect, v
+        verdicts.append(expect is None)
+    # both verdicts are well represented
+    assert 300 < sum(verdicts) < 2700
+
+
+def test_simplicity_pair_chunks_do_not_change_the_verdict(monkeypatch):
+    # 5 pairs per pass: buckets and crossings straddle the chunk edges
+    monkeypatch.setattr(geom, "PAIR_CHUNK", 5)
+    rng = np.random.default_rng(99)
+    for v in random_polylines(rng, 300):
+        assert array_crossing(v) == scalar_crossing(v), v
+    check_closed_polyline_simple(snowflake(GKCParams(4, 0.24), 2).boundary)
+
+
+def test_bow_tie_names_the_crossing_pair():
+    bow_tie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(GeometryError, match="segments 0 and 2 intersect"):
+        check_closed_polyline_simple(bow_tie)
+    assert scalar_crossing(bow_tie) == array_crossing(bow_tie)
+
+
+def test_vertex_touching_a_segment_raises():
+    # vertex 3 = (2, 0) lies on segment 0 without being one of its ends
+    touch = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 0.0],
+                      [0.0, 3.0]])
+    for poly in (touch, 0.1 * touch + 0.3):
+        assert array_crossing(poly) is not None
+        assert array_crossing(poly) == scalar_crossing(poly)
+
+
+def test_closing_edge_is_not_flagged_against_its_neighbours():
+    # the closing edge shares a vertex with segments 0 and m - 2; a
+    # triangle has only adjacent pairs, and the thin comb's closing edge
+    # runs right along its first and last teeth
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    triangle = square[:3]
+    comb = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.5, 1.0],
+                     [2.5, 0.1], [0.5, 0.1], [0.5, 1.0], [0.0, 1.0]])
+    for poly in (square, triangle, comb):
+        check_closed_polyline_simple(poly)
+        assert scalar_crossing(poly) is None
+
+
+@pytest.mark.parametrize("n, r", [(3, 1 / 3), (4, 0.24), (3, 0.05)])
+def test_level_5_snowflakes_are_verified_simple(n, r):
+    region = snowflake(GKCParams(n, r), 5)
+    assert region.verified_simple
+    assert scalar_crossing(region.boundary) is None
+
+
+# ------------------------------------------------ scalar clipping oracle
+
+
+def scalar_clip(polygon, p0, normal):
+    """Sutherland-Hodgman, one vertex at a time: keep the side where
+    (p - p0) . normal >= 0."""
+    poly = np.asarray(polygon, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    n = np.asarray(normal, dtype=float)
+    out = []
+    m = len(poly)
+    d = (poly - p0) @ n
+    for i in range(m):
+        j = (i + 1) % m
+        di, dj = d[i], d[j]
+        if di >= 0:
+            out.append(poly[i])
+        if (di >= 0) != (dj >= 0):
+            t = di / (di - dj)
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    if len(out) < 3:
+        return np.zeros((0, 2))
+    return np.asarray(out)
+
+
+def assert_bitwise_equal(x, y):
+    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_clip_matches_scalar_oracle():
+    rng = np.random.default_rng(5)
+    kept = dropped = 0
+    for v in random_polylines(rng, 1500):
+        if rng.random() < 0.5:
+            # a lattice line through lattice points: vertices with d = 0
+            p0 = rng.integers(0, 5, 2).astype(float)
+            normal = rng.integers(-2, 3, 2).astype(float)
+        else:
+            p0 = rng.uniform(-1.0, 1.0, 2)
+            normal = rng.normal(size=2)
+        got = clip_polygon_halfplane(v, p0, normal)
+        assert_bitwise_equal(got, scalar_clip(v, p0, normal))
+        kept += len(got) == len(v) and np.array_equal(got, v)
+        dropped += len(got) == 0
+    assert kept > 50 and dropped > 50
+
+
+def test_clip_keeps_whole_or_nothing_and_cuts_on_the_line():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    whole = clip_polygon_halfplane(square, [0.0, 0.0], [0.0, 1.0])
+    assert_bitwise_equal(whole, square)
+    assert len(clip_polygon_halfplane(square, [0.0, 2.0], [0.0, 1.0])) == 0
+    # the diagonal through vertices 0 and 2 (d = 0 there): each is kept,
+    # and the edge between it and the dropped vertex 1 adds it again at
+    # t = 0 or t = 1
+    half = clip_polygon_halfplane(square, [0.0, 0.0], [-1.0, 1.0])
+    assert_bitwise_equal(half, scalar_clip(square, [0.0, 0.0], [-1.0, 1.0]))
+    assert_bitwise_equal(half, square[[0, 0, 2, 2, 3]])
+    # a cut through two edges adds the points at t = d_i / (d_i - d_j)
+    cut = clip_polygon_halfplane(square, [0.25, 0.0], [1.0, 0.0])
+    assert_bitwise_equal(cut, scalar_clip(square, [0.25, 0.0], [1.0, 0.0]))
+    assert_bitwise_equal(cut, np.array([[0.25, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                        [0.25, 1.0]]))

@@ -3,16 +3,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from fractaldims import tubes
 from fractaldims.cli import _compute_tube
 from fractaldims.errors import GeometryError, ResolutionError
-from fractaldims.geom import points_to_segments_distance
 from fractaldims.ifs import Similitude2, apply
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
-from fractaldims.tubes import (TILE, distance_field, grid_error_budget,
+from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
                                minkowski_fit, prefractal_gap, tube_function,
                                verify_gkf_sfe)
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
                                  snowflake)
+
+from test_geom import points_to_segments_distance
 
 BOX = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 1.5], [-1.0, 1.5]])
 
@@ -49,16 +51,57 @@ def test_field_is_lipschitz():
 
 
 def test_pruned_field_is_exact():
-    # per-tile segment pruning must not change a single inside cell, and
-    # the cells outside Ω are not measured
-    region = snowflake(GKCParams(3, 1 / 3), 3)
-    curve = region.boundary
-    fld = distance_field(curve, sector_region(region, 0), h=1e-2)
-    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
-    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
-    full = points_to_segments_distance(pts, curve[:-1], curve[1:])
-    assert np.array_equal(fld.grid.values[fld.inside], full)
-    assert np.all(np.isinf(fld.grid.values[~fld.inside]))
+    # per-tile and per-sub-tile segment pruning must not change a single
+    # inside cell, and the cells outside Ω are not measured
+    sf3 = snowflake(GKCParams(3, 1 / 3), 3)
+    sf4 = snowflake(GKCParams(4, 0.24), 3)
+    koch = prefractal(GKCParams(3, 1 / 3), 3).vertices
+    pentagon = np.array([[-0.2, -0.2], [1.2, -0.2], [1.25, 0.3],
+                         [0.5, 0.7], [-0.25, 0.3]])
+    zero = prefractal(GKCParams(4, 0.24), 2).vertices
+    zero = np.insert(zero, 7, zero[7], axis=0)  # segment 7 has length 0
+    triangle = np.array([[-0.1, -0.3], [1.1, -0.3], [0.5, 0.9]])
+    cases = [(sf3.boundary, sector_region(sf3, 0), 1e-2),
+             # 187 x 323 and 65 x 39 cells: no side a multiple of SUB,
+             # so tiles and sub-tiles are cut at the grid's edges
+             (sf3.closed_boundary, sector_region(sf3, 1), 3.1e-3),
+             (koch, pentagon, 0.0233),
+             (zero, triangle, 7e-3),
+             (zero[6:9], triangle, 7e-3),
+             (sf4.closed_boundary, sector_region(sf4, 0), 3e-3)]
+    shapes = []
+    for curve, region, h in cases:
+        fld = distance_field(curve, region, h)
+        assert fld.inside.any() and not fld.inside.all()
+        gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
+        pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
+        full = points_to_segments_distance(pts, curve[:-1], curve[1:])
+        assert np.array_equal(fld.grid.values[fld.inside], full)
+        assert np.all(np.isinf(fld.grid.values[~fld.inside]))
+        shapes.append((fld.grid.nx, fld.grid.ny))
+    assert shapes[1:3] == [(187, 323), (65, 39)]
+    assert all(n % SUB and n % TILE for n in (187, 323, 65, 39))
+
+
+def test_sub_tiles_prune_the_pairs(monkeypatch):
+    # the (3, 1/3) L4 sector at h = 3e-3: the tile bound alone measures
+    # 36 segments per inside cell; with the sub-tiles, 7
+    region = snowflake(GKCParams(3, 1 / 3), 4)
+    kernel, pairs = tubes._squared_distances, []
+
+    def counting_kernel(px, py, frames):
+        d2 = kernel(px, py, frames)
+        pairs.append(d2.size)
+        return d2
+
+    monkeypatch.setattr(tubes, "_squared_distances", counting_kernel)
+    fld = distance_field(region.closed_boundary, sector_region(region, 0),
+                         3e-3)
+    inside = int(fld.inside.sum())
+    # per row of tiles: the tile table, the sub-tile pairs, the cell pairs
+    cells = sum(pairs[2::3])
+    assert cells < 8 * inside
+    assert sum(pairs) < 14 * inside
 
 
 def test_tiles_without_inside_cells_are_skipped():
