@@ -3,7 +3,11 @@
 The transform of a sampled function integrates t^(s-1) * f(t) over [a, b]
 with f replaced by its piecewise-linear interpolant; each interval is
 integrated in closed form, so arbitrarily oscillatory s (large |Im s|)
-costs nothing in resolution.  Below the first sample the fitted leading
+costs nothing in resolution.  One table of node powers t^s per window
+(one log and one complex exp per node) serves every interval: the two
+power integrals of an interval are differences of t^s and of
+t^(s+1) = t * t^s between its ends, and the error estimate reuses the
+same table on every second node.  Below the first sample the fitted leading
 power law c * t^p is integrated analytically, which also fixes the
 abscissa of convergence: with f = O(t^-sigma_hat) as t -> 0 the a = 0
 transform exists for Re(s) > sigma_hat.
@@ -68,26 +72,28 @@ class MellinEvaluator:
             return cls(f=f, sigma_hat=0.0, tail_coef=0.0, tail_ok=False)
 
 
-def _power_integral(t1: np.ndarray, t2: np.ndarray, s: complex) -> np.ndarray:
-    """integral of t^(s-1) dt over [t1, t2] = (t2^s - t1^s)/s, stable near s=0."""
-    u1 = np.log(t1)
-    du = np.log(t2) - u1
+def _power_integral(ts: np.ndarray, pw: np.ndarray, s: complex) -> np.ndarray:
+    """integral of t^(s-1) dt over each [ts[i], ts[i+1]] from the node
+    powers pw = ts^s: (pw[i+1] - pw[i]) / s, in a stable expm1 form where
+    |s| < 1e-8."""
     if abs(s) < 1e-8:
+        u = np.log(ts)
+        du = u[1:] - u[:-1]
         z = s * du
         phi = np.where(np.abs(z) < 1e-30, 1.0, np.expm1(z) / np.where(z == 0, 1, z))
-        return np.exp(s * u1) * du * phi
-    return (np.exp(s * np.log(t2)) - np.exp(s * u1)) / s
+        return pw[:-1] * du * phi
+    return (pw[1:] - pw[:-1]) / s
 
 
-def _pl_transform(ts: np.ndarray, vals: np.ndarray, s: complex) -> complex:
-    """Exact transform of the piecewise-linear interpolant on the grid."""
-    t1, t2 = ts[:-1], ts[1:]
-    f1, f2 = vals[:-1], vals[1:]
-    m = (f2 - f1) / (t2 - t1)
-    const = f1 - m * t1
-    i_s = _power_integral(t1, t2, s)
-    i_s1 = _power_integral(t1, t2, s + 1.0)
-    return complex(np.sum(const * i_s) + np.sum(m * i_s1))
+def _pl_transform(ts: np.ndarray, vals: np.ndarray, pw: np.ndarray,
+                  s: complex) -> complex:
+    """Exact transform of the piecewise-linear interpolant on the grid,
+    from the node powers pw = ts^s."""
+    m = (vals[1:] - vals[:-1]) / (ts[1:] - ts[:-1])
+    const = vals[:-1] - m * ts[:-1]
+    i_s = _power_integral(ts, pw, s)
+    i_s1 = _power_integral(ts, ts * pw, s + 1.0)
+    return complex((const * i_s).sum() + (m * i_s1).sum())
 
 
 def _restrict(f: SampledFunction, a: float, b: float):
@@ -114,10 +120,13 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
                      b: float) -> ZetaSample:
     """integral of t^(s-1) f(t) dt over [a, b] from the sampled table.
 
+    The node powers pw = t^s are formed once on the window's grid (the
+    samples inside it and its two interpolated ends).  The error estimate
+    is the change when the interpolant uses every second node (and the
+    last one) instead, evaluated on a slice of the same pw; a window with
+    no node inside has nothing to drop, and its estimate is |value|.
     With a = 0 the fitted power tail c t^(-sigma_hat) is integrated in
     closed form below the first sample, which requires Re(s) > sigma_hat.
-    The error estimate comes from
-    re-evaluating on every second sample (grid-halving Richardson).
     """
     s = complex(s)
     if a < 0 or b <= a:
@@ -136,8 +145,9 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
             if a == 0.0:
                 tail_val = ev.tail_coef * top ** (s + p) / (s + p)
             else:
-                tail_val = ev.tail_coef * complex(
-                    _power_integral(np.array([a]), np.array([top]), s + p)[0])
+                ends = np.array([a, top])
+                tail_val = ev.tail_coef * complex(_power_integral(
+                    ends, np.exp((s + p) * np.log(ends)), s + p)[0])
             # interpolation-vs-power disagreement at the first node
             tail_err = abs(ev.tail_coef * t0 ** p - ev.f.vals[0]) \
                 * abs(top ** (s.real + p)) / max(s.real + p, 1e-3)
@@ -148,14 +158,22 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
     if a >= b:
         return ZetaSample(s=s, value=complex(tail_val), quad_error=tail_err)
     grid_t, grid_v = _restrict(ev.f, a, b)
-    if len(grid_t) < 2:
+    n = len(grid_t)
+    if n < 2:
         return ZetaSample(s=s, value=complex(tail_val), quad_error=tail_err)
-    full = _pl_transform(grid_t, grid_v, s)
-    coarse_idx = np.unique(np.r_[np.arange(0, len(grid_t), 2),
-                                 len(grid_t) - 1])
-    coarse = _pl_transform(grid_t[coarse_idx], grid_v[coarse_idx], s)
+    pw = np.exp(s * np.log(grid_t))
+    full = _pl_transform(grid_t, grid_v, pw, s)
+    if n < 3:
+        # no node to drop: the estimate is the whole value
+        err = abs(full)
+    else:
+        # every second node, keeping the last
+        half = np.arange(0, n + 1, 2)
+        half[-1] = min(half[-1], n - 1)
+        err = abs(full - _pl_transform(grid_t[half], grid_v[half], pw[half],
+                                       s))
     return ZetaSample(s=s, value=complex(full + tail_val),
-                      quad_error=abs(full - coarse) + tail_err)
+                      quad_error=err + tail_err)
 
 
 def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,

@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,12 @@ NEWTON_TOL = 1e-15  #: Newton stops at a step below this * max(1, |x|)
 
 # ---------------------------------------------------------------------------
 # ratio multisets and the Dirichlet polynomial
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -106,14 +113,15 @@ class RatioMultiset:
                 merged.append([r, m])
         return cls(tuple((r, int(m)) for r, m in merged))
 
-    @property
+    @cached_property
     def ratios(self) -> np.ndarray:
-        return np.array([r for r, _ in self.entries])
+        """The ratios, decreasing, as one read-only array built once."""
+        return _frozen([r for r, _ in self.entries])
 
-    @property
+    @cached_property
     def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries])
-
+        """The multiplicities, in the order of ``ratios``, read-only."""
+        return _frozen([m for _, m in self.entries])
 
 @dataclass(frozen=True)
 class DirichletPoly:
@@ -168,7 +176,17 @@ def _newton(fn, dfn, x, tol: float = NEWTON_TOL):
 
 
 def _increasing_root(fn, dfn, lo: float, hi: float) -> float:
-    """Root of a strictly increasing function: bisection bracket + Newton."""
+    """Root of a strictly increasing function by safeguarded Newton.
+
+    The bracket [lo, hi] is widened until fn changes sign across it.
+    Newton then runs inside it, each evaluation moving one end of the
+    bracket to the iterate; a step that would leave the bracket is
+    replaced by the bracket's midpoint.  Once a step is below
+    1e-13 * max(1, |x|), ``_newton`` polishes the result; a bracket end
+    or an iterate where fn is exactly 0 is returned as it is.  A concave fn
+    (Moran's P) or a convex one (the companion q) converges monotonically
+    from one side, in a handful of steps where bisection takes ~45.
+    """
     flo, fhi = fn(lo), fn(hi)
     while flo > 0:
         lo -= max(1.0, hi - lo)
@@ -176,25 +194,36 @@ def _increasing_root(fn, dfn, lo: float, hi: float) -> float:
     while fhi < 0:
         hi += max(1.0, hi - lo)
         fhi = fn(hi)
+    if flo == 0 or fhi == 0:
+        return float(lo if flo == 0 else hi)
+    x = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
+        fx = fn(x)
+        if fx == 0:
             break
-    return float(_newton(fn, dfn, 0.5 * (lo + hi)))
+        if fx < 0:
+            lo = x
+        else:
+            hi = x
+        d = dfn(x)
+        new = x - fx / d if d > 0 else math.inf
+        tol = 1e-13 * max(1.0, abs(x))
+        if abs(new - x) >= tol and not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        step, x = abs(new - x), new
+        if step < tol:
+            break
+    return float(_newton(fn, dfn, x))
 
 
 def similarity_dimension(ratios: RatioMultiset) -> float:
     """Unique real solution D of Moran's equation sum a_k lambda_k^D = 1.
 
-    P(sigma) = 1 - sum a_k lambda_k^sigma is strictly increasing on the
-    real axis (each lambda^sigma decreases), so the root is bracketed and
-    polished by Newton; |P(D)| < 1e-12 on return.  D > 0 whenever the
-    total multiplicity is at least two.
+    P(sigma) = 1 - sum a_k lambda_k^sigma is strictly increasing and
+    concave on the real axis (each lambda^sigma decreases and is convex),
+    so ``_increasing_root`` brackets the root and Newton converges inside
+    the bracket in a handful of steps; |P(D)| < 1e-12 on return.  D > 0
+    whenever the total multiplicity is at least two.
     """
     poly = DirichletPoly(ratios)
     return _increasing_root(lambda s: float(poly(s)),
@@ -325,16 +354,13 @@ class ComplexDimensionSet:
     """Located poles of a scaling zeta function inside a window.
 
     Poles are zeros of P, closed under conjugation (P has real
-    coefficients) and sorted by (Im, Re).  ``alpha`` is always 1 and
-    nothing rescales a set; it is kept so that ``to_json`` and the
-    ``poles.json`` it writes stay byte-identical.  The explicit formula
-    takes its alpha from the command, not from here.
+    coefficients) and sorted by (Im, Re).  The explicit formula takes its
+    alpha from the command, not from here.
     """
 
     poles: tuple[Pole, ...]
     window: tuple[float, float, float]  # (re_min, re_max, im_max)
     lattice: LatticeStructure | None = None
-    alpha: float = 1.0
     #: actual contour used by the search (the window's upper half, slightly
     #: expanded), and the multiplicity the window's poles must add up to:
     #: the real pole plus twice that contour's winding count less the
@@ -362,7 +388,6 @@ class ComplexDimensionSet:
                 "generator": self.lattice.generator,
                 "exponents": [list(e) for e in self.lattice.exponents],
             },
-            "alpha": self.alpha,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -78,6 +78,65 @@ def test_quadrature_convergence_refinement():
     assert abs(e_fine.value - exact) <= 3 * e_fine.quad_error
 
 
+def test_window_between_two_nodes_reports_its_value_as_error():
+    # [a, b] between two nodes of an 8-per-decade grid: the restricted
+    # grid is (a, b), so no every-second-node grid can differ from it
+    ev = monomial(2, per_decade=8)
+    ts = ev.f.ts
+    k = np.searchsorted(ts, 2e-3)
+    s = 0.5 + 3j
+    a, b = ts[k] * 1.02, ts[k + 1] * 0.98
+    exact = (b ** (s + 2) - a ** (s + 2)) / (s + 2)
+    got = truncated_mellin(ev, s, a, b)
+    assert got.quad_error == abs(got.value)
+    assert abs(got.value - exact) <= 3 * got.quad_error
+    # with one node inside, the halved grid is the two ends
+    got = truncated_mellin(ev, s, ts[k] * 0.98, b)
+    assert 0 < got.quad_error < abs(got.value)
+
+
+def _interval_powers(t1, t2, s):
+    """integral of t^(s-1) over each [t1, t2], stable near s = 0."""
+    u1 = np.log(t1)
+    du = np.log(t2) - u1
+    if abs(s) < 1e-8:
+        z = s * du
+        phi = np.where(np.abs(z) < 1e-30, 1.0,
+                       np.expm1(z) / np.where(z == 0, 1, z))
+        return np.exp(s * u1) * du * phi
+    return (np.exp(s * np.log(t2)) - np.exp(s * u1)) / s
+
+
+def _interval_transform(ts, vals, s):
+    """Oracle: the piecewise-linear transform, each interval's two power
+    integrals formed from its own ends."""
+    t1, t2 = ts[:-1], ts[1:]
+    f1, f2 = vals[:-1], vals[1:]
+    m = (f2 - f1) / (t2 - t1)
+    const = f1 - m * t1
+    return complex(np.sum(const * _interval_powers(t1, t2, s))
+                   + np.sum(m * _interval_powers(t1, t2, s + 1.0)))
+
+
+@pytest.mark.parametrize("s", [0.5 + 3j, 1e-9, -1 + 1e-9, 0.7 + 200j])
+def test_power_table_matches_interval_oracle(s):
+    ts = geometric_grid(1e-6, 1.0, 40)
+    vals = np.sqrt(ts) * (1.5 + np.sin(3 * np.log(ts)))
+    ev = MellinEvaluator.build(SampledFunction(ts, vals))
+    for a, b in ((3.3e-6, 0.71), (1.17e-3, 2.9e-3), (0.2, 0.23),
+                 (ts[5], ts[60]), (ts[5] * 1.01, ts[60])):
+        inside = (ts > a) & (ts < b)
+        grid = np.r_[a, ts[inside], b]
+        gv = np.interp(grid, ts, vals)
+        full = _interval_transform(grid, gv, s)
+        half = np.unique(np.r_[np.arange(0, len(grid), 2), len(grid) - 1])
+        est = (abs(full - _interval_transform(grid[half], gv[half], s))
+               if len(grid) > 2 else abs(full))
+        got = truncated_mellin(ev, s, a, b)
+        assert abs(got.value - full) <= 1e-13 * abs(full)
+        assert abs(got.quad_error - est) <= 1e-13 * max(est, abs(full))
+
+
 # ---------------------------------------------- scaling identity oracle
 
 

@@ -90,6 +90,68 @@ def test_moran_root_random_property():
         assert np.all(np.diff(vals) < 0)
 
 
+def _bisection_root(fn, dfn, lo, hi):
+    """Oracle root of an increasing function: bracket, bisect to a width
+    below 1e-13 * max(1, |x|), then the library's Newton polish."""
+    while fn(lo) > 0:
+        lo -= max(1.0, hi - lo)
+    while fn(hi) < 0:
+        hi += max(1.0, hi - lo)
+    while hi - lo >= 1e-13 * max(1.0, abs(0.5 * (lo + hi))):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(zeta._newton(fn, dfn, 0.5 * (lo + hi)))
+
+
+def _counted(fn, calls):
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+    return wrapped
+
+
+def test_moran_roots_match_bisection_with_few_evaluations():
+    rng = np.random.default_rng(2024)
+    worst = 0
+    for _ in range(50):
+        rm = random_multiset(rng)
+        poly = DirichletPoly(rm)
+        q, dq = zeta._lower_poly(rm)
+        cases = [(lambda s: float(poly(s)),
+                  lambda s: float(poly.derivative(s)), 0.0, 1.0,
+                  similarity_dimension(rm)),
+                 (lambda t: q(t) - 1.0, dq, -1.0, 1.0,
+                  lower_similarity_dimension(rm))]
+        for fn, dfn, lo, hi, got in cases:
+            want = _bisection_root(fn, dfn, lo, hi)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+            assert abs(fn(got)) < 1e-12
+            calls = []
+            assert zeta._increasing_root(_counted(fn, calls),
+                                         _counted(dfn, calls),
+                                         lo, hi) == got
+            worst = max(worst, len(calls))
+    # bisection alone takes ~45 evaluations of fn to reach 1e-13
+    assert worst <= 24
+
+
+def test_ratio_arrays_are_built_once_and_read_only():
+    rm = RatioMultiset(((0.5, 1), (0.2, 3)))
+    assert rm.ratios is rm.ratios
+    assert rm.multiplicities is rm.multiplicities
+    assert rm.ratios.tolist() == [0.5, 0.2]
+    assert rm.multiplicities.tolist() == [1, 3]
+    with pytest.raises(ValueError):
+        rm.ratios[0] = 0.25
+    with pytest.raises(ValueError):
+        rm.multiplicities[0] = 2
+    assert rm == RatioMultiset(((0.2, 3), (0.5, 1)))
+    assert hash(rm) == hash(RatioMultiset(((0.2, 3), (0.5, 1))))
+
+
 # ---------------------------------------------------------------- lattice
 
 
@@ -417,7 +479,8 @@ def test_residue_of_zeta_at_half_scale():
 
 
 def test_json_roundtrip():
-    # poles.json carries every pole and residue, the lattice and alpha
+    # poles.json carries every pole and residue and the lattice; alpha
+    # belongs to the explicit formula, not to a set of zeros of P
     dims = lattice_poles(detect_lattice(CANTOR), im_max=20.0)
     doc = json.loads(dims.to_json())
     poles = doc["poles"]
@@ -429,7 +492,7 @@ def test_json_roundtrip():
     assert [p["mult"] for p in poles] == [p.multiplicity for p in dims.poles]
     assert doc["lattice"]["generator"] == pytest.approx(
         dims.lattice.generator)
-    assert doc["alpha"] == 1.0
+    assert set(doc) == {"poles", "window", "lattice"}
 
 
 # ------------------------------------------------------- GKF simplicity
