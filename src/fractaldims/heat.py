@@ -21,16 +21,21 @@ entrywise nonnegative, 1 - u(t+s) = f_t(A) f_s(A) 1 <= f_t(A) 1, so u
 grows with t.  E(t) depends on t alone, not on which other times were
 requested.  One Lanczos run on A from 1/sqrt(n) gives 1^T f_t(A) 1 at
 every save time by Gauss quadrature (Golub & Meurant, Matrices, Moments
-and Quadrature, 2010).  The same run could give exp(-tA) 1, but at small t
-the step h^2/2 cancels most of the closure's spatial error: on the unit
-square at h=5e-3 over t in [3e-4, 3e-3] the content is 2.3e-4 off the
-Fourier series, against 5.4e-3 for exp(-tA), and equal steps of h^2/4
-or 3h^2/4 are about ten times worse than h^2/2.
+and Quadrature, 2010).  f_t is completely monotone and A positive
+definite, so that Gauss rule is an upper bound on E and the Gauss-Radau
+rule with a node fixed at 0 a lower one; the run stops once this
+bracket, a bound on the quadrature error, is narrower than KRYLOV_TOL
+relative at every save time.  The same run could give exp(-tA) 1, but
+at small t the step h^2/2 cancels most of the closure's spatial error:
+on the unit square at h=5e-3 over t in [3e-4, 3e-3] the content is
+2.3e-4 off the Fourier series, against 5.4e-3 for exp(-tA), and equal
+steps of h^2/4 or 3h^2/4 are about ten times worse than h^2/2.
 
 The run needs products A q, applied matrix-free in CSR column order
-(bit-identical to a sparse matrix; see ``_assemble``), and one
-tridiagonal eigensolve per stop check, scipy's ``eigh_tridiagonal``,
-which only ``solve_heat_fdm`` imports: no other command loads scipy.
+(bit-identical to a sparse matrix; see ``_assemble``), BLAS daxpy for
+the recurrence's updates, and two tridiagonal eigensolves per stop
+check, one per rule, by scipy's ``eigh_tridiagonal``.  scipy is
+imported only when ``solve_heat_fdm`` runs: no other command loads it.
 
 The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
 comes from ``decomposition_remainder(region, ts, h)``: one solve on the
@@ -51,8 +56,10 @@ from .sampled import SampledFunction, sfe_grid, sfe_remainder
 from .vonkoch import SnowflakeRegion
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
-#: threshold for the relative change of E at every save time and, with
-#: fields, for the last Krylov coefficient of every saved field
+#: threshold for the relative width of the Gauss / Gauss-Radau bracket
+#: of E at every save time (a bound on the quadrature error, not an
+#: estimate) and, with fields, for the last Krylov coefficient of every
+#: saved field
 KRYLOV_BLOCK = 20
 KRYLOV_MAX = 2000
 KRYLOV_TOL = 1e-12
@@ -138,9 +145,9 @@ def _assemble(interior: np.ndarray, h: float):
     Off-diagonal products come from s = (-1/h^2) q, whose last slot is
     the product with 0, -0.0, read for a non-interior neighbour: adding
     -0.0 changes no sum, just as a missing CSR entry does.  x-neighbours
-    are gathered through a padded index grid; y-neighbours are the next
-    and previous unknowns, so s is added shifted by one and the cells at
-    the end of a y-run get their sums back.
+    are gathered with ``take`` through a padded index grid; y-neighbours
+    are the next and previous unknowns, so s is added shifted by one and
+    the cells at the end of a y-run get their sums back.
     """
     n = int(np.count_nonzero(interior))
     idx = np.full(interior.shape, n)
@@ -155,7 +162,7 @@ def _assemble(interior: np.ndarray, h: float):
 
     def lap(q):
         np.multiply(q, off, out=s[:n])
-        v = s[x_lo]
+        v = s.take(x_lo)
         keep = v[y_lo_out]
         v[1:] += s[:n - 1]
         v[y_lo_out] = keep
@@ -163,7 +170,7 @@ def _assemble(interior: np.ndarray, h: float):
         keep = v[y_hi_out]
         v[:-1] += s[1:n]
         v[y_hi_out] = keep
-        v += s[x_hi]
+        v += s.take(x_hi)
         return v
 
     return lap
@@ -172,17 +179,56 @@ def _assemble(interior: np.ndarray, h: float):
 def _lanczos(lap, n: int):
     """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on the
     matvec ``lap`` over n unknowns from 1/sqrt(n), without
-    reorthogonalization; beta_j couples q_j to q_(j+1)."""
+    reorthogonalization; beta_j couples q_j to q_(j+1).  The updates of
+    the fresh product v = A q_j are in place: BLAS daxpy subtracts
+    alpha_j q_j and beta_(j-1) q_(j-1) in one pass each."""
+    from scipy.linalg.blas import daxpy
+
     q_prev, q = np.zeros(n), np.full(n, 1.0 / np.sqrt(n))
     beta = 0.0
     while True:
         v = lap(q)
         alpha = float(q @ v)
-        v -= alpha * q
-        v -= beta * q_prev
+        v = daxpy(q, v, a=-alpha)
+        v = daxpy(q_prev, v, a=-beta)
         beta = float(np.linalg.norm(v))
         yield q, alpha, beta
-        q_prev, q = q, v / beta
+        v /= beta
+        q_prev, q = q, v
+
+
+def _gauss_radau(alphas, betas, dt: float, save_times: np.ndarray):
+    """Two-sided bracket of 1 - e^T f_t(A) e, e = 1/sqrt(n), at every save
+    time, from m Lanczos steps: m alphas and m betas, the last of which
+    couples q_m to the next vector.
+
+    f_t(x) = (1 + dt x)^(-t/dt) is completely monotone, its derivatives
+    alternate in sign, and A is positive definite.  The m-node Gauss rule
+    e_1^T f_t(T_m) e_1 then lies below e^T f_t(A) e, and the (m+1)-node
+    Gauss-Radau rule with one node fixed at 0 < lambda_min(A) lies above
+    it (Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch. 6);
+    both signs hold for Lanczos in floating point (Golub & Strakos,
+    Numer. Algorithms 8, 1994).  The Radau matrix borders T_m with
+    beta_m and omega = beta_m^2 / d_m, d_m the last pivot of the LDL^T of
+    T_m, which puts an eigenvalue at 0; 1/d_m = (T_m^-1)_mm is read off
+    T_m's eigenpairs.
+
+    Returns (upper, lower, vecs, logs): the Gauss and the Radau rule for
+    1 - e^T f_t(A) e, one entry per save time, and the eigenvectors of
+    T_m with log(1 / f_t) at its Ritz values, which give the fields.
+    """
+    from scipy.linalg import eigh_tridiagonal  # only a solve needs scipy
+
+    def rule(diag, offdiag):
+        theta, vecs = eigh_tridiagonal(diag, offdiag)
+        # log(1 / f_t(theta)), f_t(x) = (1 + dt x)^(-t/dt)
+        logs = np.outer(np.log1p(dt * theta), save_times / dt)
+        return theta, vecs, logs, vecs[0] ** 2 @ -np.expm1(-logs)
+
+    theta, vecs, logs, upper = rule(alphas, betas[:-1])
+    omega = betas[-1] ** 2 * (vecs[-1] ** 2 @ (1.0 / theta))
+    *_, lower = rule([*alphas, omega], betas)
+    return upper, lower, vecs, logs
 
 
 def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
@@ -193,13 +239,16 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     E(t) = h^2 (n sum_i s_i^2 (1 - f_t(theta_i)) + ring/2) with
     f_t(x) = (1 + dt x)^(-t/dt), the Ritz values theta_i and the first
     components s_i of their eigenvectors; t/dt need not be an integer
-    (see the module docstring).  Lanczos steps are added in blocks until
-    E moves by less than KRYLOV_TOL at every save time, or the Krylov
-    space is exhausted.  ``keep_fields`` regenerates the same basis in a
-    second pass to sum u(t) = 1 - sqrt(n) Q_m f_t(T_m) e_1.
+    (see the module docstring).  This Gauss rule is an upper bound on the
+    content of the grid operator, and the Gauss-Radau rule with a node
+    fixed at 0 a lower bound (see ``_gauss_radau``).  Lanczos steps are
+    added in blocks until the bracket's relative width is below
+    KRYLOV_TOL at every save time, or the Krylov space is exhausted; the
+    Gauss value is reported and the width is ``meta["krylov_bound"]``,
+    0 when the space is exhausted and the rule exact.
+    ``keep_fields`` regenerates the same basis in a second pass to sum
+    u(t) = 1 - sqrt(n) Q_m f_t(T_m) e_1.
     """
-    from scipy.linalg import eigh_tridiagonal  # only the solve needs scipy
-
     if h <= 0:
         raise ValueError("h must be positive")
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
@@ -218,7 +267,6 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     lap = _assemble(interior, h)
     lanczos = _lanczos(lap, n)
     alphas, betas = [], []
-    contents = np.inf
     while True:
         for _, alpha, beta in islice(lanczos, KRYLOV_BLOCK):
             alphas.append(alpha)
@@ -227,25 +275,22 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
                 break
         exhausted = betas[-1] <= breakdown
         m = len(alphas)
-        theta, vecs = eigh_tridiagonal(alphas, betas[:-1])
-        # log(1 / f_t(theta)), f_t(x) = (1 + dt x)^(-t/dt)
-        logs = np.outer(np.log1p(dt * theta), save_times / dt)
-        s = vecs[0]
-        new = h ** 2 * (n * (s ** 2 @ -np.expm1(-logs)) + half_ring)
-        change = 0.0 if exhausted else float(
-            np.max(np.abs(new - contents) / new, initial=0.0))
-        contents = new
+        upper, lower, vecs, logs = _gauss_radau(alphas, betas, dt,
+                                                save_times)
+        contents = h ** 2 * (n * upper + half_ring)
+        bound = 0.0 if exhausted else float(np.max(
+            h ** 2 * n * np.abs(upper - lower) / contents, initial=0.0))
         # 1 - u(t_k) = sqrt(n) Q_m f_(t_k)(T_m) e_1 = Q_m coef[:, k]
-        coef = (np.sqrt(n) * vecs @ (s[:, None] * np.exp(-logs))
+        coef = (np.sqrt(n) * vecs @ (vecs[0][:, None] * np.exp(-logs))
                 if keep_fields else None)
         tail = (0.0 if coef is None or exhausted
                 else float(np.max(np.abs(coef[-1]), initial=0.0)))
-        if change < KRYLOV_TOL and tail < KRYLOV_TOL:
+        if bound < KRYLOV_TOL and tail < KRYLOV_TOL:
             break
         if m >= KRYLOV_MAX:
             raise ArithmeticError(
-                f"Lanczos quadrature not converged at m={m}: last relative "
-                f"change of E {change:.3e}"
+                f"Lanczos quadrature not converged at m={m}: relative "
+                f"Gauss-Radau bracket width of E {bound:.3e}"
                 + (f", last field coefficient {tail:.3e}" if keep_fields
                    else ""))
 
@@ -264,7 +309,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
                      interior=interior, ghost=ghost,
                      times=save_times, contents=contents, fields=fields,
                      meta={"h": h, "dt": dt, "area": problem.area,
-                           "krylov_steps": m, "krylov_change": change})
+                           "krylov_steps": m, "krylov_bound": bound})
 
 
 def solve_heat_content(problem: HeatProblem, h: float,

@@ -1,4 +1,5 @@
 import csv
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -82,13 +83,15 @@ def backward_euler_oracle(problem, h, steps):
 
 def eigh_oracle(problem, h, save_times):
     """E at any t from a dense eigendecomposition A = V diag(lam) V^T:
-    1 - u(t) = V (1 + dt lam)^(-t/dt) V^T 1 with dt = h^2/2."""
+    1 - u(t) = V (1 + dt lam)^(-t/dt) V^T 1 with dt = h^2/2.  The
+    content sums weights (V^T 1)^2 against 1 - f through expm1: n minus
+    the weighted sum of f cancels, up to 4.5e-14 relative at t = dt."""
     _, interior, ghost = heat._build_masks(problem.region, h)
     lam, vecs = np.linalg.eigh(csr_laplacian(interior, h).toarray())
     dt = h ** 2 / 2.0
     weights = vecs.sum(axis=0) ** 2
-    f = (1.0 + dt * lam[:, None]) ** (-np.asarray(save_times) / dt)
-    return h ** 2 * (len(lam) - weights @ f + 0.5 * ghost.sum())
+    logs = np.outer(np.log1p(dt * lam), np.asarray(save_times) / dt)
+    return h ** 2 * (weights @ -np.expm1(-logs) + 0.5 * ghost.sum())
 
 
 @pytest.mark.parametrize("region, h", [
@@ -127,11 +130,63 @@ def test_lanczos_matches_backward_euler(region, h, steps, between):
     got = field.contents[np.searchsorted(save_times, at_steps)]
     assert np.max(np.abs(got - stepped) / stepped) < 1e-12
     assert np.max(np.abs(field.contents - dense) / dense) < 1e-12
-    assert field.meta["krylov_change"] < 1e-12
+    assert field.meta["krylov_bound"] < 1e-12
     if n < 20:
         # the Krylov space is exhausted inside the first block
         assert field.meta["krylov_steps"] <= min(n, heat.KRYLOV_BLOCK - 1)
-        assert field.meta["krylov_change"] == 0.0
+        assert field.meta["krylov_bound"] == 0.0
+
+
+@pytest.mark.parametrize("region, h, steps, between", [
+    (snowflake(GKCParams(3, 1 / 3), 2).boundary, 2e-2,
+     [1, 2, 3, 5, 8, 15, 40], geometric_grid(3e-4, 3e-3, 24)),
+    (SQUARE, 0.05, [1, 8, 40, 160, 800], [2e-3, 0.033, 0.31]),
+], ids=["snowflake-L2", "square-0.05"])
+def test_gauss_radau_brackets_the_dense_content(region, h, steps, between):
+    # at every block check the Radau rule is below the exact content of
+    # the grid operator and the Gauss rule above it, up to round-off
+    problem = HeatProblem(region=region)
+    save_times = np.union1d(np.array(steps) * h ** 2 / 2.0, between)
+    dense = eigh_oracle(problem, h, save_times)
+    field = solve_heat_fdm(problem, h, save_times)
+    _, interior, ghost = heat._build_masks(region, h)
+    n = int(np.count_nonzero(interior))
+    lanczos = heat._lanczos(heat._assemble(interior, h), n)
+    alphas, betas = [], []
+    slack = 1e-14 * dense
+    for m in range(heat.KRYLOV_BLOCK, field.meta["krylov_steps"] + 1,
+                   heat.KRYLOV_BLOCK):
+        for _, alpha, beta in islice(lanczos, heat.KRYLOV_BLOCK):
+            alphas.append(alpha)
+            betas.append(beta)
+        upper, lower, *_ = heat._gauss_radau(alphas, betas, h ** 2 / 2.0,
+                                             save_times)
+        e_upper = h ** 2 * (n * upper + 0.5 * ghost.sum())
+        e_lower = h ** 2 * (n * lower + 0.5 * ghost.sum())
+        assert np.all(e_lower <= dense + slack), m
+        assert np.all(dense <= e_upper + slack), m
+    assert m == field.meta["krylov_steps"]
+    assert np.array_equal(field.contents, e_upper)
+    error = np.max(np.abs(field.contents - dense) / dense)
+    assert error <= field.meta["krylov_bound"] + 1e-14
+
+
+@pytest.mark.parametrize("region", [
+    snowflake(GKCParams(3, 1 / 3), 3).boundary, SQUARE,
+], ids=["snowflake-L3", "square"])
+def test_bracket_stops_the_bench_solves_at_80_steps(region, monkeypatch):
+    # the Gauss rule is within 1e-12 from m = 79 on both bench configs,
+    # and the bracket certifies it at the next check
+    problem = HeatProblem(region=region)
+    ts = geometric_grid(3e-4, 3e-3, 24)
+    field = solve_heat_fdm(problem, 5e-3, ts)
+    assert field.meta["krylov_steps"] == 80
+    assert field.meta["krylov_bound"] < 1e-12
+    monkeypatch.setattr(heat, "KRYLOV_BLOCK", 160)
+    reference = solve_heat_fdm(problem, 5e-3, ts)
+    assert reference.meta["krylov_steps"] == 160
+    assert np.max(np.abs(field.contents - reference.contents)
+                  / reference.contents) < 1e-12
 
 
 def test_content_ignores_the_other_save_times():
@@ -157,7 +212,8 @@ def test_lanczos_cap_raises(monkeypatch):
     monkeypatch.setattr(heat, "KRYLOV_MAX", 2 * heat.KRYLOV_BLOCK)
     region = snowflake(GKCParams(3, 1 / 3), 2).boundary
     with pytest.raises(ArithmeticError,
-                       match=r"m=40: last relative change of E \d\.\d+e"):
+                       match=r"m=40: relative Gauss-Radau bracket width "
+                             r"of E \d\.\d+e"):
         solve_heat_fdm(HeatProblem(region=region), 6e-3, [1e-3, 3e-3])
 
 
