@@ -46,9 +46,8 @@ def sha256_file(path: Path) -> str:
 
 
 class ResultCache:
-    def __init__(self, root: str | os.PathLike | None = None):
-        if root is None:
-            root = os.environ.get("FRACTAL_DIMS_CACHE")
+    def __init__(self):
+        root = os.environ.get("FRACTAL_DIMS_CACHE")
         self.root = Path(root) if root else None
 
     def enabled(self) -> bool:

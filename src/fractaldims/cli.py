@@ -53,17 +53,22 @@ def _ratios_from_config(cfg) -> RatioMultiset:
         pairs = _number(cfg, "ratios",
                         kind=lambda v: [(float(r), int(m)) for r, m in v])
     else:
+        for key in ("n", "r"):
+            if key not in cfg:
+                raise ValueError(f"{key} is required, or ratios")
         pairs = _params(cfg).ratio_pairs
     return RatioMultiset.from_pairs(pairs)
 
 
-def _choice(cfg, key: str, allowed: tuple[str, ...]) -> str:
-    """cfg[key], by default allowed[0]; any other value is refused before
-    the command does any work."""
+def _choice(cfg, key: str, allowed: tuple):
+    """cfg[key], by default allowed[0]; any other value, or one of another
+    type (1 for True), is refused before the command does any work.
+    Choices that are not strings are named as JSON spells them."""
     value = cfg.get(key, allowed[0])
-    if value not in allowed:
-        raise ValueError(f"{key} must be one of {', '.join(allowed)}; "
-                         f"got {value!r}")
+    if type(value) is not type(allowed[0]) or value not in allowed:
+        names = ", ".join(c if isinstance(c, str) else json.dumps(c)
+                          for c in allowed)
+        raise ValueError(f"{key} must be one of {names}; got {value!r}")
     return value
 
 
@@ -71,8 +76,11 @@ def _number(cfg, key: str, default=None, kind=float):
     """kind(cfg[key]), or kind(default) when the key is absent; without a
     default the key is required.  kind is float, int (which refuses a
     fractional value) or a converter of a list.  A value that does not
-    convert raises one ValueError naming the key and the value."""
-    value = cfg[key] if default is None else cfg.get(key, default)
+    convert raises one ValueError naming the key and the value, and so
+    does a required key that is absent."""
+    if default is None and key not in cfg:
+        raise ValueError(f"{key} is required")
+    value = cfg.get(key, default)
     try:
         out = kind(value)
         if kind is int and out != float(value):
@@ -260,12 +268,13 @@ def cmd_heat(cfg):
     ts = geometric_grid(_number(cfg, "t_min", 3e-4),
                         _number(cfg, "t_max", 3e-3),
                         _number(cfg, "points_per_decade", 24, int))
+    remainder = _choice(cfg, "remainder", (False, True))
     region = _snowflake_from_config(cfg, 4)
     problem = HeatProblem(region=region.boundary)
     # diffusivity C rescales time: E_C(t) = E_1(C t); with the remainder,
     # its one solve gives the content too
     rem = None
-    if cfg.get("remainder", False):
+    if remainder:
         content, rem = decomposition_remainder(region, diffusivity * ts, h)
     else:
         content = solve_heat_content(problem, h, diffusivity * ts)

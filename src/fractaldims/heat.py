@@ -25,8 +25,8 @@ and Quadrature, 2010).  f_t is completely monotone and A positive
 definite, so that Gauss rule is an upper bound on E and the Gauss-Radau
 rule with a node fixed at 0 a lower one; the run stops once this
 bracket, a bound on the quadrature error, is narrower than KRYLOV_TOL
-relative at every save time.  The same run could give exp(-tA) 1, but
-at small t the step h^2/2 cancels most of the closure's spatial error:
+relative at every save time.  The same run could give 1^T exp(-tA) 1,
+but at small t the step h^2/2 cancels most of the closure's spatial error:
 on the unit square at h=5e-3 over t in [3e-4, 3e-3] the content is
 2.3e-4 off the Fourier series, against 5.4e-3 for exp(-tA), and equal
 steps of h^2/4 or 3h^2/4 are about ten times worse than h^2/2.
@@ -58,8 +58,7 @@ from .vonkoch import SnowflakeRegion
 #: Lanczos steps between stop checks, the cap on steps, and the stop
 #: threshold for the relative width of the Gauss / Gauss-Radau bracket
 #: of E at every save time (a bound on the quadrature error, not an
-#: estimate) and, with fields, for the last Krylov coefficient of every
-#: saved field
+#: estimate)
 KRYLOV_BLOCK = 20
 KRYLOV_MAX = 2000
 KRYLOV_TOL = 1e-12
@@ -92,15 +91,12 @@ class HeatProblem:
 
 @dataclass(frozen=True)
 class HeatField:
-    """Solver output: interior/ghost masks, content series, optional fields."""
+    """Solver output: interior mask, content series, run diagnostics."""
 
     h: float
-    bbox: tuple[float, float, float, float]
     interior: np.ndarray = field(repr=False)
-    ghost: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     contents: np.ndarray = field(repr=False)
-    fields: dict = field(default_factory=dict, repr=False)
     meta: dict = field(default_factory=dict)
 
 
@@ -213,9 +209,8 @@ def _gauss_radau(alphas, betas, dt: float, save_times: np.ndarray):
     T_m, which puts an eigenvalue at 0; 1/d_m = (T_m^-1)_mm is read off
     T_m's eigenpairs.
 
-    Returns (upper, lower, vecs, logs): the Gauss and the Radau rule for
-    1 - e^T f_t(A) e, one entry per save time, and the eigenvectors of
-    T_m with log(1 / f_t) at its Ritz values, which give the fields.
+    Returns (upper, lower): the Gauss and the Radau rule for
+    1 - e^T f_t(A) e, one entry per save time.
     """
     from scipy.linalg import eigh_tridiagonal  # only a solve needs scipy
 
@@ -223,16 +218,15 @@ def _gauss_radau(alphas, betas, dt: float, save_times: np.ndarray):
         theta, vecs = eigh_tridiagonal(diag, offdiag)
         # log(1 / f_t(theta)), f_t(x) = (1 + dt x)^(-t/dt)
         logs = np.outer(np.log1p(dt * theta), save_times / dt)
-        return theta, vecs, logs, vecs[0] ** 2 @ -np.expm1(-logs)
+        return theta, vecs, vecs[0] ** 2 @ -np.expm1(-logs)
 
-    theta, vecs, logs, upper = rule(alphas, betas[:-1])
+    theta, vecs, upper = rule(alphas, betas[:-1])
     omega = betas[-1] ** 2 * (vecs[-1] ** 2 @ (1.0 / theta))
     *_, lower = rule([*alphas, omega], betas)
-    return upper, lower, vecs, logs
+    return upper, lower
 
 
-def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
-                   keep_fields: bool = False) -> HeatField:
+def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     """Heat content of t/dt backward-Euler steps of dt = h^2/2 at each
     save time t by Lanczos quadrature.
 
@@ -246,15 +240,13 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     KRYLOV_TOL at every save time, or the Krylov space is exhausted; the
     Gauss value is reported and the width is ``meta["krylov_bound"]``,
     0 when the space is exhausted and the rule exact.
-    ``keep_fields`` regenerates the same basis in a second pass to sum
-    u(t) = 1 - sqrt(n) Q_m f_t(T_m) e_1.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
     if save_times.size and not save_times[0] >= 0:
         raise ValueError("save times must not be negative")
-    (x0, y0, nx, ny), interior, ghost = _build_masks(problem.region, h)
+    _, interior, ghost = _build_masks(problem.region, h)
     n = int(np.count_nonzero(interior))
     if n == 0:
         raise ResolutionError(f"no interior cells at h={h}")
@@ -264,8 +256,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
     # means the Krylov space is invariant and the quadrature exact
     breakdown = KRYLOV_TOL * 8.0 / h ** 2
 
-    lap = _assemble(interior, h)
-    lanczos = _lanczos(lap, n)
+    lanczos = _lanczos(_assemble(interior, h), n)
     alphas, betas = [], []
     while True:
         for _, alpha, beta in islice(lanczos, KRYLOV_BLOCK):
@@ -275,39 +266,18 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times,
                 break
         exhausted = betas[-1] <= breakdown
         m = len(alphas)
-        upper, lower, vecs, logs = _gauss_radau(alphas, betas, dt,
-                                                save_times)
+        upper, lower = _gauss_radau(alphas, betas, dt, save_times)
         contents = h ** 2 * (n * upper + half_ring)
         bound = 0.0 if exhausted else float(np.max(
             h ** 2 * n * np.abs(upper - lower) / contents, initial=0.0))
-        # 1 - u(t_k) = sqrt(n) Q_m f_(t_k)(T_m) e_1 = Q_m coef[:, k]
-        coef = (np.sqrt(n) * vecs @ (vecs[0][:, None] * np.exp(-logs))
-                if keep_fields else None)
-        tail = (0.0 if coef is None or exhausted
-                else float(np.max(np.abs(coef[-1]), initial=0.0)))
-        if bound < KRYLOV_TOL and tail < KRYLOV_TOL:
+        if bound < KRYLOV_TOL:
             break
         if m >= KRYLOV_MAX:
             raise ArithmeticError(
                 f"Lanczos quadrature not converged at m={m}: relative "
-                f"Gauss-Radau bracket width of E {bound:.3e}"
-                + (f", last field coefficient {tail:.3e}" if keep_fields
-                   else ""))
-
-    fields = {}
-    if keep_fields:
-        w = np.zeros((n, len(save_times)))
-        # coef first: zip then stops without one more Lanczos step
-        for row, (q, _, _) in zip(coef, _lanczos(lap, n)):
-            w += q[:, None] * row
-        for k, t in enumerate(save_times):
-            grid = np.full(interior.shape, np.nan)
-            grid[interior] = 1.0 - w[:, k]
-            grid[ghost] = 1.0
-            fields[t] = grid
-    return HeatField(h=h, bbox=(x0, y0, x0 + nx * h, y0 + ny * h),
-                     interior=interior, ghost=ghost,
-                     times=save_times, contents=contents, fields=fields,
+                f"Gauss-Radau bracket width of E {bound:.3e}")
+    return HeatField(h=h, interior=interior, times=save_times,
+                     contents=contents,
                      meta={"h": h, "dt": dt, "area": problem.area,
                            "krylov_steps": m, "krylov_bound": bound})
 

@@ -197,7 +197,7 @@ def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
 
 
 def sfe_zeta_residue(ratios: RatioMultiset, f: SampledFunction,
-                     remainder: SampledFunction | None, omega: complex,
+                     remainder: SampledFunction, omega: complex,
                      delta: float, alpha: float = 1.0) -> complex:
     """Residue of s -> zeta_f(s/alpha; delta) at a simple pole omega of 1/P.
 
@@ -213,7 +213,6 @@ def sfe_zeta_residue(ratios: RatioMultiset, f: SampledFunction,
     rho = residue_simple(DirichletPoly(ratios), omega)
     s = complex(omega) / alpha
     h = partial_xi(ratios, f, s, delta, alpha).value
-    if remainder is not None:
-        h += truncated_mellin(MellinEvaluator.build(remainder), s, 0.0,
-                              delta).value
+    h += truncated_mellin(MellinEvaluator.build(remainder), s, 0.0,
+                          delta).value
     return complex(h * rho)

@@ -138,15 +138,14 @@ class PrefractalCurve:
     params: GKCParams
 
 
-def prefractal(params: GKCParams, level: int,
-               cap: int = SEGMENT_CAP) -> PrefractalCurve:
+def prefractal(params: GKCParams, level: int) -> PrefractalCurve:
     """Level-fold substitution of each segment by the generator image."""
     if level < 0:
         raise ValueError("level must be >= 0")
     n = params.n
-    if (n + 1) ** level > cap:
-        raise SizeLimitError(
-            f"level {level} needs {(n + 1) ** level} segments (cap {cap})")
+    if (n + 1) ** level > SEGMENT_CAP:
+        raise SizeLimitError(f"level {level} needs {(n + 1) ** level} "
+                             f"segments (cap {SEGMENT_CAP})")
     gen = generator_vertices(params)
     genc = gen[:, 0] + 1j * gen[:, 1]
     verts = np.array([0.0 + 0.0j, 1.0 + 0.0j])

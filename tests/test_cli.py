@@ -149,10 +149,18 @@ def test_render_curve_kind(tmp_path):
      r"points_per_decade must be an integer; got 'many'"),
     ("poles", {"ratios": [[0.5, 1], ["x", 1]]},
      r"ratios must be numeric; got \[\[0\.5, 1\], \['x', 1\]\]"),
+    ("heat", dict(TINY_HEAT, remainder="false"),
+     r"remainder must be one of false, true; got 'false'"),
+    ("heat", dict(TINY_HEAT, remainder=1),
+     r"remainder must be one of false, true; got 1"),
+    ("dims", {}, r"^n is required, or ratios$"),
+    ("poles", {"n": 3}, r"^r is required, or ratios$"),
+    ("tube", {"r": 0.33}, r"^n is required$"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
-        "poles-ratios"])
+        "poles-ratios", "heat-remainder-string", "heat-remainder-int",
+        "dims-missing-n", "poles-missing-r", "tube-missing-n"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -415,6 +423,15 @@ def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="empty evaluation window"):
         run_command("explicit", cfg, tmp_path / "explicit")
     assert len(calls) == 1
+
+
+def test_remainder_is_a_boolean(tmp_path, monkeypatch):
+    # JSON false runs no remainder solve and true writes remainder.csv
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    for flag in (False, True):
+        out = run_command("heat", dict(TINY_HEAT, remainder=flag),
+                          tmp_path / str(flag))
+        assert (out / "remainder.csv").exists() == flag
 
 
 def test_snowflake_is_built_once_per_run(tmp_path, monkeypatch):

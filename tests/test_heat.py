@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from fractaldims import heat
@@ -19,10 +20,68 @@ from fractaldims.vonkoch import GKCParams, snowflake
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def lanczos_fields(problem, h, save_times):
+    """Temperature grids {t: u(t)} of the solver's operator: t/dt
+    backward-Euler steps of dt = h^2/2, 1 - u(t) = sqrt(n) Q_m f_t(T_m) e_1
+    with f_t(x) = (1 + dt x)^(-t/dt) on the Lanczos basis Q_m of
+    ``heat._lanczos``.  Steps are added in blocks until the last Krylov
+    coefficient of every field is below KRYLOV_TOL (or the space is
+    exhausted); a second pass then regenerates the basis to sum the
+    fields.  Each grid is NaN off the interior and ghost cells and 1 on
+    the ghosts."""
+    _, interior, ghost = heat._build_masks(problem.region, h)
+    n = int(np.count_nonzero(interior))
+    lap = heat._assemble(interior, h)
+    save_times = np.asarray(save_times, dtype=float)
+    dt = h ** 2 / 2.0
+    breakdown = heat.KRYLOV_TOL * 8.0 / h ** 2
+    lanczos = heat._lanczos(lap, n)
+    alphas, betas = [], []
+    while True:
+        for _, alpha, beta in islice(lanczos, heat.KRYLOV_BLOCK):
+            alphas.append(alpha)
+            betas.append(beta)
+            if beta <= breakdown:
+                break
+        theta, vecs = eigh_tridiagonal(alphas, betas[:-1])
+        f = np.exp(-np.outer(np.log1p(dt * theta), save_times / dt))
+        # 1 - u(t_k) = Q_m coef[:, k]
+        coef = np.sqrt(n) * vecs @ (vecs[0][:, None] * f)
+        if (betas[-1] <= breakdown
+                or np.max(np.abs(coef[-1])) < heat.KRYLOV_TOL):
+            break
+        assert len(alphas) < heat.KRYLOV_MAX
+    w = np.zeros((n, len(save_times)))
+    # coef first: zip then stops without one more Lanczos step
+    for row, (q, _, _) in zip(coef, heat._lanczos(lap, n)):
+        w += q[:, None] * row
+    grids = {}
+    for k, t in enumerate(save_times):
+        grid = np.full(interior.shape, np.nan)
+        grid[interior] = 1.0 - w[:, k]
+        grid[ghost] = 1.0
+        grids[t] = grid
+    return grids
+
+
+@pytest.mark.parametrize("region, h", [
+    (SQUARE, 0.02), (snowflake(GKCParams(3, 1 / 3), 2).boundary, 2e-2),
+], ids=["square", "snowflake-L2"])
+def test_field_oracle_integrates_to_the_solver_content(region, h):
+    # ties the field tests to the solver's operator: the oracle's u,
+    # closed with the half-weight ghost ring, is the solver's E
+    problem = HeatProblem(region=region)
+    times = [2e-4, 1e-3, 5e-3, 2e-2, 1e-1]
+    grids = lanczos_fields(problem, h, times)
+    field = solve_heat_fdm(problem, h, times)
+    _, interior, ghost = heat._build_masks(region, h)
+    for t, e in zip(field.times, field.contents):
+        integral = h ** 2 * (grids[t][interior].sum() + 0.5 * ghost.sum())
+        assert integral == pytest.approx(e, rel=1e-10), t
+
+
 def test_initial_interior_zero_and_small_t():
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
-                           save_times=[2e-4], keep_fields=True)
-    grid = field.fields[2e-4]
+    grid = lanczos_fields(HeatProblem(region=SQUARE), 0.02, [2e-4])[2e-4]
     # deep interior still cold after one step
     assert np.nanmin(grid) >= 0.0
     center = grid[grid.shape[0] // 2, grid.shape[1] // 2]
@@ -31,11 +90,12 @@ def test_initial_interior_zero_and_small_t():
 
 def test_discrete_maximum_principle_and_monotonicity():
     times = [1e-3, 5e-3, 2e-2, 1e-1]
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
-                           save_times=times, keep_fields=True)
+    problem = HeatProblem(region=SQUARE)
+    grids = lanczos_fields(problem, 0.02, times)
+    field = solve_heat_fdm(problem, h=0.02, save_times=times)
     prev = None
     for t in times:
-        grid = field.fields[t]
+        grid = grids[t]
         vals = grid[np.isfinite(grid)]
         assert np.all(vals >= -1e-12)
         assert np.all(vals <= 1.0 + 1e-12)
@@ -47,9 +107,9 @@ def test_discrete_maximum_principle_and_monotonicity():
 
 
 def test_steady_state_fills_region():
-    field = solve_heat_fdm(HeatProblem(region=SQUARE), h=0.02,
-                           save_times=[3.0], keep_fields=True)
-    grid = field.fields[3.0]
+    problem = HeatProblem(region=SQUARE)
+    grid = lanczos_fields(problem, 0.02, [3.0])[3.0]
+    field = solve_heat_fdm(problem, h=0.02, save_times=[3.0])
     assert np.nanmin(grid) > 0.999
     assert field.contents[-1] == pytest.approx(1.0, rel=1e-3)
 
@@ -159,8 +219,8 @@ def test_gauss_radau_brackets_the_dense_content(region, h, steps, between):
         for _, alpha, beta in islice(lanczos, heat.KRYLOV_BLOCK):
             alphas.append(alpha)
             betas.append(beta)
-        upper, lower, *_ = heat._gauss_radau(alphas, betas, h ** 2 / 2.0,
-                                             save_times)
+        upper, lower = heat._gauss_radau(alphas, betas, h ** 2 / 2.0,
+                                         save_times)
         e_upper = h ** 2 * (n * upper + 0.5 * ghost.sum())
         e_lower = h ** 2 * (n * lower + 0.5 * ghost.sum())
         assert np.all(e_lower <= dense + slack), m
@@ -237,13 +297,12 @@ def test_content_matches_square_oracle_coarse(square_oracle):
 
 def test_centerline_profile_matches_rod_oracle(rod_profile_oracle):
     rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [0.0, 2.0]])
-    t = 0.01
-    field = solve_heat_fdm(HeatProblem(region=rect), h=4e-3, save_times=[t],
-                           keep_fields=True)
-    grid = field.fields[t]
-    ys = field.bbox[1] + (np.arange(grid.shape[1]) + 0.5) * field.h
+    t, h = 0.01, 4e-3
+    grid = lanczos_fields(HeatProblem(region=rect), h, [t])[t]
+    (x0, y0, _, _), *_ = heat._build_masks(rect, h)
+    ys = y0 + (np.arange(grid.shape[1]) + 0.5) * h
     j = int(np.argmin(np.abs(ys - 1.0)))
-    xs = field.bbox[0] + (np.arange(grid.shape[0]) + 0.5) * field.h
+    xs = x0 + (np.arange(grid.shape[0]) + 0.5) * h
     sel = np.isfinite(grid[:, j]) & (grid[:, j] < 1.0)
     profile = grid[sel, j]
     exact = rod_profile_oracle(xs[sel], t)

@@ -447,4 +447,4 @@ def test_sfe_zeta_residue_rejects_double_pole():
     f = SampledFunction(ts, np.ones_like(ts))
     for omega in doubles + [exact]:
         with pytest.raises(MultiplePoleError):
-            sfe_zeta_residue(ratios, f, None, omega, 1.0)
+            sfe_zeta_residue(ratios, f, f, omega, 1.0)

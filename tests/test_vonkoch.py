@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fractaldims import vonkoch
 from fractaldims.errors import GeometryError, SizeLimitError
 from fractaldims.geom import polygon_area
 from fractaldims.ifs import apply
@@ -112,9 +113,15 @@ def test_prefractal_general_length_scaling():
         assert total == pytest.approx(per_step ** level, rel=1e-12)
 
 
-def test_prefractal_cap():
-    with pytest.raises(SizeLimitError):
-        prefractal(GKCParams(3, 1 / 3), 20, cap=100000)
+def test_prefractal_cap(monkeypatch):
+    # 4^12 = 16.8M segments is above SEGMENT_CAP, and the level is
+    # refused before any vertex is built
+    def no_generator(*args):
+        raise AssertionError("generator built before the cap was checked")
+
+    monkeypatch.setattr(vonkoch, "generator_vertices", no_generator)
+    with pytest.raises(SizeLimitError, match="level 12 needs 16777216"):
+        prefractal(GKCParams(3, 1 / 3), 12)
 
 
 def test_prefractal_matches_hutchinson_iteration():
