@@ -32,8 +32,9 @@ from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .errors import GeometryError
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
                        remainder_term)
-from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
-                   solve_heat_content, verify_heat_scaling)
+from .heat import (FIT_MIN_SAMPLES, HeatProblem, decomposition_remainder,
+                   heat_exponent_fit, solve_heat_content,
+                   verify_heat_scaling)
 from .mellin import sfe_zeta_residue
 from .sampled import (SampledFunction, antiderivative, csv_bytes,
                       geometric_grid, sfe_grid, sfe_remainder)
@@ -265,9 +266,17 @@ def cmd_heat(cfg):
     diffusivity = _number(cfg, "diffusivity", 1.0)
     if diffusivity <= 0:
         raise ValueError("diffusivity must be positive")
-    ts = geometric_grid(_number(cfg, "t_min", 3e-4),
-                        _number(cfg, "t_max", 3e-3),
-                        _number(cfg, "points_per_decade", 24, int))
+    t_min, t_max = _number(cfg, "t_min", 3e-4), _number(cfg, "t_max", 3e-3)
+    per_decade = _number(cfg, "points_per_decade", 24, int)
+    if per_decade < 1:
+        raise ValueError(f"points_per_decade must be >= 1; got {per_decade}")
+    ts = geometric_grid(t_min, t_max, per_decade)
+    # the exponent fit runs on every sample; refuse its grid before a solve
+    if len(ts) < FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"heat needs at least {FIT_MIN_SAMPLES} times; points_per_decade="
+            f"{per_decade} over t_min={t_min:g}, t_max={t_max:g} gives "
+            f"{len(ts)}: raise points_per_decade or widen [t_min, t_max]")
     remainder = _choice(cfg, "remainder", (False, True))
     region = _snowflake_from_config(cfg, 4)
     problem = HeatProblem(region=region.boundary)

@@ -3,7 +3,10 @@
 The model problem holds the boundary at temperature 1 with zero initial
 data; E(t) integrates the temperature over the region.  Space is the
 5-point Laplacian A on a masked grid: interior cells are unknowns, every
-non-interior cell bordering the interior is a Dirichlet-1 ghost.  Heat
+non-interior cell bordering the interior is a Dirichlet-1 ghost.  The
+grid is centred on the region's bounding box, its centres at
+c + (k + eps) h on each axis with eps in {0, 1/2} the offset that puts a
+centre nearest the box minimum (see ``_build_masks``).  Heat
 content is integrated with trapezoidal closure: interior cells at full
 weight h^2, boundary-cut cells at half weight (value 1).  Without the
 half-weight ring the content of the near-boundary strip of width ~h/2 is
@@ -30,6 +33,19 @@ but at small t the step h^2/2 cancels most of the closure's spatial error:
 on the unit square at h=5e-3 over t in [3e-4, 3e-3] the content is
 2.3e-4 off the Fourier series, against 5.4e-3 for exp(-tA), and equal
 steps of h^2/4 or 3h^2/4 are about ten times worse than h^2/2.
+
+The run is made on a quarter of the cells when the mask is mirror
+symmetric about both axes through its middle, as on the centred grid for
+the square, the snowflakes on an even n-gon and the (3, 1/3) snowflake,
+and on a half when it is symmetric about one, as for the other odd n.
+A commutes with the mask's mirrors and 1/sqrt(n) is invariant
+under them, so its Krylov space lies in the mirror-invariant subspace,
+and A restricted to that subspace in an orthonormal basis of orbit sums
+gives the same Lanczos T_m in exact arithmetic: the same steps, the same
+bracket and the same stop (symmetry reduction, Bossavit, Comput. Methods
+Appl. Mech. Engrg. 56, 1986; see ``_fold``).  Mirrors are read off the
+mask by exact comparison, never off the polygon; a mask without one is
+solved whole by the same code.
 
 The run needs products A q, applied matrix-free in CSR column order
 (bit-identical to a sparse matrix; see ``_assemble``), BLAS daxpy for
@@ -65,6 +81,7 @@ KRYLOV_TOL = 1e-12
 
 PAD_CELLS = 2  #: grid cells around the region's bounding box
 SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
+FIT_MIN_SAMPLES = 8  #: heat_exponent_fit's fewest samples in its window
 #: rotation of verify_heat_scaling's scaled copy, so that its grid cuts
 #: the region differently from the base solve's grid
 SCALING_ROTATION = 0.3
@@ -101,22 +118,24 @@ class HeatField:
 
 
 def _build_masks(region: np.ndarray, h: float):
-    # grid aligned so axis-parallel polygon edges at multiples of h pass
-    # through cell centers: the Dirichlet ghost ring then sits exactly on
-    # the boundary and the trapezoidal content closure is second order
+    # on each axis the cell centres are c + (k + eps) h, c the midpoint of
+    # the region's bounding box and eps in {0, 1/2} the offset that puts a
+    # centre nearest the box minimum: polygon edges along the box at a
+    # whole number of cells from each other pass through centres, so the
+    # Dirichlet ghost ring sits exactly on the boundary and the
+    # trapezoidal content closure is second order; and the grid is
+    # symmetric about c, so a region symmetric about c has a symmetric
+    # mask for ``_fold``.  PAD_CELLS centres lie beyond the box on each side
     poly = np.asarray(region, dtype=float)
-    xmin, ymin = poly.min(axis=0)
-    xmax, ymax = poly.max(axis=0)
-    x0 = xmin - (PAD_CELLS + 0.5) * h
-    y0 = ymin - (PAD_CELLS + 0.5) * h
-    nx = int(np.ceil((xmax - x0) / h)) + PAD_CELLS + 1
-    ny = int(np.ceil((ymax - y0) / h)) + PAD_CELLS + 1
-    xs = x0 + (np.arange(nx) + 0.5) * h
-    ys = y0 + (np.arange(ny) + 0.5) * h
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    mid = 0.5 * (lo + hi)
+    nx, ny = (np.rint((hi - lo) / h).astype(int) + 2 * PAD_CELLS + 1).tolist()
+    xs = mid[0] + (np.arange(nx) - 0.5 * (nx - 1)) * h
+    ys = mid[1] + (np.arange(ny) - 0.5 * (ny - 1)) * h
     interior = point_in_polygon_mask(xs, ys, poly, strict=True)
     # boundary-cut ring: non-interior cells with a corner inside
-    cx = x0 + np.arange(nx + 1) * h
-    cy = y0 + np.arange(ny + 1) * h
+    cx = mid[0] + (np.arange(nx + 1) - 0.5 * nx) * h
+    cy = mid[1] + (np.arange(ny + 1) - 0.5 * ny) * h
     corner_in = point_in_polygon_mask(cx, cy, poly)
     any_corner = (corner_in[:-1, :-1] | corner_in[1:, :-1]
                   | corner_in[:-1, 1:] | corner_in[1:, 1:])
@@ -128,7 +147,7 @@ def _build_masks(region: np.ndarray, h: float):
     nb[:, 1:] |= interior[:, :-1]
     nb[:, :-1] |= interior[:, 1:]
     ghost = (nb & ~interior) | cut
-    return (x0, y0, nx, ny), interior, ghost
+    return (cx[0], cy[0], nx, ny), interior, ghost
 
 
 def _assemble(interior: np.ndarray, h: float):
@@ -172,15 +191,82 @@ def _assemble(interior: np.ndarray, h: float):
     return lap
 
 
-def _lanczos(lap, n: int):
+def _fold(interior: np.ndarray, h: float):
+    """(lap, start): the matvec of A restricted to the mirror-invariant
+    vectors, in an orthonormal orbit basis, and e = 1/sqrt(n) in it.
+
+    An axis folds when the mask's occupied span along it equals its own
+    flip; the region itself is not consulted.  An odd span keeps its
+    middle line, an even span the line after the middle, and the kept
+    mask is the quadrant (or half, or whole mask) from those lines on.
+    A kept cell stands for its orbit of w = 1, 2 or 4 cells under the
+    folding mirrors, by the basis vector u = (sum of the orbit's cells)
+    / sqrt(w).  The matrix u^T A u' is ``_assemble``'s operator on the
+    kept mask plus the axis terms: across an even span's middle a cell's
+    neighbour is its own mirror, -1/h^2 more on that line's diagonal;
+    across an odd span's middle line the coupling to the next line is
+    -sqrt(2)/h^2 (two cells against one) in place of -1/h^2.  e has the
+    coordinates sqrt(w/n).  A commutes with the mirrors and e is
+    invariant under them, so the Krylov space of (A, e) lies in this
+    subspace and Lanczos on (lap, start) gives the same T_m."""
+    n = int(np.count_nonzero(interior))
+    # per axis: the first kept line, and whether the span is odd (its
+    # first kept line is the mirror line); None when the axis has no mirror
+    starts, odds = [], []
+    for axis in (0, 1):
+        occupied = np.flatnonzero(interior.any(axis=1 - axis))
+        span = np.take(interior, np.arange(occupied[0], occupied[-1] + 1),
+                       axis=axis)
+        if np.array_equal(span, np.flip(span, axis=axis)):
+            starts.append(occupied[0] + span.shape[axis] // 2)
+            odds.append(span.shape[axis] % 2 == 1)
+        else:
+            starts.append(0)
+            odds.append(None)
+    kept = interior[starts[0]:, starts[1]:]
+    k = int(np.count_nonzero(kept))
+    idx = np.full(kept.shape, -1)
+    idx[kept] = np.arange(k)
+    weight = np.ones(kept.shape)
+    terms = []  # (rows, cols, coefficient): v[rows] += coefficient q[cols]
+    for axis, odd in enumerate(odds):
+        if odd is None:
+            continue
+        line = np.take(kept, 0, axis=axis)
+        if odd:
+            np.moveaxis(weight, axis, 0)[1:] *= 2.0  # off the mirror line
+            both = line & np.take(kept, 1, axis=axis)
+            a = np.take(idx, 0, axis=axis)[both]
+            b = np.take(idx, 1, axis=axis)[both]
+            coupling = (1.0 - np.sqrt(2.0)) / h ** 2
+            terms += [(a, b, coupling), (b, a, coupling)]
+        else:
+            weight *= 2.0
+            cells = np.take(idx, 0, axis=axis)[line]
+            terms.append((cells, cells, -1.0 / h ** 2))
+    start = np.sqrt(weight[kept]) / np.sqrt(n)
+    lap = _assemble(kept, h)
+    if not terms:
+        return lap, start
+
+    def folded(q):
+        v = lap(q)
+        for rows, cols, coefficient in terms:
+            v[rows] += coefficient * q[cols]
+        return v
+
+    return folded, start
+
+
+def _lanczos(lap, start: np.ndarray):
     """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on the
-    matvec ``lap`` over n unknowns from 1/sqrt(n), without
+    matvec ``lap`` from the unit vector ``start``, without
     reorthogonalization; beta_j couples q_j to q_(j+1).  The updates of
     the fresh product v = A q_j are in place: BLAS daxpy subtracts
     alpha_j q_j and beta_(j-1) q_(j-1) in one pass each."""
     from scipy.linalg.blas import daxpy
 
-    q_prev, q = np.zeros(n), np.full(n, 1.0 / np.sqrt(n))
+    q_prev, q = np.zeros_like(start), start
     beta = 0.0
     while True:
         v = lap(q)
@@ -231,15 +317,18 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     save time t by Lanczos quadrature.
 
     E(t) = h^2 (n sum_i s_i^2 (1 - f_t(theta_i)) + ring/2) with
-    f_t(x) = (1 + dt x)^(-t/dt), the Ritz values theta_i and the first
-    components s_i of their eigenvectors; t/dt need not be an integer
-    (see the module docstring).  This Gauss rule is an upper bound on the
-    content of the grid operator, and the Gauss-Radau rule with a node
-    fixed at 0 a lower bound (see ``_gauss_radau``).  Lanczos steps are
-    added in blocks until the bracket's relative width is below
-    KRYLOV_TOL at every save time, or the Krylov space is exhausted; the
-    Gauss value is reported and the width is ``meta["krylov_bound"]``,
-    0 when the space is exhausted and the rule exact.
+    f_t(x) = (1 + dt x)^(-t/dt), n the interior cells, the ring from the
+    whole ghost mask, and the Ritz values theta_i and first components
+    s_i of their eigenvectors from the run on the mirror-folded operator
+    of ``_fold``, whose size is ``meta["unknowns"]``; t/dt need not be an
+    integer (see the module docstring).  This Gauss rule is an upper
+    bound on the content of the grid operator, and the Gauss-Radau rule
+    with a node fixed at 0 a lower bound (see ``_gauss_radau``).
+    Lanczos steps are added in blocks until the bracket's relative width
+    is below KRYLOV_TOL at every save time, or the Krylov space is
+    exhausted; the Gauss value is reported and the width is
+    ``meta["krylov_bound"]``, 0 when the space is exhausted and the rule
+    exact.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -256,7 +345,8 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     # means the Krylov space is invariant and the quadrature exact
     breakdown = KRYLOV_TOL * 8.0 / h ** 2
 
-    lanczos = _lanczos(_assemble(interior, h), n)
+    lap, start = _fold(interior, h)
+    lanczos = _lanczos(lap, start)
     alphas, betas = [], []
     while True:
         for _, alpha, beta in islice(lanczos, KRYLOV_BLOCK):
@@ -279,7 +369,8 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     return HeatField(h=h, interior=interior, times=save_times,
                      contents=contents,
                      meta={"h": h, "dt": dt, "area": problem.area,
-                           "krylov_steps": m, "krylov_bound": bound})
+                           "unknowns": start.size, "krylov_steps": m,
+                           "krylov_bound": bound})
 
 
 def solve_heat_content(problem: HeatProblem, h: float,
@@ -362,8 +453,9 @@ def heat_exponent_fit(content: SampledFunction,
     """
     tmin, tmax = window
     sel = (content.ts >= tmin) & (content.ts <= tmax)
-    if sel.sum() < 8:
-        raise ValueError("need at least 8 samples inside the window")
+    if sel.sum() < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples inside "
+                         "the window")
     t, ev = content.ts[sel], content.vals[sel]
     grid = np.linspace(0.05, 0.98, 373)
     q = t / np.linalg.norm(t)

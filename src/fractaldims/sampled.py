@@ -44,6 +44,8 @@ def geometric_grid(t_min: float, t_max: float,
     """Log-uniform grid; all downstream fits and transforms are log-native."""
     if not (0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1; got {per_decade}")
     n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)
     return np.geomspace(t_min, t_max, n)
 

@@ -156,11 +156,20 @@ def test_render_curve_kind(tmp_path):
     ("dims", {}, r"^n is required, or ratios$"),
     ("poles", {"n": 3}, r"^r is required, or ratios$"),
     ("tube", {"r": 0.33}, r"^n is required$"),
+    ("heat", dict(TINY_HEAT, points_per_decade=0),
+     r"points_per_decade must be >= 1; got 0"),
+    ("heat", dict(TINY_HEAT, points_per_decade=-2),
+     r"points_per_decade must be >= 1; got -2"),
+    ("heat", dict(TINY_HEAT, points_per_decade=1, t_min=3e-4, t_max=3e-3),
+     r"heat needs at least 8 times; points_per_decade=1 over "
+     r"t_min=0\.0003, t_max=0\.003 gives 2"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
         "poles-ratios", "heat-remainder-string", "heat-remainder-int",
-        "dims-missing-n", "poles-missing-r", "tube-missing-n"])
+        "dims-missing-n", "poles-missing-r", "tube-missing-n",
+        "heat-points-per-decade-zero", "heat-points-per-decade-negative",
+        "heat-too-few-times"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):

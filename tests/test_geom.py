@@ -185,6 +185,31 @@ def heat_grids(box, h):
             (x0 + np.arange(nx + 1) * h, y0 + np.arange(ny + 1) * h))
 
 
+@pytest.mark.parametrize("box, h", [
+    (SQUARE, H_ALIGNED), (SQUARE, 1 / 20), (SQUARE, 1 / 21),
+    (SQUARE, 5e-3), (SQUARE, 0.3), (TRIANGLE, 1e-2), (TRIANGLE, 3e-2),
+    (SQUARE @ rotation_matrix(0.3).T + [0.2, -0.7], 1e-2),
+    (np.array([[0.1, -0.2], [1.1, -0.2], [1.1, 0.35], [0.1, 0.35]]), 1 / 20),
+])
+def test_heat_grid_is_centred_on_the_box(box, h):
+    # the centres mirror about the box midpoint on each axis, and the box
+    # minimum is a centre when the box is a whole number of cells long
+    centres, corners = heat_grids(box, h)
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    for axis, (xs, cs) in enumerate(zip(centres, corners)):
+        mid = 0.5 * (lo[axis] + hi[axis])
+        assert np.allclose(xs + xs[::-1], 2 * mid, rtol=0, atol=1e-12)
+        assert np.allclose(cs + cs[::-1], 2 * mid, rtol=0, atol=1e-12)
+        assert xs[0] < lo[axis] - 1.5 * h and xs[-1] > hi[axis] + 1.5 * h
+        cells = (hi[axis] - lo[axis]) / h
+        gap = np.min(np.abs(xs - lo[axis]))
+        if abs(cells - round(cells)) < 1e-9:
+            assert gap < 1e-12
+        else:
+            # the nearer of the two lattices c + k h and c + (k + 1/2) h
+            assert gap <= 0.25 * h + 1e-12
+
+
 MASK_CASES = {
     "square-aligned": (SQUARE, SQUARE, (H_ALIGNED, 5e-3, 5e-2)),
     "square-offset": (SQUARE + [0.37 * H_ALIGNED, 0.61 * H_ALIGNED],

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu
 from fractaldims import heat
 from fractaldims.cli import run_command
 from fractaldims.errors import GeometryError, ResolutionError
+from fractaldims.geom import rotation_matrix
 from fractaldims.heat import (HeatProblem, decomposition_remainder,
                               heat_exponent_fit, solve_heat_content,
                               solve_heat_fdm)
@@ -18,24 +19,26 @@ from fractaldims.sampled import (SampledFunction, geometric_grid,
 from fractaldims.vonkoch import GKCParams, snowflake
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+RECTANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.55], [0.0, 0.55]])
 
 
 def lanczos_fields(problem, h, save_times):
     """Temperature grids {t: u(t)} of the solver's operator: t/dt
     backward-Euler steps of dt = h^2/2, 1 - u(t) = sqrt(n) Q_m f_t(T_m) e_1
     with f_t(x) = (1 + dt x)^(-t/dt) on the Lanczos basis Q_m of
-    ``heat._lanczos``.  Steps are added in blocks until the last Krylov
-    coefficient of every field is below KRYLOV_TOL (or the space is
-    exhausted); a second pass then regenerates the basis to sum the
-    fields.  Each grid is NaN off the interior and ghost cells and 1 on
-    the ghosts."""
+    ``heat._lanczos`` run on the whole, unfolded grid from 1/sqrt(n).
+    Steps are added in blocks until the last Krylov coefficient of every
+    field is below KRYLOV_TOL (or the space is exhausted); a second pass
+    then regenerates the basis to sum the fields.  Each grid is NaN off
+    the interior and ghost cells and 1 on the ghosts."""
     _, interior, ghost = heat._build_masks(problem.region, h)
     n = int(np.count_nonzero(interior))
     lap = heat._assemble(interior, h)
+    start = np.full(n, 1.0 / np.sqrt(n))
     save_times = np.asarray(save_times, dtype=float)
     dt = h ** 2 / 2.0
     breakdown = heat.KRYLOV_TOL * 8.0 / h ** 2
-    lanczos = heat._lanczos(lap, n)
+    lanczos = heat._lanczos(lap, start)
     alphas, betas = [], []
     while True:
         for _, alpha, beta in islice(lanczos, heat.KRYLOV_BLOCK):
@@ -53,7 +56,7 @@ def lanczos_fields(problem, h, save_times):
         assert len(alphas) < heat.KRYLOV_MAX
     w = np.zeros((n, len(save_times)))
     # coef first: zip then stops without one more Lanczos step
-    for row, (q, _, _) in zip(coef, heat._lanczos(lap, n)):
+    for row, (q, _, _) in zip(coef, heat._lanczos(lap, start)):
         w += q[:, None] * row
     grids = {}
     for k, t in enumerate(save_times):
@@ -171,6 +174,76 @@ def test_stencil_matvec_equals_csr_matvec(region, h):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def orbit_matrix(interior):
+    """(U, w): the n x k 0/1 matrix of interior cells against the kept
+    cells that stand for their orbits, and the orbit sizes w.  Written
+    apart from ``heat._fold``: on each axis whose occupied span of the
+    mask equals its flip, cell i's mirror is lo + hi - i, and a cell
+    stands for the orbit of which it is the largest index on both axes."""
+    reps = []
+    for axis in (0, 1):
+        occupied = np.flatnonzero(interior.any(axis=1 - axis))
+        lo, hi = occupied[0], occupied[-1]
+        span = np.take(interior, np.arange(lo, hi + 1), axis=axis)
+        index = np.arange(interior.shape[axis])
+        if np.array_equal(span, np.flip(span, axis=axis)):
+            index = np.maximum(index, lo + hi - index)
+        reps.append(index)
+    cells = np.argwhere(interior)
+    rep = np.stack([reps[0][cells[:, 0]], reps[1][cells[:, 1]]], axis=1)
+    kept = np.zeros_like(interior)
+    kept[rep[:, 0], rep[:, 1]] = True
+    column = np.full(interior.shape, -1)
+    column[kept] = np.arange(np.count_nonzero(kept))
+    u = np.zeros((len(cells), np.count_nonzero(kept)))
+    u[np.arange(len(cells)), column[rep[:, 0], rep[:, 1]]] = 1.0
+    return u, u.sum(axis=0)
+
+
+FOLD_CASES = {
+    # (region, h, unknowns after the fold; None: no fold)
+    "square-odd": (SQUARE, 1 / 20, 100),
+    "square-even": (SQUARE, 1 / 21, 100),
+    "rectangle-odd-even": (RECTANGLE, 1 / 20, 50),
+    "snowflake-3-L2": (snowflake(GKCParams(3, 1 / 3), 2).boundary, 2e-2,
+                       429),
+    "snowflake-4-L2": (snowflake(GKCParams(4, 0.24), 2).boundary, 2e-2,
+                       842),
+    "square-rotated": (SQUARE @ rotation_matrix(0.3).T, 1 / 20, None),
+}
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_folded_matvec_is_the_orbit_projection(case):
+    # lap = W^-1/2 U^T A U W^-1/2 on the kept cells and start = the
+    # coordinates of 1/sqrt(n) in the orbit basis, W^1/2 1 / sqrt(n)
+    region, h, unknowns = FOLD_CASES[case]
+    _, interior, _ = heat._build_masks(region, h)
+    u, w = orbit_matrix(interior)
+    n, k = u.shape
+    assert k == (n if unknowns is None else unknowns)
+    scale = 1.0 / np.sqrt(w)
+    want = scale[:, None] * (u.T @ (csr_laplacian(interior, h) @ u)) * scale
+    lap, start = heat._fold(interior, h)
+    got = np.column_stack([lap(col) for col in np.eye(k)])
+    assert np.max(np.abs(got - want)) <= 1e-14 / h ** 2
+    assert np.allclose(start, np.sqrt(w / n), rtol=1e-15, atol=0)
+    if unknowns is None:
+        assert np.array_equal(start, np.full(n, 1.0 / np.sqrt(n)))
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_folded_solve_matches_the_dense_full_grid(case):
+    region, h, unknowns = FOLD_CASES[case]
+    problem = HeatProblem(region=region)
+    times = [2e-4, 1e-3, 5e-3, 2e-2, 1e-1]
+    field = solve_heat_fdm(problem, h, times)
+    n = int(np.count_nonzero(field.interior))
+    assert field.meta["unknowns"] == (n if unknowns is None else unknowns)
+    dense = eigh_oracle(problem, h, times)
+    assert np.max(np.abs(field.contents - dense) / dense) < 1e-12
+
+
 @pytest.mark.parametrize("region, h, steps, between", [
     (snowflake(GKCParams(3, 1 / 3), 2).boundary, 2e-2,
      [1, 2, 3, 5, 8, 15, 40], geometric_grid(3e-4, 3e-3, 24)),
@@ -211,7 +284,8 @@ def test_gauss_radau_brackets_the_dense_content(region, h, steps, between):
     field = solve_heat_fdm(problem, h, save_times)
     _, interior, ghost = heat._build_masks(region, h)
     n = int(np.count_nonzero(interior))
-    lanczos = heat._lanczos(heat._assemble(interior, h), n)
+    # the solver's own run: its folded operator and start vector
+    lanczos = heat._lanczos(*heat._fold(interior, h))
     alphas, betas = [], []
     slack = 1e-14 * dense
     for m in range(heat.KRYLOV_BLOCK, field.meta["krylov_steps"] + 1,
@@ -231,15 +305,17 @@ def test_gauss_radau_brackets_the_dense_content(region, h, steps, between):
     assert error <= field.meta["krylov_bound"] + 1e-14
 
 
-@pytest.mark.parametrize("region", [
-    snowflake(GKCParams(3, 1 / 3), 3).boundary, SQUARE,
+@pytest.mark.parametrize("region, unknowns", [
+    (snowflake(GKCParams(3, 1 / 3), 3).boundary, 6781), (SQUARE, 10000),
 ], ids=["snowflake-L3", "square"])
-def test_bracket_stops_the_bench_solves_at_80_steps(region, monkeypatch):
+def test_bracket_stops_the_bench_solves_at_80_steps(region, unknowns,
+                                                    monkeypatch):
     # the Gauss rule is within 1e-12 from m = 79 on both bench configs,
-    # and the bracket certifies it at the next check
+    # and the bracket certifies it at the next check; both fold in two
     problem = HeatProblem(region=region)
     ts = geometric_grid(3e-4, 3e-3, 24)
     field = solve_heat_fdm(problem, 5e-3, ts)
+    assert field.meta["unknowns"] == unknowns
     assert field.meta["krylov_steps"] == 80
     assert field.meta["krylov_bound"] < 1e-12
     monkeypatch.setattr(heat, "KRYLOV_BLOCK", 160)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fractaldims.sampled import (SampledFunction, sfe_grid, sfe_images,
-                                 sfe_remainder)
+from fractaldims.sampled import (SampledFunction, geometric_grid, sfe_grid,
+                                 sfe_images, sfe_remainder)
 from fractaldims.vonkoch import GKCParams
 from fractaldims.zeta import RatioMultiset
 
@@ -53,3 +53,10 @@ def test_ratio_pairs_are_unmerged_and_merge_in_the_multiset():
 def test_empty_samples_are_refused():
     with pytest.raises(ValueError, match="non-empty"):
         SampledFunction([], [])
+
+
+@pytest.mark.parametrize("per_decade", [0, -3])
+def test_geometric_grid_refuses_fewer_than_one_point_per_decade(per_decade):
+    with pytest.raises(ValueError, match=rf"per_decade must be >= 1; "
+                                         rf"got {per_decade}"):
+        geometric_grid(3e-4, 3e-3, per_decade)
