@@ -38,9 +38,9 @@ from .heat import (FIT_MIN_SAMPLES, HeatProblem, decomposition_remainder,
 from .mellin import sfe_zeta_residue
 from .sampled import (SampledFunction, antiderivative, csv_bytes,
                       geometric_grid, sfe_grid, sfe_remainder)
-from .tubes import distance_field, minkowski_fit, tube_function, verify_gkf_sfe
-from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal,
-                      sector_region, snowflake)
+from .tubes import (distance_field, minkowski_fit, mirror_field, sector_half,
+                    tube_function, verify_gkf_sfe)
+from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
 from .zeta import (LATTICE_MAX_DENOMINATOR, POLE_TOL, ComplexDimensionSet,
                    DirichletPoly, RatioMultiset, detect_lattice,
                    lattice_poles, lower_similarity_dimension,
@@ -209,7 +209,14 @@ def cmd_poles(cfg):
 
 
 def _compute_tube(cfg):
-    """(region, sector distance field, tube time grid) of a tube run."""
+    """(region, sector distance field, tube time grid) of a tube run.
+
+    ``sector`` (default 0) picks the sector between base vertices
+    ``sector`` and ``sector`` + 1.  All sectors are congruent, so their
+    tubes agree up to round-off.  The field is built in the sector's
+    canonical frame: measured on the half above its mirror axis and
+    reflected onto the other (``tubes.sector_half``).
+    """
     h = _number(cfg, "h", 1e-3)
     ts = geometric_grid(_number(cfg, "t_min", max(10 * h, 1e-3)),
                         _number(cfg, "t_max", 0.3),
@@ -217,9 +224,10 @@ def _compute_tube(cfg):
     index = _number(cfg, "sector", 0, int)
     region = _snowflake_from_config(cfg, 5)
     params = region.params
-    fld = distance_field(region.closed_boundary, sector_region(region, index),
-                         h, meta={"level": region.level, "n": params.n,
-                                  "r": params.r})
+    curve, half = sector_half(region, index)
+    fld = mirror_field(distance_field(curve, half, h,
+                                      meta={"level": region.level,
+                                            "n": params.n, "r": params.r}))
     return region, fld, ts
 
 

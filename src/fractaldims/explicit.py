@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError
-from .sampled import SampledFunction, leading_power_fit
+from .sampled import SampledFunction
 from .zeta import ComplexDimensionSet, DirichletPoly, RatioMultiset
 
 FLAT_TOL = 0.02  #: largest |fitted power| of a remainder flat at t -> 0
@@ -117,10 +116,9 @@ def remainder_term(ratios: RatioMultiset, remainder: SampledFunction,
     Returns None when the remainder vanishes at 0 faster than a constant
     (no pole) or has no clean power behavior.
     """
-    try:
-        p, c0 = leading_power_fit(remainder.ts, remainder.vals)
-    except FitError:
+    if remainder.leading_power is None:
         return None
+    p, c0 = remainder.leading_power
     if abs(p) > FLAT_TOL or c0 == 0.0:
         return None
     rho = complex(1.0 / DirichletPoly(ratios)(0.0)) * alpha * c0

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceDomainError, FitError, SampleRangeError
-from .sampled import SampledFunction, leading_power_fit
+from .errors import DivergenceDomainError, SampleRangeError
+from .sampled import SampledFunction
 from .zeta import DirichletPoly, RatioMultiset, residue_simple
 
 
@@ -65,11 +65,12 @@ class MellinEvaluator:
 
     @classmethod
     def build(cls, f: SampledFunction) -> "MellinEvaluator":
-        try:
-            p, c = leading_power_fit(f.ts, f.vals)
-            return cls(f=f, sigma_hat=-p, tail_coef=c, tail_ok=True)
-        except FitError:
+        """The evaluator of ``f``, from its leading power, which ``f``
+        fits once however many evaluators are built on it."""
+        if f.leading_power is None:
             return cls(f=f, sigma_hat=0.0, tail_coef=0.0, tail_ok=False)
+        p, c = f.leading_power
+        return cls(f=f, sigma_hat=-p, tail_coef=c, tail_ok=True)
 
 
 def _power_integral(ts: np.ndarray, pw: np.ndarray, s: complex) -> np.ndarray:

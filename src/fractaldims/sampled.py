@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,15 @@ class SampledFunction:
             raise ValueError("evaluation outside sampled range")
         return np.interp(t, self.ts, self.vals)
 
+    @cached_property
+    def leading_power(self) -> tuple[float, float] | None:
+        """``leading_power_fit`` of the samples, fitted once per function;
+        None where the fit raises FitError."""
+        try:
+            return leading_power_fit(self.ts, self.vals)
+        except FitError:
+            return None
+
     def transform_vals(self, fn):
         return SampledFunction(self.ts, fn(self.ts, self.vals),
                                meta=dict(self.meta))
@@ -118,7 +128,8 @@ def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 
     Uses a median-of-slopes regression on the log-log pairs, which is
     robust to a few noisy points.  Returns (p, c).  Raises FitError when
-    the low-t data changes sign or vanishes.
+    the low-t data changes sign or vanishes, or when two of its nodes
+    have the same logarithm, which leaves no slope between them.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -134,6 +145,12 @@ def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     else:
         raise FitError("sign change near t=0; no power law to fit")
     lt, lv = np.log(t0), np.log(sign * v0)
+    same = np.flatnonzero(np.diff(lt) == 0)
+    if len(same):
+        pairs = ", ".join(f"{float(t0[i])!r} and {float(t0[i + 1])!r}"
+                          for i in same)
+        raise FitError(f"nodes {pairs} have the same logarithm; no slope "
+                       "between them")
     slopes = np.diff(lv) / np.diff(lt)
     p = float(np.median(slopes))
     c = sign * float(np.exp(np.median(lv - p * lt)))
@@ -157,13 +174,13 @@ def antiderivative(samples: SampledFunction, k: int = 1) -> SampledFunction:
     out = samples
     for _ in range(k):
         ts, vals = out.ts, out.vals
-        try:
-            p, c = leading_power_fit(ts, vals)
-            if p <= -1.0:
-                raise FitError("leading exponent <= -1: divergent seed")
+        fit = out.leading_power
+        if fit is not None and fit[0] > -1.0:
+            p, c = fit
             seed = c * ts[0] ** (p + 1.0) / (p + 1.0)
-        except FitError:
-            seed = 0.5 * vals[0] * ts[0]  # rough triangle seed
+        else:
+            # no power law, or a divergent one: rough triangle seed
+            seed = 0.5 * vals[0] * ts[0]
         increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)
         cum = np.concatenate(([seed], seed + np.cumsum(increments)))
         out = SampledFunction(ts, cum, meta=dict(out.meta))

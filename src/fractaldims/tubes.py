@@ -17,6 +17,26 @@ lies in the tile, so its nearest segment survived the first pass.  Each
 inside cell then takes the nearest of its sub-tile's segments; every
 level runs on one set of ragged (point, segment) pair arrays per row.
 
+A snowflake sector is measured in its canonical frame, on one side of
+its mirror axis.  Every (n, r) snowflake is mirror-symmetric about the
+bisector of each of its sectors, and ``sector_half`` rotates the region
+so that this bisector lies on the +x axis.  The mirror then sends
+boundary vertex p to vertex (c - p) mod N for one offset c, and each
+vertex is replaced by the mean of itself and its partner's image
+(x, -y).  IEEE negation and addition commute exactly, so the pairs are
+exact mirrors, the vertices on the axis get y = 0, and the boundary
+meets the axis, where the sector is clipped to y >= 0, exactly on it:
+an edge that crosses the axis joins a mirror pair, so its crossing has
+y = 0 in floating point.  ``distance_field`` measures
+the cells of that upper half, whose rows lie at y = (j + 1/2) h, so no
+cell centre lies on the axis.  ``mirror_field`` gives the rows at
+-(j + 1/2) h their mirror images' values.  The lower half is defined as
+that reflection rather than measured: the polyline stores each mirrored
+segment reversed, and the clamp-and-project kernel measures from the
+segment's first end, so a direct distance at (x, -y) can differ from
+the one at (x, y) by round-off, a few eps times the segment's length.
+The upper half stays the exact minimum over every stored segment.
+
 ``verify_gkf_sfe(region, fld, ts)`` checks the von Koch scaling
 functional equation: it takes the snowflake and the sector field its
 caller built and forms rho through the shared kernel
@@ -27,17 +47,19 @@ tolerance; ``minkowski_fit`` reads a box dimension off V(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, SizeLimitError
 from .geom import (_ranges, _segment_frames, _squared_distances,
-                   point_in_polygon_mask, polygon_area, polyline_length,
+                   clip_polygon_halfplane, point_in_polygon_mask,
+                   polygon_area, polyline_length, rotation_matrix,
                    segment_distances)
 from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
-from .vonkoch import GKCParams, SnowflakeRegion, generator_vertices
+from .vonkoch import (GKCParams, SnowflakeRegion, generator_vertices,
+                      sector_region)
 # not called here: the benchmark's layer probes wrap tubes.snowflake
 from .vonkoch import snowflake  # noqa: F401
 
@@ -48,6 +70,9 @@ CELL_CAP = 1 << 27
 TILE = 16
 #: side of the sub-tiles that prune their tile's segment set again
 SUB = 4
+#: largest distance of a rotated boundary vertex from its partner's
+#: mirror image that ``sector_half`` takes for round-off
+MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -192,6 +217,72 @@ def _prune(cx, cy, radii, cand, count, frames):
     keep = d <= np.repeat(np.minimum.reduceat(d, first) + 2.0 * radii,
                           count)
     return cand[keep], np.add.reduceat(keep, first)
+
+
+def sector_half(region: SnowflakeRegion, index: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sector ``index`` of ``region`` in its canonical frame: the closed
+    boundary polyline and the part of the sector on or above the x axis.
+
+    Sector k lies between base vertices k and k + 1, and its bisector is
+    at angle -pi (2k + 1) / n; the frame rotates the region by the
+    opposite angle and makes the boundary exactly mirror-symmetric about
+    the x axis (see the module docstring).  ``vonkoch.sector_region``
+    cuts the sector out of the rotated region and checks ``index``.
+    """
+    n = region.params.n
+    rot = rotation_matrix(np.pi * (2 * index + 1) / n).T
+    b = region.boundary @ rot
+    # vertex p is vertex count - 1 - p of the curve copies laid on the
+    # base edges in turn, m = count / n per edge; the mirror sends copy
+    # vertex i to (2k + 1) m - i, and so vertex p to (c - p) mod count
+    count = len(b)
+    c = -2 - (2 * index + 1) * (count // n)
+    image = b[(c - np.arange(count)) % count] * [1.0, -1.0]
+    pairing = float(np.max(np.abs(b - image)))
+    if pairing > MIRROR_TOL:
+        raise AssertionError(f"sector {index} is {pairing:.3g} off its "
+                             "mirror")
+    b = 0.5 * (b + image)
+    sector = sector_region(replace(region, boundary=b,
+                                   n_gon_vertices=region.n_gon_vertices
+                                   @ rot), index)
+    half = clip_polygon_halfplane(sector, np.zeros(2), (0.0, 1.0))
+    # the wedge's apex is cut from two rays, so the clip's points next
+    # to it can land a rounding below the axis
+    np.maximum(half[:, 1], 0.0, out=half[:, 1])
+    return np.vstack([b, b[:1]]), half
+
+
+def mirror_field(half: DistanceField) -> DistanceField:
+    """The field on a whole sector from ``half``, its field on the upper
+    half of ``sector_half``.
+
+    The half's grid starts on the x axis, so its rows lie at
+    y = (j + 1/2) h, and the rows at -(j + 1/2) h below the axis take
+    their values by reflection; the whole grid's ``ys`` give those
+    centres up to round-off only.  Curve length and meta are the half's;
+    the area is twice the half's, and meta gains ``cells_measured``, the
+    inside cells whose distances the kernel computed.
+    """
+    g = half.grid
+    if g.bbox[1] != 0.0:
+        raise ValueError("the half field's grid must start on the x axis")
+    grid = Grid2(bbox=(g.bbox[0], -g.ny * g.h, g.bbox[2], g.bbox[3]),
+                 h=g.h, nx=g.nx, ny=2 * g.ny,
+                 values=np.concatenate([g.values[:, ::-1], g.values],
+                                       axis=1))
+    measured = int(half.inside.sum())
+    fld = DistanceField(grid=grid,
+                        inside=np.concatenate([half.inside[:, ::-1],
+                                               half.inside], axis=1),
+                        curve_length=half.curve_length,
+                        region_area=2.0 * half.region_area,
+                        meta={**half.meta, "cells_measured": measured})
+    # every inside distance is there twice: the half's sorted, repeated
+    fld.__dict__["sorted_inside_distances"] = np.repeat(
+        half.sorted_inside_distances, 2)
+    return fld
 
 
 def tube_function(fld: DistanceField, ts) -> SampledFunction:

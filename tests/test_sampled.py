@@ -1,7 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from fractaldims.sampled import (SampledFunction, geometric_grid, sfe_grid,
+from fractaldims import sampled
+from fractaldims.errors import FitError
+from fractaldims.mellin import MellinEvaluator
+from fractaldims.sampled import (SampledFunction, antiderivative,
+                                 geometric_grid, leading_power_fit, sfe_grid,
                                  sfe_images, sfe_remainder)
 from fractaldims.vonkoch import GKCParams
 from fractaldims.zeta import RatioMultiset
@@ -60,3 +67,43 @@ def test_geometric_grid_refuses_fewer_than_one_point_per_decade(per_decade):
     with pytest.raises(ValueError, match=rf"per_decade must be >= 1; "
                                          rf"got {per_decade}"):
         geometric_grid(3e-4, 3e-3, per_decade)
+
+
+def test_leading_power_fit_refuses_nodes_with_one_logarithm():
+    # 1e-3 and the next double above it have the same logarithm, so no
+    # slope joins them; the fit names them instead of returning NaN
+    ts = np.array([1e-3, np.nextafter(1e-3, 1), 2e-3])
+    vals = np.array([1.0, 1.0, 2.0])
+    assert np.log(ts[0]) == np.log(ts[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match=re.escape(
+                "nodes 0.001 and 0.0010000000000000002 have the same")):
+            leading_power_fit(ts, vals)
+        f = SampledFunction(ts, vals)
+        assert f.leading_power is None
+        assert not MellinEvaluator.build(f).tail_ok
+
+
+def test_leading_power_is_fitted_once_per_function(monkeypatch):
+    fit, calls = sampled.leading_power_fit, []
+
+    def counted(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(sampled, "leading_power_fit", counted)
+    ts = geometric_grid(1e-4, 1.0, 40)
+    power = SampledFunction(ts, 3.0 * ts ** 0.5)
+    flips = SampledFunction(ts, np.cos(40.0 * ts) * np.where(ts < 1e-3,
+                                                             -1.0, 1.0))
+    for _ in range(5):
+        ev = MellinEvaluator.build(power)
+        assert not MellinEvaluator.build(flips).tail_ok
+    assert len(calls) == 2
+    assert ev.sigma_hat == pytest.approx(-0.5, rel=1e-12)
+    assert ev.tail_coef == pytest.approx(3.0, rel=1e-12)
+    # antiderivative reads the cached fit of its input and fits its first
+    # stage's output once
+    antiderivative(power, 2)
+    assert len(calls) == 3

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fractaldims import tubes
+from fractaldims import cli, tubes
 from fractaldims.cli import _compute_tube
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.ifs import Similitude2, apply
@@ -144,17 +144,132 @@ def test_inside_distances_are_sorted_once(monkeypatch):
 
 def test_snowflake_tube_sees_the_closing_edge():
     # the boundary lists each vertex once, so the tube distance must add
-    # the edge from the last vertex back to the first; sector 2 has cells
-    # nearest to that edge
-    params = GKCParams(3, 1 / 3)
-    _, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
-                               "h": 1e-2, "sector": 2})
-    b = snowflake(params, 3).boundary
-    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
-    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
+    # the edge from the last vertex back to the first.  In its canonical
+    # frame sector 2 has cells nearest to that edge, below the mirror
+    # axis; they hold the distances of their mirror images above it
+    region, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
+                                    "h": 1e-2, "sector": 2})
+    b = tubes.sector_half(region, 2)[0][:-1]
+    ny = fld.grid.ny // 2
+    gx, gy = np.meshgrid(fld.grid.xs, (np.arange(ny) + 0.5) * fld.h,
+                         indexing="ij")
+    upper = fld.inside[:, ny:]
+    pts = np.column_stack([gx[upper], gy[upper]])
     closed = points_to_segments_distance(pts, b, np.roll(b, -1, axis=0))
-    assert np.array_equal(fld.grid.values[fld.inside], closed)
+    assert np.array_equal(fld.grid.values[:, ny:][upper], closed)
+    assert np.array_equal(fld.grid.values[:, :ny],
+                          fld.grid.values[:, ny:][:, ::-1])
+    below = pts * [1.0, -1.0]
+    without = points_to_segments_distance(below, b[:-1], b[1:])
+    assert np.any(without > closed + 1e-9)
     assert fld.curve_length == pytest.approx(64 / 9, rel=1e-12)
+
+
+#: (params, level, h) of the half-sector tests: every half grid is cut
+#: at its edges, no side a multiple of SUB
+HALF_CASES = [(GKCParams(3, 1 / 3), 3, 1e-2),
+              (GKCParams(3, 1 / 3), 4, 3e-3),
+              (GKCParams(4, 0.24), 3, 3.1e-3),
+              (GKCParams(5, 0.19), 3, 5.1e-3)]
+
+
+def half_and_whole(region, index, h):
+    """The field on the upper half of a sector and the mirrored field."""
+    curve, half = tubes.sector_half(region, index)
+    upper = distance_field(curve, half, h)
+    return curve, upper, tubes.mirror_field(upper)
+
+
+@pytest.mark.parametrize("params, level, h", HALF_CASES)
+def test_half_sector_field_is_exact_and_mirrored(params, level, h):
+    region = snowflake(params, level)
+    index = params.n - 1
+    curve, upper, fld = half_and_whole(region, index, h)
+    # the canonical boundary is its own mirror image, vertex for vertex
+    b = curve[:-1]
+    mirrored = b * [1.0, -1.0]
+    assert np.array_equal(b[np.lexsort(b.T)],
+                          mirrored[np.lexsort(mirrored.T)])
+    nx, ny = upper.grid.nx, upper.grid.ny
+    assert nx % SUB and ny % SUB
+    assert upper.grid.bbox[1] == 0.0
+    # the upper half is the exact minimum over every stored segment
+    gx, gy = np.meshgrid(upper.grid.xs, upper.grid.ys, indexing="ij")
+    pts = np.column_stack([gx[upper.inside], gy[upper.inside]])
+    direct = points_to_segments_distance(pts, curve[:-1], curve[1:])
+    assert np.array_equal(upper.grid.values[upper.inside], direct)
+    # the lower half is its reflection, exactly
+    assert (fld.grid.nx, fld.grid.ny) == (nx, 2 * ny)
+    assert np.array_equal(fld.grid.values[:, ny:], upper.grid.values)
+    assert np.array_equal(fld.grid.values[:, :ny],
+                          upper.grid.values[:, ::-1])
+    assert np.array_equal(fld.inside[:, :ny], upper.inside[:, ::-1])
+    assert np.array_equal(fld.inside[:, ny:], upper.inside)
+    # and measured directly it differs by round-off only: the kernel
+    # loses about eps |b - a| measuring from the other end of a segment
+    below = points_to_segments_distance(pts * [1.0, -1.0], curve[:-1],
+                                        curve[1:])
+    longest = np.max(np.hypot(*np.diff(curve, axis=0).T))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(below - direct) <= 4 * eps * (direct + longest))
+    assert fld.region_area == 2 * upper.region_area
+    assert fld.curve_length == upper.curve_length
+    assert fld.meta["cells_measured"] == upper.inside.sum()
+    assert np.array_equal(fld.sorted_inside_distances,
+                          np.sort(fld.grid.values[fld.inside]))
+
+
+@pytest.mark.parametrize("params, level, h", HALF_CASES)
+def test_every_sector_has_the_same_tube(params, level, h):
+    # all sectors are congruent: in their canonical frames their tubes
+    # agree within one mirrored pair of cells, and each is within its
+    # grid budget of the sector measured in the original frame
+    region = snowflake(params, level)
+    ts = np.geomspace(5 * h, 0.3, 30)
+    tubes_ = []
+    for index in range(params.n):
+        fld = half_and_whole(region, index, h)[2]
+        tubes_.append(tube_function(fld, ts).vals)
+        whole = distance_field(region.closed_boundary,
+                               sector_region(region, index), h)
+        budget = grid_error_budget(fld) + grid_error_budget(whole)
+        assert np.all(np.abs(tubes_[-1] - tube_function(whole, ts).vals)
+                      <= budget)
+    assert np.all(np.abs(np.array(tubes_) - tubes_[0]) <= 2 * h ** 2)
+
+
+def test_half_sector_measures_half_the_cells(monkeypatch):
+    # the (3, 1/3) L4 sector at h = 3e-3: the CLI's field measures the
+    # half above the mirror axis, about half the sector's inside cells,
+    # in about half the kernel's (point, segment) pairs
+    region = snowflake(GKCParams(3, 1 / 3), 4)
+    kernel, pairs = tubes._squared_distances, []
+
+    def counting_kernel(px, py, frames):
+        d2 = kernel(px, py, frames)
+        pairs.append(d2.size)
+        return d2
+
+    monkeypatch.setattr(tubes, "_squared_distances", counting_kernel)
+    whole = distance_field(region.closed_boundary, sector_region(region, 0),
+                           3e-3)
+    whole_pairs = sum(pairs)
+    pairs.clear()
+    fields = []
+    build = cli.distance_field
+
+    def recorded(*args, **kwargs):
+        fields.append(build(*args, **kwargs))
+        return fields[-1]
+
+    monkeypatch.setattr(cli, "distance_field", recorded)
+    fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 4, "h": 3e-3})[1]
+    (upper,) = fields
+    measured = int(np.isfinite(upper.grid.values).sum())
+    assert measured == upper.inside.sum() == fld.meta["cells_measured"]
+    assert 2 * measured == fld.inside.sum()
+    assert 0.49 < measured / whole.inside.sum() < 0.51
+    assert sum(pairs) < 0.6 * whole_pairs
 
 
 def test_tube_monotone_and_bounded():
