@@ -9,7 +9,8 @@ is keyed by the SHA-256 of the canonical config.  With FRACTAL_DIMS_CACHE
 set, heavy stages are reused from the cache byte-for-byte; cache entries
 are keyed by the config, the package version and a digest of the
 package source, so results of other code are never served.  All commands
-are deterministic: identical configs produce identical CSV bytes.
+are deterministic: identical configs produce identical CSV bytes, at any
+BLAS thread count.
 
 ``tube``, ``heat`` and ``explicit`` build their snowflake once and pass
 it to ``verify_gkf_sfe(region, fld, ts)`` and ``decomposition_remainder(
@@ -32,12 +33,11 @@ from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .errors import GeometryError
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
                        remainder_term)
-from .heat import (FIT_MIN_SAMPLES, HeatProblem, decomposition_remainder,
-                   heat_exponent_fit, solve_heat_content,
-                   verify_heat_scaling)
+from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
+                   solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue
-from .sampled import (SampledFunction, antiderivative, csv_bytes,
-                      geometric_grid, sfe_grid, sfe_remainder)
+from .sampled import (FIT_MIN_SAMPLES, SampledFunction, antiderivative,
+                      csv_bytes, geometric_grid, sfe_grid, sfe_remainder)
 from .tubes import (distance_field, minkowski_fit, mirror_field, sector_half,
                     tube_function, verify_gkf_sfe)
 from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
@@ -50,15 +50,17 @@ POLES_SVG_SIZE = 640  #: side of the square poles.svg plot, in pixels
 
 
 def _ratios_from_config(cfg) -> RatioMultiset:
-    if "ratios" in cfg:
-        pairs = _number(cfg, "ratios",
-                        kind=lambda v: [(float(r), int(m)) for r, m in v])
-    else:
+    if "ratios" not in cfg:
         for key in ("n", "r"):
             if key not in cfg:
                 raise ValueError(f"{key} is required, or ratios")
-        pairs = _params(cfg).ratio_pairs
-    return RatioMultiset.from_pairs(pairs)
+        return RatioMultiset.from_pairs(_params(cfg).ratio_pairs)
+    pairs = _number(cfg, "ratios", kind=lambda v: [(float(r), m)
+                                                   for r, m in v])
+    try:
+        return RatioMultiset.from_pairs(pairs)
+    except ValueError as exc:
+        raise ValueError(f"ratios: {exc}; got {cfg['ratios']!r}") from None
 
 
 def _choice(cfg, key: str, allowed: tuple):
@@ -208,6 +210,14 @@ def cmd_poles(cfg):
                     "detail": detail}]
 
 
+def _tube_times(cfg):
+    """(h, tube time grid) of a tube run."""
+    h = _number(cfg, "h", 1e-3)
+    return h, geometric_grid(_number(cfg, "t_min", max(10 * h, 1e-3)),
+                             _number(cfg, "t_max", 0.3),
+                             _number(cfg, "points_per_decade", 48, int))
+
+
 def _compute_tube(cfg):
     """(region, sector distance field, tube time grid) of a tube run.
 
@@ -217,10 +227,7 @@ def _compute_tube(cfg):
     canonical frame: measured on the half above its mirror axis and
     reflected onto the other (``tubes.sector_half``).
     """
-    h = _number(cfg, "h", 1e-3)
-    ts = geometric_grid(_number(cfg, "t_min", max(10 * h, 1e-3)),
-                        _number(cfg, "t_max", 0.3),
-                        _number(cfg, "points_per_decade", 48, int))
+    h, ts = _tube_times(cfg)
     index = _number(cfg, "sector", 0, int)
     region = _snowflake_from_config(cfg, 5)
     params = region.params
@@ -231,16 +238,38 @@ def _compute_tube(cfg):
     return region, fld, ts
 
 
+def _tube_windows(cfg):
+    """(SFE times, fit window) of a tube run, refused before any field
+    is built: the SFE resolves t >= 5h only, and the fit needs
+    FIT_MIN_SAMPLES tube times in its window."""
+    h, ts = _tube_times(cfg)
+    sfe_min = _number(cfg, "sfe_t_min", max(0.01, 5 * h))
+    sfe_max = _number(cfg, "sfe_t_max", 0.05)
+    points = _number(cfg, "sfe_points", 9, int)
+    if not 5 * h <= sfe_min < sfe_max:
+        raise ValueError(
+            f"tube needs 5h <= sfe_t_min < sfe_t_max; h={h:g} gives "
+            f"sfe_t_min={sfe_min:g} (default max(0.01, 5h)), sfe_t_max="
+            f"{sfe_max:g}: lower h or set sfe_t_min and sfe_t_max")
+    if points < 1:
+        raise ValueError(f"sfe_points must be >= 1; got {points}")
+    window = (_number(cfg, "fit_t_min", ts[0]),
+              _number(cfg, "fit_t_max", ts[-1]))
+    inside = int(np.count_nonzero((ts >= window[0]) & (ts <= window[1])))
+    if inside < FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"tube needs at least {FIT_MIN_SAMPLES} times in [fit_t_min, "
+            f"fit_t_max]; fit_t_min={window[0]:g}, fit_t_max={window[1]:g} "
+            f"over t_min={ts[0]:g}, t_max={ts[-1]:g} gives {inside}: widen "
+            f"the window or raise points_per_decade")
+    return np.geomspace(sfe_min, sfe_max, points), window
+
+
 def cmd_tube(cfg):
+    sfe_ts, window = _tube_windows(cfg)
     region, fld, ts = _compute_tube(cfg)
     tube = tube_function(fld, ts)
-    h = fld.h
-    sfe_ts = np.geomspace(_number(cfg, "sfe_t_min", max(0.01, 5 * h)),
-                          _number(cfg, "sfe_t_max", 0.05),
-                          _number(cfg, "sfe_points", 9, int))
     report = verify_gkf_sfe(region, fld, sfe_ts)
-    window = (_number(cfg, "fit_t_min", tube.ts[0]),
-              _number(cfg, "fit_t_max", tube.ts[-1]))
     d_est, c_est = minkowski_fit(tube, window)
     doc = {
         "sfe_passed": report.passed,

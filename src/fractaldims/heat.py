@@ -48,10 +48,11 @@ mask by exact comparison, never off the polygon; a mask without one is
 solved whole by the same code.
 
 The run needs products A q, applied matrix-free in CSR column order
-(bit-identical to a sparse matrix; see ``_assemble``), BLAS daxpy for
-the recurrence's updates, and two tridiagonal eigensolves per stop
-check, one per rule, by scipy's ``eigh_tridiagonal``.  scipy is
-imported only when ``solve_heat_fdm`` runs: no other command loads it.
+(bit-identical to a sparse matrix; see ``_assemble``), a recurrence in
+plain numpy, and two tridiagonal eigensolves per stop check by scipy's
+``eigh_tridiagonal``, imported only when ``solve_heat_fdm`` runs.  The
+recurrence calls no BLAS: OpenBLAS threads its sums on long vectors, so
+the contents' bytes would depend on the thread count.
 
 The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
 comes from ``decomposition_remainder(region, ts, h)``: one solve on the
@@ -68,7 +69,8 @@ import numpy as np
 
 from .errors import GeometryError, ResolutionError
 from .geom import point_in_polygon_mask, polygon_area, rotation_matrix
-from .sampled import SampledFunction, sfe_grid, sfe_remainder
+from .sampled import (FIT_MIN_SAMPLES, SampledFunction, sfe_grid,
+                      sfe_remainder)
 from .vonkoch import SnowflakeRegion
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
@@ -81,7 +83,6 @@ KRYLOV_TOL = 1e-12
 
 PAD_CELLS = 2  #: grid cells around the region's bounding box
 SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
-FIT_MIN_SAMPLES = 8  #: heat_exponent_fit's fewest samples in its window
 #: rotation of verify_heat_scaling's scaled copy, so that its grid cuts
 #: the region differently from the base solve's grid
 SCALING_ROTATION = 0.3
@@ -261,19 +262,17 @@ def _fold(interior: np.ndarray, h: float):
 def _lanczos(lap, start: np.ndarray):
     """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence on the
     matvec ``lap`` from the unit vector ``start``, without
-    reorthogonalization; beta_j couples q_j to q_(j+1).  The updates of
-    the fresh product v = A q_j are in place: BLAS daxpy subtracts
-    alpha_j q_j and beta_(j-1) q_(j-1) in one pass each."""
-    from scipy.linalg.blas import daxpy
-
+    reorthogonalization; beta_j couples q_j to q_(j+1).  The dot and the
+    norm are ``einsum`` reductions and the updates in-place numpy, none
+    of them BLAS, so the sums do not depend on the BLAS thread count."""
     q_prev, q = np.zeros_like(start), start
     beta = 0.0
     while True:
         v = lap(q)
-        alpha = float(q @ v)
-        v = daxpy(q, v, a=-alpha)
-        v = daxpy(q_prev, v, a=-beta)
-        beta = float(np.linalg.norm(v))
+        alpha = float(np.einsum("i,i", q, v))
+        v -= alpha * q
+        v -= beta * q_prev
+        beta = float(np.einsum("i,i", v, v)) ** 0.5
         yield q, alpha, beta
         v /= beta
         q_prev, q = q, v

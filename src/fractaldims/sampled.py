@@ -27,6 +27,8 @@ from .errors import FitError
 #: default geometric sampling density
 POINTS_PER_DECADE = 48
 FIT_DECADE = 10.0  #: leading_power_fit's span of samples above ts[0]
+#: fewest samples in the window of heat_exponent_fit and minkowski_fit
+FIT_MIN_SAMPLES = 8
 
 
 def csv_bytes(header, rows) -> bytes:

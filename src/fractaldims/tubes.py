@@ -57,7 +57,8 @@ from .geom import (_ranges, _segment_frames, _squared_distances,
                    clip_polygon_halfplane, point_in_polygon_mask,
                    polygon_area, polyline_length, rotation_matrix,
                    segment_distances)
-from .sampled import SampledFunction, sfe_grid, sfe_images, sfe_remainder
+from .sampled import (FIT_MIN_SAMPLES, SampledFunction, sfe_grid,
+                      sfe_images, sfe_remainder)
 from .vonkoch import (GKCParams, SnowflakeRegion, generator_vertices,
                       sector_region)
 # not called here: the benchmark's layer probes wrap tubes.snowflake
@@ -380,8 +381,9 @@ def minkowski_fit(samples: SampledFunction,
     """
     tmin, tmax = window
     sel = (samples.ts >= tmin) & (samples.ts <= tmax)
-    if sel.sum() < 8:
-        raise ValueError("need at least 8 samples inside the window")
+    if sel.sum() < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples inside "
+                         "the window")
     t, v = samples.ts[sel], samples.vals[sel]
     if np.any(v <= 0):
         raise ValueError("nonpositive tube values in the fit window")

@@ -70,6 +70,18 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _multiplicity(m) -> int:
+    """m as an int; a bool or a fractional value, which int() would read
+    as 1 or truncate, is refused like any value below 1."""
+    try:
+        k = int(m)
+    except (TypeError, ValueError, OverflowError):
+        k = 0
+    if isinstance(m, (bool, np.bool_)) or k != m or k < 1:
+        raise ValueError(f"multiplicity {m!r} is not an integer >= 1")
+    return k
+
+
 @dataclass(frozen=True)
 class RatioMultiset:
     """Distinct scaling ratios with multiplicities, sorted decreasing.
@@ -81,15 +93,13 @@ class RatioMultiset:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        ent = sorted(((float(r), int(m)) for r, m in self.entries),
+        ent = sorted(((float(r), _multiplicity(m)) for r, m in self.entries),
                      key=lambda e: -e[0])
         if not ent:
             raise ValueError("need at least one ratio")
-        for r, m in ent:
+        for r, _ in ent:
             if not (0.0 < r < 1.0):
                 raise ValueError(f"ratio {r} not in (0,1)")
-            if m < 1:
-                raise ValueError(f"multiplicity {m} < 1")
         for (r1, _), (r2, _) in zip(ent, ent[1:]):
             if r1 == r2:
                 raise ValueError("ratios must be pairwise distinct")
@@ -103,7 +113,7 @@ class RatioMultiset:
         entry with summed multiplicity (e.g. the n=3, r=1/3 case where
         the two derived ratios coincide up to rounding).
         """
-        items = sorted(((float(r), int(m)) for r, m in pairs),
+        items = sorted(((float(r), _multiplicity(m)) for r, m in pairs),
                        key=lambda e: -e[0])
         merged: list[list[float]] = []
         for r, m in items:
@@ -111,7 +121,7 @@ class RatioMultiset:
                 merged[-1][1] += m
             else:
                 merged.append([r, m])
-        return cls(tuple((r, int(m)) for r, m in merged))
+        return cls(tuple((r, m) for r, m in merged))
 
     @cached_property
     def ratios(self) -> np.ndarray:

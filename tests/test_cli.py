@@ -163,13 +163,41 @@ def test_render_curve_kind(tmp_path):
     ("heat", dict(TINY_HEAT, points_per_decade=1, t_min=3e-4, t_max=3e-3),
      r"heat needs at least 8 times; points_per_decade=1 over "
      r"t_min=0\.0003, t_max=0\.003 gives 2"),
+    ("dims", {"ratios": [[0.5, 1.5], [0.25, 1]]},
+     r"^ratios: multiplicity 1\.5 is not an integer >= 1; "
+     r"got \[\[0\.5, 1\.5\], \[0\.25, 1\]\]$"),
+    ("dims", {"ratios": [[0.5, True]]},
+     r"^ratios: multiplicity True is not an integer >= 1; "
+     r"got \[\[0\.5, True\]\]$"),
+    ("poles", {"ratios": [[0.5, 0]]},
+     r"^ratios: multiplicity 0 is not an integer >= 1"),
+    ("tube", {"n": 3, "r": 1 / 3, "h": 1e-2},
+     r"tube needs 5h <= sfe_t_min < sfe_t_max; h=0\.01 gives "
+     r"sfe_t_min=0\.05 \(default max\(0\.01, 5h\)\), sfe_t_max=0\.05"),
+    ("tube", {"n": 3, "r": 1 / 3, "h": 2e-2},
+     r"tube needs 5h <= sfe_t_min < sfe_t_max; h=0\.02 gives "
+     r"sfe_t_min=0\.1 \(default max\(0\.01, 5h\)\), sfe_t_max=0\.05"),
+    ("tube", dict(TINY_TUBE, sfe_points=0),
+     r"^sfe_points must be >= 1; got 0$"),
+    ("tube", dict(TINY_TUBE, sfe_t_min=0),
+     r"tube needs 5h <= sfe_t_min < sfe_t_max; h=0\.005 gives "
+     r"sfe_t_min=0 "),
+    ("tube", {"n": 3, "r": 1 / 3, "h": 5e-3, "fit_t_min": 0.1,
+              "fit_t_max": 0.11},
+     r"tube needs at least 8 times in \[fit_t_min, fit_t_max\]; "
+     r"fit_t_min=0\.1, fit_t_max=0\.11 over t_min=0\.05, t_max=0\.3 "
+     r"gives 2"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
         "poles-ratios", "heat-remainder-string", "heat-remainder-int",
         "dims-missing-n", "poles-missing-r", "tube-missing-n",
         "heat-points-per-decade-zero", "heat-points-per-decade-negative",
-        "heat-too-few-times"])
+        "heat-too-few-times", "dims-fractional-multiplicity",
+        "dims-boolean-multiplicity", "poles-zero-multiplicity",
+        "tube-sfe-window-degenerate", "tube-sfe-window-reversed",
+        "tube-sfe-points-zero", "tube-sfe-t-min-zero",
+        "tube-fit-window-too-few"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -357,14 +385,32 @@ def test_heat_scaling_check_can_fail(tmp_path, monkeypatch):
     assert not checks_of(out)["heat_scaling"]["passed"]
 
 
-def run_fresh(code: str, cwd: Path) -> None:
-    """Run ``code`` in a fresh interpreter with the package on its path."""
+def run_fresh(code: str, cwd: Path, **env_vars: str) -> None:
+    """Run ``code`` in a fresh interpreter with the package on its path
+    and ``env_vars`` added to its environment."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "FRACTAL_DIMS_CACHE"}
-    env["PYTHONPATH"] = str(src)
+    env.update(env_vars, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_heat_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 21,820 folded unknowns: OpenBLAS threads its level-1 calls on vectors
+    # this long, so a solve that used them would sum in another order at
+    # another thread count.  OpenBLAS reads the count when it loads, so it
+    # is set in each child's environment only
+    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3}
+    outputs = []
+    for threads in ("1", "2"):
+        run_fresh("from pathlib import Path\n"
+                  "from fractaldims.cli import run_command\n"
+                  f"run_command('heat', {cfg!r}, Path({threads!r}))\n",
+                  tmp_path, OPENBLAS_NUM_THREADS=threads)
+        manifest = tmp_path / threads / "manifest.json"
+        outputs.append(json.loads(manifest.read_text())["outputs"])
+    assert outputs[0] == outputs[1]
 
 
 def test_commands_without_heat_load_no_scipy(tmp_path):

@@ -152,6 +152,19 @@ def test_ratio_arrays_are_built_once_and_read_only():
     assert hash(rm) == hash(RatioMultiset(((0.2, 3), (0.5, 1))))
 
 
+def test_multiplicities_are_integers_of_at_least_one():
+    # int() would truncate 1.5 and read True as 1
+    for m in (1.5, True, np.True_, 0, "2", [1]):
+        for build in (lambda: RatioMultiset(((0.5, m),)),
+                      lambda: RatioMultiset.from_pairs([(0.5, m),
+                                                        (0.25, 1)])):
+            with pytest.raises(ValueError, match="is not an integer >= 1"):
+                build()
+    rm = RatioMultiset.from_pairs([(0.5, 2.0), (0.25, np.int64(3))])
+    assert rm.entries == ((0.5, 2), (0.25, 3))
+    assert all(type(m) is int for _, m in rm.entries)
+
+
 # ---------------------------------------------------------------- lattice
 
 
