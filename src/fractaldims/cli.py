@@ -16,6 +16,12 @@ BLAS thread count.
 it to ``verify_gkf_sfe(region, fld, ts)`` and ``decomposition_remainder(
 region, ts, h)``; both ``explicit`` sources take R from
 ``sampled.sfe_remainder``.
+
+``explicit`` compares data integrated from the first sample with the pole
+sum modulo the polynomial that start leaves, which it reports
+(``explicit.fit_start_polynomial``).  It refuses k < 2 and a delta above
+t_max * lambda_min^alpha before any field or solve, and a window of fewer
+than FIT_MIN_SAMPLES + k - 2 times before any pole search.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from . import __version__
 from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .errors import GeometryError
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
-                       remainder_term)
+                       fit_start_polynomial, remainder_term)
 from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
                    solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue
@@ -351,6 +357,9 @@ def cmd_heat(cfg):
 def cmd_explicit(cfg):
     source = _choice(cfg, "source", ("tube", "heat"))
     k = _number(cfg, "k", 2, int)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, where the explicit formula holds "
+                         f"pointwise; got {k}")
     im_max = _number(cfg, "im_max", 80.0)
     cutoffs = _number(cfg, "cutoffs", (10, 20, 40, 80),
                       lambda v: tuple(float(c) for c in v))
@@ -361,41 +370,59 @@ def cmd_explicit(cfg):
     beta = 2.0
     if source == "tube":
         alpha = 1.0
-        region, fld, ts = _compute_tube(cfg)
-        pairs = region.params.ratio_pairs
-        tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
-        f_ts, r_ts = sfe_remainder(tube, pairs, alpha, ts)
-        area = fld.region_area
+        _, ts = _tube_times(cfg)
     else:
         alpha = 2.0
         h = _number(cfg, "h", 2e-3)
         ts = geometric_grid(_number(cfg, "t_min", 25 * h * h * 1.05),
-                            _number(cfg, "t_max", 3e-3),
+                            _number(cfg, "t_max", 0.5),
                             _number(cfg, "points_per_decade", 24, int))
+    pairs = _params(cfg).ratio_pairs
+    ratios = RatioMultiset.from_pairs(pairs)
+    # the residues read F up to delta / lambda_min^alpha
+    delta_max = float(ts[-1]) * float(np.min(ratios.ratios)) ** alpha
+    delta = cfg.get("delta")
+    if delta is not None:
+        delta = _number(cfg, "delta")
+        if not 0 < delta <= delta_max:
+            raise ValueError(
+                f"need 0 < delta <= t_max*lambda_min^alpha; delta={delta:g} "
+                f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
+                f"lower delta or raise t_max")
+    if source == "tube":
+        region, fld, ts = _compute_tube(cfg)
+        tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
+        f_ts, r_ts = sfe_remainder(tube, pairs, alpha, ts)
+        area = fld.region_area
+    else:
         region = _snowflake_from_config(cfg, 4)
         content, rem = decomposition_remainder(region, ts, h)
         f_ts, r_ts = content.vals, rem.vals
         area = abs(region.area)
-    direct_raw = SampledFunction(ts, f_ts)
     norm = SampledFunction(ts, f_ts / ts ** (beta / alpha))
     remainder = SampledFunction(ts, r_ts / ts ** (beta / alpha))
-    ratios = RatioMultiset.from_pairs(region.params.ratio_pairs)
-    # default truncation: largest t with data below 90% of saturation
-    delta = cfg.get("delta")
     if delta is None:
-        below = direct_raw.ts[direct_raw.vals <= 0.9 * area]
-        delta = float(below[-1]) if len(below) else float(direct_raw.ts[-1])
-    else:
-        delta = _number(cfg, "delta")
-    lam_min = float(np.min(ratios.ratios)) ** alpha
-    delta = min(delta, float(norm.ts[-1]) * lam_min * 0.999)
-    eval_t_min = _number(cfg, "eval_t_min", norm.ts[0] * 5)
+        # largest t with data below 90% of saturation, inside the range
+        below = ts[f_ts <= 0.9 * area]
+        delta = float(below[-1]) if len(below) else float(ts[-1])
+        delta = min(delta, delta_max * 0.999)
+    eval_t_min = _number(cfg, "eval_t_min", ts[0])
     eval_t_max = _number(cfg, "eval_t_max", delta * 0.8)
-    if not 0 < eval_t_min < eval_t_max:
+    if not ts[0] <= eval_t_min < eval_t_max <= ts[-1]:
         raise ValueError(
-            f"empty evaluation window: need 0 < eval_t_min < eval_t_max, "
-            f"got eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
-            f"(default 0.8*delta), delta={delta:.6g}")
+            f"empty evaluation window: need t_min <= eval_t_min < eval_t_max "
+            f"<= t_max, got eval_t_min={eval_t_min:.6g}, eval_t_max="
+            f"{eval_t_max:.6g} (default 0.8*delta), delta={delta:.6g}, "
+            f"t_min={ts[0]:.6g}, t_max={ts[-1]:.6g}")
+    t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
+    # the start polynomial takes k of the window's points; at k = 2 the
+    # residual keeps FIT_MIN_SAMPLES - 2 of them
+    need = FIT_MIN_SAMPLES + k - 2
+    if len(t_grid) < need:
+        raise ValueError(
+            f"explicit needs at least {need} evaluation times at k={k}; "
+            f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
+            f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
     dims = _locate_poles(ratios, im_max)
     # build_terms reads residues of simple poles only
     residues = [sfe_zeta_residue(ratios, norm, remainder, p.omega, delta,
@@ -407,9 +434,9 @@ def cmd_explicit(cfg):
     extra = remainder_term(ratios, remainder, beta=beta, alpha=alpha, k=k)
     if extra is not None:
         terms.append(extra)
-    t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
     series = evaluate_sum(terms, t_grid, im_cutoffs=cutoffs)
-    direct = antiderivative(direct_raw, k)
+    direct, start_poly = fit_start_polynomial(
+        antiderivative(SampledFunction(ts, f_ts), k), series, k)
     expected = beta / alpha - 0.0 + k  # remainder order sigma0 = 0
     comp = compare_explicit(direct, series,
                             expected_remainder_exp=expected - 0.05)
@@ -419,6 +446,8 @@ def cmd_explicit(cfg):
     doc = {
         "k": k, "alpha": alpha, "beta": beta, "delta": delta,
         "poles": len(dims.poles), "skipped_non_simple": len(built.skipped),
+        "window_points": len(t_grid),
+        "start_polynomial": [float(c) for c in start_poly],
         "max_rel_dev": comp.max_rel_dev,
         "fitted_slope": comp.fitted_slope,
         "at_floor": comp.at_floor,

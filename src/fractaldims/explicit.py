@@ -15,6 +15,11 @@ symbol.  The sum is a symmetric limit: terms are added in order of
 imaginary parts.  Residues come in closed form from the zeta
 factorization, h(omega/alpha) / P'(omega) at each simple pole (see
 mellin.sfe_zeta_residue), never from divergent quadrature.
+
+The direct side is integrated from the first sample t0 > 0, so it differs
+from the antiderivative from 0 by a polynomial of degree k - 1, which
+``fit_start_polynomial`` removes.  That removes no term of the sum: an
+exponent (beta-omega)/alpha + k in {0, ..., k-1} needs Re omega > beta.
 """
 
 from __future__ import annotations
@@ -167,6 +172,18 @@ def evaluate_sum(terms, t_grid, im_cutoffs) -> PartialSumSeries:
         leaks.append(float(np.max(np.abs(acc.imag))) if len(acc) else 0.0)
     return PartialSumSeries(t_grid=t_grid, im_cutoffs=cutoffs, sums=sums,
                             imag_leakage=tuple(leaks))
+
+
+def fit_start_polynomial(direct: SampledFunction, series: PartialSumSeries,
+                         k: int) -> tuple[SampledFunction, np.ndarray]:
+    """``direct``, a k-fold antiderivative from its first sample, on the
+    series grid less the degree k - 1 polynomial fitted to direct - series
+    with weights 1/|series|; also returns the coefficients, lowest first."""
+    t, best = series.t_grid, series.best()
+    vals = direct(t)
+    poly = np.polynomial.polynomial
+    coeffs = poly.polyfit(t, vals - best, k - 1, w=1.0 / np.abs(best))
+    return SampledFunction(t, vals - poly.polyval(t, coeffs)), coeffs
 
 
 @dataclass(frozen=True)

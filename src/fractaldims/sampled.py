@@ -160,31 +160,17 @@ def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 
 
 def antiderivative(samples: SampledFunction, k: int = 1) -> SampledFunction:
-    """k-fold cumulative antiderivative with F(0) = 0 at each stage.
+    """k-fold cumulative trapezoid antiderivative, 0 at ts[0] at each stage.
 
-    Integration is cumulative trapezoid on the sampled grid; the value at
-    the first node is seeded by integrating the fitted leading power law
-    c*t^p below ts[0] in closed form.  Requires the grid to start near
-    zero (ts[0] <= 1e-3 * ts[-1]).
+    It is F^[k] from 0 less sum_{j=1..k} F^[j](ts[0]) (t - ts[0])^(k-j) /
+    (k-j)!, a polynomial that ``explicit.fit_start_polynomial`` removes.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return samples
-    if samples.ts[0] > 1e-3 * samples.ts[-1]:
-        raise ValueError("grid must reach toward 0 (ts[0] <= 1e-3 ts[-1])")
-    out = samples
+    ts, vals = samples.ts, samples.vals
     for _ in range(k):
-        ts, vals = out.ts, out.vals
-        fit = out.leading_power
-        if fit is not None and fit[0] > -1.0:
-            p, c = fit
-            seed = c * ts[0] ** (p + 1.0) / (p + 1.0)
-        else:
-            # no power law, or a divergent one: rough triangle seed
-            seed = 0.5 * vals[0] * ts[0]
         increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)
-        cum = np.concatenate(([seed], seed + np.cumsum(increments)))
-        out = SampledFunction(ts, cum, meta=dict(out.meta))
-    return SampledFunction(out.ts, out.vals,
-                           meta={**samples.meta, "antiderivative_order": k})
+        vals = np.concatenate(([0.0], np.cumsum(increments)))
+    return SampledFunction(ts, vals, meta=dict(samples.meta))

@@ -187,6 +187,17 @@ def test_render_curve_kind(tmp_path):
      r"tube needs at least 8 times in \[fit_t_min, fit_t_max\]; "
      r"fit_t_min=0\.1, fit_t_max=0\.11 over t_min=0\.05, t_max=0\.3 "
      r"gives 2"),
+    ("explicit", dict(TINY_TUBE, k=1),
+     r"^k must be >= 2, where the explicit formula holds pointwise; got 1$"),
+    ("explicit", dict(TINY_TUBE, k=-1),
+     r"^k must be >= 2, where the explicit formula holds pointwise; "
+     r"got -1$"),
+    ("explicit", {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+                  "delta": 0.2},
+     r"^need 0 < delta <= t_max\*lambda_min\^alpha; delta=0\.2 with "
+     r"t_max=0\.3 allows at most 0\.072: lower delta or raise t_max$"),
+    ("explicit", dict(TINY_HEAT, source="heat", delta=1e-3),
+     r"delta=0\.001 with t_max=0\.002 allows at most 0\.000222222"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
@@ -197,7 +208,8 @@ def test_render_curve_kind(tmp_path):
         "dims-boolean-multiplicity", "poles-zero-multiplicity",
         "tube-sfe-window-degenerate", "tube-sfe-window-reversed",
         "tube-sfe-points-zero", "tube-sfe-t-min-zero",
-        "tube-fit-window-too-few"])
+        "tube-fit-window-too-few", "explicit-k-one", "explicit-k-negative",
+        "explicit-tube-delta-too-large", "explicit-heat-delta-too-large"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -445,12 +457,26 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
                        r"eval_t_max=0\.0001 \(default 0\.8\*delta\), "
                        r"delta=0\.\d+"):
         run_command("explicit", cfg, tmp_path / "tube")
-    # the heat source's defaults leave eval_t_min above 0.8 delta
+    # a window past the sampled range is refused before the pole search too
+    cfg = dict(TINY_TUBE, delta=0.05, eval_t_min=0.06, eval_t_max=0.25)
+    with pytest.raises(ValueError, match=r"need t_min <= eval_t_min < "
+                       r"eval_t_max <= t_max, got eval_t_min=0\.06, "
+                       r"eval_t_max=0\.25 .* t_min=0\.05, t_max=0\.2$"):
+        run_command("explicit", cfg, tmp_path / "past")
+    # t_max = 2e-3 leaves the heat source's eval_t_min = t_min above
+    # 0.8 delta
     cfg = dict(TINY_HEAT, source="heat", im_max=5)
     del cfg["t_min"]
     with pytest.raises(ValueError, match="empty evaluation window") as err:
         run_command("explicit", cfg, tmp_path / "heat")
     assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)
+    # a window of two times is refused, not read as a residual at the floor
+    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+           "delta": 0.05, "eval_t_min": 0.039, "eval_t_max": 0.04}
+    with pytest.raises(ValueError, match=r"^explicit needs at least 8 "
+                       r"evaluation times at k=2; eval_t_min=0\.039, "
+                       r"eval_t_max=0\.04 \(default 0\.8\*delta\) gives 2"):
+        run_command("explicit", cfg, tmp_path / "two")
 
 
 def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):
@@ -547,3 +573,31 @@ def test_unverified_snowflake_is_refused_before_any_work(tmp_path,
     assert not (tmp_path / command).exists()
     # render draws the curve all the same
     run_command("render", cfg, tmp_path / "render")
+
+
+def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    cfg = {"n": 3, "r": 1 / 3}
+    for command in ("dims", "poles", "tube", "heat", "render"):
+        out = run_command(command, cfg, tmp_path / command)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]
+        assert all(c["passed"] for c in manifest["checks"])
+    # measured numbers, not the verdict of the slope gate
+    for source, points, delta, dev, coeffs in (
+            ("tube", 23, 0.0999, 4.662e-3, (1.0221e-6, -1.6134e-4)),
+            ("heat", 61, 0.038304, 6.680e-2, (3.9888e-10, -6.5835e-6))):
+        out = run_command("explicit", dict(cfg, source=source),
+                          tmp_path / source)
+        doc = json.loads((out / "explicit_report.json").read_text())
+        assert doc["window_points"] == points >= 8
+        assert doc["poles"] == 27
+        assert doc["delta"] == pytest.approx(delta, rel=1e-4)
+        assert doc["max_rel_dev"] == pytest.approx(dev, rel=1e-3)
+        assert doc["start_polynomial"] == pytest.approx(coeffs, rel=1e-3)
+        # for data F >= 0 the antiderivatives from 0 at t0 obey
+        # 0 <= A2 <= t0 A1, so the fitted -(A2 - A1 t0) and -A1 must too
+        const, linear = doc["start_polynomial"]
+        t0 = float((out / "series.csv").read_text().splitlines()[1]
+                   .split(",")[0])
+        assert 0 <= const <= -linear * t0

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fractaldims.explicit import (FormulaTerm, build_terms, compare_explicit,
-                                  evaluate_sum, formula_term, pochhammer,
-                                  remainder_term)
+                                  evaluate_sum, fit_start_polynomial,
+                                  formula_term, pochhammer, remainder_term)
 from fractaldims.mellin import sfe_zeta_residue
-from fractaldims.sampled import SampledFunction, geometric_grid
+from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
 from fractaldims.zeta import (ComplexDimensionSet, Pole, RatioMultiset,
                               detect_lattice, lattice_poles)
 
@@ -176,6 +176,30 @@ def test_cantor_leading_term_dominance(cantor_terms):
     scaled = direct / t ** (3 - d)
     avg = np.trapezoid(scaled, np.log(t)) / np.log(3)
     assert avg == pytest.approx(c0, rel=0.02)
+
+
+def test_cantor_antiderivative_from_first_sample_aligns(cantor_terms):
+    # V^[2] from t0 is V^[2] from 0 less A2(t0) + A1(t0) (t - t0), with
+    # A1, A2 the first and second antiderivatives from 0 at t0; the fit
+    # removes that polynomial whatever t0 is
+    _, cs, _, _, built, extra = cantor_terms
+    t = geometric_grid(1e-3, 1e-1, 24)
+    series = evaluate_sum(list(built.terms) + [extra], t, im_cutoffs=(24,))
+    devs, fits = [], {}
+    for t0 in (1e-6, 1e-4, 2e-4, 5e-4):
+        ts = geometric_grid(t0, 0.3, 200)
+        direct, fits[t0] = fit_start_polynomial(
+            antiderivative(SampledFunction(ts, cs.volume(ts)), 2), series, 2)
+        comp = compare_explicit(direct, series, expected_remainder_exp=2.95)
+        devs.append(comp.max_rel_dev)
+    # what is left is trapezoid error, the same at every t0
+    assert max(devs) <= 6e-5
+    assert max(devs) <= 1.1 * min(devs)
+    t0, ell = 2e-4, cs.lens
+    a1 = np.sum(cs.mults * np.where(t0 <= ell / 2, t0 ** 2,
+                                    ell * t0 - ell ** 2 / 4))
+    a2 = cs.volume_anti2(t0)[0]
+    assert fits[t0] == pytest.approx([-(a2 - a1 * t0), -a1], rel=0.02)
 
 
 def test_remainder_term_none_for_decaying_remainder():

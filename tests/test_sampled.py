@@ -103,7 +103,6 @@ def test_leading_power_is_fitted_once_per_function(monkeypatch):
     assert len(calls) == 2
     assert ev.sigma_hat == pytest.approx(-0.5, rel=1e-12)
     assert ev.tail_coef == pytest.approx(3.0, rel=1e-12)
-    # antiderivative reads the cached fit of its input and fits its first
-    # stage's output once
+    # antiderivative integrates from the first sample and fits nothing
     antiderivative(power, 2)
-    assert len(calls) == 3
+    assert len(calls) == 2
