@@ -19,9 +19,11 @@ region, ts, h)``; both ``explicit`` sources take R from
 
 ``explicit`` compares data integrated from the first sample with the pole
 sum modulo the polynomial that start leaves, which it reports
-(``explicit.fit_start_polynomial``).  It refuses k < 2 and a delta above
-t_max * lambda_min^alpha before any field or solve, and a window of fewer
-than FIT_MIN_SAMPLES + k - 2 times before any pole search.
+(``explicit.fit_start_polynomial``).  It refuses k < 2, a t_min below
+the grid's resolution (5h for the tube, 25h^2 for the heat content) and
+a delta above t_max * lambda_min^alpha before any field or solve, and a
+window of fewer than FIT_MIN_SAMPLES + k - 2 times before any pole
+search.
 """
 
 from __future__ import annotations
@@ -370,13 +372,20 @@ def cmd_explicit(cfg):
     beta = 2.0
     if source == "tube":
         alpha = 1.0
-        _, ts = _tube_times(cfg)
+        h, ts = _tube_times(cfg)
+        floor, floor_name = 5 * h, "5h"
     else:
         alpha = 2.0
         h = _number(cfg, "h", 2e-3)
         ts = geometric_grid(_number(cfg, "t_min", 25 * h * h * 1.05),
                             _number(cfg, "t_max", 0.5),
                             _number(cfg, "points_per_decade", 24, int))
+        floor, floor_name = 25 * h * h, "25h^2"
+    if ts[0] < floor:
+        raise ValueError(
+            f"explicit source={source} needs t_min >= {floor_name}, where "
+            f"the grid resolves it; t_min={ts[0]:g} with h={h:g} is below "
+            f"{floor:.6g}: raise t_min or lower h")
     pairs = _params(cfg).ratio_pairs
     ratios = RatioMultiset.from_pairs(pairs)
     # the residues read F up to delta / lambda_min^alpha
@@ -476,7 +485,7 @@ def cmd_render(cfg):
     if width < 1:
         raise ValueError(f"width must be a positive integer; got {width}")
     if kind == "curve":
-        verts = prefractal(params, level).vertices
+        verts = prefractal(params, level)
         closed = False
     else:
         region = snowflake(params, level)

@@ -70,9 +70,6 @@ class SampledFunction:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "vals", vals)
 
-    def __len__(self):
-        return len(self.ts)
-
     def __call__(self, t):
         """Linear interpolation inside the sampled range."""
         t = np.asarray(t, dtype=float)

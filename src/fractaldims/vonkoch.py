@@ -2,9 +2,10 @@
 
 The (n, r) family replaces the middle r-portion of a segment by the other
 n-1 sides of a regular n-gon of side r, leaving two flanking segments of
-length ell = (1-r)/2 each.  The construction is carried both as an
-explicit self-similar system (n+1 similitudes) and as prefractal
-polylines obtained by substitution; the two agree vertex-for-vertex.
+length ell = (1-r)/2 each.  The dimension theory reads only the n+1
+scaling ratios of that step (``GKCParams.ratio_pairs``); the geometry is
+its n+2 generator vertices, and the level-L prefractal polyline
+substitutes the generator into every segment L times.
 
 Snowflakes place n curve copies on the edges of a unit-side regular
 n-gon, bumps outward.  For r below the self-avoidance bound the boundary
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import GeometryError, SizeLimitError
 from .geom import (check_closed_polyline_simple, clip_polygon_halfplane,
                    polygon_area)
-from .ifs import SelfSimilarSystem, Similitude2, apply
 
 #: cap on prefractal segment counts
 SEGMENT_CAP = 10_000_000
@@ -87,59 +87,28 @@ def _warn_bound_band(n: int, r: float):
                 "simplicity is uncertain here", stacklevel=3)
 
 
-def build_system(params: GKCParams) -> SelfSimilarSystem:
-    """The n+1 similitudes of the (n, r) construction, in chain order.
+def generator_vertices(params: GKCParams) -> np.ndarray:
+    """Level-1 vertices on the unit interval: (n+2, 2), from (0, 0) to
+    (1, 0) up to round-off.
 
-    phi_L scales by ell about the origin; psi_1..psi_{n-1} scale by r with
-    rotations alpha_int - (k-1)*theta and translations chained through the
-    previous map's image of (1,0); phi_R scales by ell onto [ell+r, 1].
-    Consecutive maps chain: apply(maps[i], (1, 0)) equals
-    apply(maps[i + 1], (0, 0)).
+    The flank [0, ell], then n-1 sides of length r in the directions
+    alpha_int - (k-1)*theta, k = 1..n-1, then the flank [ell+r, 1].  Each
+    vertex is its predecessor plus one step, summed in that order.
     """
     n, r, ell = params.n, params.r, params.ell
-    alpha, theta = params.alpha_int, params.theta
-    maps = [Similitude2(scale=ell)]
-    prev_end = np.array([ell, 0.0])
+    verts = np.zeros((n + 2, 2))
+    verts[1, 0] = ell
     for k in range(1, n):
-        psi = Similitude2(scale=r, rotation=alpha - (k - 1) * theta,
-                          translation=(prev_end[0], prev_end[1]))
-        maps.append(psi)
-        prev_end = apply(psi, (1.0, 0.0))
-    maps.append(Similitude2(scale=ell, translation=(ell + r, 0.0)))
-    system = SelfSimilarSystem(tuple(maps))
-    # chain continuity is forced by the recursion; assert the reading
-    for i in range(n):
-        left = apply(system.maps[i], (1.0, 0.0))
-        right = apply(system.maps[i + 1], (0.0, 0.0))
-        if not np.allclose(left, right, atol=1e-12):
-            raise AssertionError(f"chain break between maps {i} and {i+1}")
-    return system
+        angle = params.alpha_int - (k - 1) * params.theta
+        verts[k + 1] = verts[k] + r * np.array([np.cos(angle), np.sin(angle)])
+    verts[n + 1, 0] = ell + (ell + r)
+    return verts
 
 
-def generator_vertices(params: GKCParams) -> np.ndarray:
-    """Level-1 vertices on the unit interval: (n+2, 2), endpoints (0,0),(1,0)."""
-    system = build_system(params)
-    verts = [np.array([0.0, 0.0])]
-    for m in system.maps:
-        verts.append(apply(m, (1.0, 0.0)))
-    return np.asarray(verts)
-
-
-@dataclass(frozen=True)
-class PrefractalCurve:
-    """Level-L substitution polyline from (0,0) to (1,0).
-
-    Has (n+1)^level segments; every segment length is r^a * ell^b with
-    a + b = level.
-    """
-
-    vertices: np.ndarray = field(repr=False)
-    level: int
-    params: GKCParams
-
-
-def prefractal(params: GKCParams, level: int) -> PrefractalCurve:
-    """Level-fold substitution of each segment by the generator image."""
+def prefractal(params: GKCParams, level: int) -> np.ndarray:
+    """Level-L substitution polyline from (0, 0) to (1, 0): the (m, 2)
+    vertices of its (n+1)^level segments, each of length r^a * ell^b
+    with a + b = level."""
     if level < 0:
         raise ValueError("level must be >= 0")
     n = params.n
@@ -155,8 +124,7 @@ def prefractal(params: GKCParams, level: int) -> PrefractalCurve:
         # orientation-preserving image of the generator in each segment
         pieces = a[:, None] + w[:, None] * genc[None, :-1]
         verts = np.append(pieces.reshape(-1), verts[-1])
-    out = np.column_stack([verts.real, verts.imag])
-    return PrefractalCurve(vertices=out, level=level, params=params)
+    return np.column_stack([verts.real, verts.imag])
 
 
 @dataclass(frozen=True)
@@ -198,19 +166,15 @@ def snowflake(params: GKCParams, level: int) -> SnowflakeRegion:
     """n prefractal copies stitched around the base n-gon, bumps outward."""
     n = params.n
     _warn_bound_band(n, params.r)
-    curve = prefractal(params, level).vertices
+    curve = prefractal(params, level)
     cc = curve[:, 0] + 1j * curve[:, 1]
     base = base_polygon(n)
-    bc = base[:, 0] + 1j * base[:, 1]
-    pieces = []
-    for k in range(n):
-        a = bc[k]
-        b = bc[(k + 1) % n]
-        edge = a + (b - a) * cc
-        pieces.append(edge[:-1])  # endpoint shared with the next edge
-    boundary = np.concatenate(pieces)
+    a = base[:, 0] + 1j * base[:, 1]
+    # one copy per base edge [a_k, a_k+1], less the end it shares with
+    # the next copy
+    pieces = a[:, None] + (np.roll(a, -1) - a)[:, None] * cc[None, :-1]
+    boundary = pieces.reshape(-1)[::-1]  # counterclockwise, positive area
     boundary = np.column_stack([boundary.real, boundary.imag])
-    boundary = boundary[::-1].copy()  # counterclockwise, positive area
 
     verified = False
     if params.r < self_avoidance_bound(n):

@@ -378,12 +378,6 @@ class ComplexDimensionSet:
     search_rect: tuple[float, float, float, float] | None = None
     search_count: int | None = None
 
-    def omegas(self) -> np.ndarray:
-        return np.array([p.omega for p in self.poles])
-
-    def residues(self) -> np.ndarray:
-        return np.array([p.residue for p in self.poles])
-
     def to_json(self) -> str:
         doc = {
             "poles": [

@@ -1,5 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+
+from fractaldims.geom import rotation_matrix
 
 
 def fourier_rod_content(t, terms=400):
@@ -66,3 +70,34 @@ class CantorString:
 @pytest.fixture(scope="session")
 def cantor_string():
     return CantorString()
+
+
+@dataclass(frozen=True)
+class Similitude:
+    """The similarity map p -> translation + scale * R(rotation) p."""
+
+    scale: float
+    rotation: float = 0.0
+    translation: tuple[float, float] = (0.0, 0.0)
+
+    def __call__(self, p) -> np.ndarray:
+        """Image of a point (2,) or of the rows of an (m, 2) array."""
+        m = self.scale * rotation_matrix(self.rotation)
+        return (np.asarray(p, dtype=float) @ m.T
+                + np.asarray(self.translation, dtype=float))
+
+
+def koch_maps(params) -> list[Similitude]:
+    """The n+1 maps of the (n, r) construction, in chain order: phi_L
+    scales by ell about the origin, psi_k by r with rotation
+    alpha_int - (k-1)*theta about the previous map's image of (1, 0), and
+    phi_R by ell onto [ell + r, 1].  The generator vertices are (0, 0)
+    and the images of (1, 0); the level-L prefractal vertices are the
+    L-th image of {(0, 0), (1, 0)} under the union of the maps."""
+    n, r, ell = params.n, params.r, params.ell
+    maps = [Similitude(ell)]
+    for k in range(1, n):
+        maps.append(Similitude(r, params.alpha_int - (k - 1) * params.theta,
+                               tuple(maps[-1]((1.0, 0.0)))))
+    maps.append(Similitude(ell, translation=(ell + r, 0.0)))
+    return maps

@@ -192,12 +192,22 @@ def test_render_curve_kind(tmp_path):
     ("explicit", dict(TINY_TUBE, k=-1),
      r"^k must be >= 2, where the explicit formula holds pointwise; "
      r"got -1$"),
-    ("explicit", {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+    ("explicit", {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
                   "delta": 0.2},
      r"^need 0 < delta <= t_max\*lambda_min\^alpha; delta=0\.2 with "
      r"t_max=0\.3 allows at most 0\.072: lower delta or raise t_max$"),
     ("explicit", dict(TINY_HEAT, source="heat", delta=1e-3),
      r"delta=0\.001 with t_max=0\.002 allows at most 0\.000222222"),
+    ("explicit", {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+                  "delta": 0.05, "eval_t_min": 5e-3, "eval_t_max": 4e-2,
+                  "im_max": 10, "source": "tube"},
+     r"^explicit source=tube needs t_min >= 5h, where the grid resolves "
+     r"it; t_min=0\.0001 with h=0\.004 is below 0\.02: raise t_min or "
+     r"lower h$"),
+    ("explicit", dict(TINY_HEAT, source="heat", t_min=8e-4),
+     r"^explicit source=heat needs t_min >= 25h\^2, where the grid "
+     r"resolves it; t_min=0\.0008 with h=0\.006 is below 0\.0009: raise "
+     r"t_min or lower h$"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
@@ -209,7 +219,8 @@ def test_render_curve_kind(tmp_path):
         "tube-sfe-window-degenerate", "tube-sfe-window-reversed",
         "tube-sfe-points-zero", "tube-sfe-t-min-zero",
         "tube-fit-window-too-few", "explicit-k-one", "explicit-k-negative",
-        "explicit-tube-delta-too-large", "explicit-heat-delta-too-large"])
+        "explicit-tube-delta-too-large", "explicit-heat-delta-too-large",
+        "explicit-tube-t-min-below-5h", "explicit-heat-t-min-below-25h2"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -471,7 +482,7 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
         run_command("explicit", cfg, tmp_path / "heat")
     assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)
     # a window of two times is refused, not read as a residual at the floor
-    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
+    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
            "delta": 0.05, "eval_t_min": 0.039, "eval_t_max": 0.04}
     with pytest.raises(ValueError, match=r"^explicit needs at least 8 "
                        r"evaluation times at k=2; eval_t_min=0\.039, "
@@ -542,8 +553,8 @@ def test_snowflake_is_built_once_per_run(tmp_path, monkeypatch):
 
 def test_explicit_tube_source_runs(tmp_path, monkeypatch):
     monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
-    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 1e-4,
-           "delta": 0.05, "eval_t_min": 5e-3, "eval_t_max": 4e-2,
+    cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
+           "delta": 0.05, "eval_t_min": 2e-2, "eval_t_max": 4e-2,
            "im_max": 10, "source": "tube"}
     out = run_command("explicit", cfg, tmp_path / "tube")
     doc = json.loads((out / "explicit_report.json").read_text())

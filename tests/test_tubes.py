@@ -6,7 +6,6 @@ import pytest
 from fractaldims import cli, tubes
 from fractaldims.cli import _compute_tube
 from fractaldims.errors import GeometryError, ResolutionError
-from fractaldims.ifs import Similitude2, apply
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
 from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
                                minkowski_fit, prefractal_gap, tube_function,
@@ -14,6 +13,7 @@ from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
                                  snowflake)
 
+from conftest import Similitude
 from test_geom import points_to_segments_distance
 
 BOX = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 1.5], [-1.0, 1.5]])
@@ -41,7 +41,7 @@ def test_point_segment_distances():
 
 
 def test_field_is_lipschitz():
-    curve = prefractal(GKCParams(3, 1 / 3), 3).vertices
+    curve = prefractal(GKCParams(3, 1 / 3), 3)
     region = np.array([[-0.2, -0.2], [1.2, -0.2], [1.2, 0.6], [-0.2, 0.6]])
     fld = distance_field(curve, region, h=0.01)
     v = fld.grid.values
@@ -55,10 +55,10 @@ def test_pruned_field_is_exact():
     # inside cell, and the cells outside Ω are not measured
     sf3 = snowflake(GKCParams(3, 1 / 3), 3)
     sf4 = snowflake(GKCParams(4, 0.24), 3)
-    koch = prefractal(GKCParams(3, 1 / 3), 3).vertices
+    koch = prefractal(GKCParams(3, 1 / 3), 3)
     pentagon = np.array([[-0.2, -0.2], [1.2, -0.2], [1.25, 0.3],
                          [0.5, 0.7], [-0.25, 0.3]])
-    zero = prefractal(GKCParams(4, 0.24), 2).vertices
+    zero = prefractal(GKCParams(4, 0.24), 2)
     zero = np.insert(zero, 7, zero[7], axis=0)  # segment 7 has length 0
     triangle = np.array([[-0.1, -0.3], [1.1, -0.3], [0.5, 0.9]])
     cases = [(sf3.boundary, sector_region(sf3, 0), 1e-2),
@@ -273,7 +273,7 @@ def test_half_sector_measures_half_the_cells(monkeypatch):
 
 
 def test_tube_monotone_and_bounded():
-    curve = prefractal(GKCParams(3, 1 / 3), 2).vertices
+    curve = prefractal(GKCParams(3, 1 / 3), 2)
     region = np.array([[-0.2, -0.2], [1.2, -0.2], [1.2, 0.6], [-0.2, 0.6]])
     fld = distance_field(curve, region, h=5e-3)
     ts = geometric_grid(0.02, 0.5, 24)
@@ -315,7 +315,7 @@ class ScalingReport:
 
 
 def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
-                        sim: Similitude2, ts, h: float) -> ScalingReport:
+                        sim: Similitude, ts, h: float) -> ScalingReport:
     """Check V_{phi X, phi Omega}(t) = lambda^2 V_{X,Omega}(t/lambda)
     with both sides measured on independent grids."""
     ts = np.asarray(ts, dtype=float)
@@ -323,7 +323,7 @@ def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
     fld1 = distance_field(curve, region, h)
     base_ts = np.unique(ts / lam)
     v1 = tube_function(fld1, base_ts)
-    fld2 = distance_field(apply(sim, curve), apply(sim, region), lam * h)
+    fld2 = distance_field(sim(curve), sim(region), lam * h)
     v2 = tube_function(fld2, ts)
     rhs = lam ** 2 * np.interp(ts / lam, v1.ts, v1.vals)
     lhs = v2.vals
@@ -338,7 +338,7 @@ def verify_tube_scaling(curve: np.ndarray, region: np.ndarray,
 def test_scaling_rotation_only_is_isometry():
     # lambda = 1 is outside the similitude type; rotation via pose change
     seg = rotated_segment(0.0)
-    sim = Similitude2(scale=0.5, rotation=0.7, translation=(0.1, 0.05))
+    sim = Similitude(scale=0.5, rotation=0.7, translation=(0.1, 0.05))
     ts = np.linspace(0.04, 0.12, 5)
     report = verify_tube_scaling(seg, BOX, sim, ts, h=2e-3)
     assert report.passed
@@ -348,7 +348,7 @@ def test_scaling_rotation_only_is_isometry():
 def test_scaling_segment_closed_forms():
     # V_{X}(t) = 2t + pi t^2 for the unit segment; scaled by 1/2:
     # V_{phi X}(t) = (1/4) V_X(2t) = t + pi t^2
-    sim = Similitude2(scale=0.5)
+    sim = Similitude(scale=0.5)
     ts = np.linspace(0.04, 0.12, 5)
     report = verify_tube_scaling(rotated_segment(), BOX, sim, ts, h=2e-3)
     assert report.passed
@@ -358,9 +358,9 @@ def test_scaling_segment_closed_forms():
 
 
 def test_scaling_koch_curve():
-    curve = prefractal(GKCParams(3, 1 / 3), 4).vertices
+    curve = prefractal(GKCParams(3, 1 / 3), 4)
     region = np.array([[-0.2, -0.2], [1.2, -0.2], [1.2, 0.6], [-0.2, 0.6]])
-    sim = Similitude2(scale=1 / 3, rotation=0.2, translation=(0.05, -0.02))
+    sim = Similitude(scale=1 / 3, rotation=0.2, translation=(0.05, -0.02))
     ts = np.linspace(0.02, 0.08, 4)
     report = verify_tube_scaling(curve, region, sim, ts, h=1.5e-3)
     assert report.passed

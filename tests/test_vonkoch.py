@@ -4,12 +4,13 @@ import pytest
 from fractaldims import vonkoch
 from fractaldims.errors import GeometryError, SizeLimitError
 from fractaldims.geom import polygon_area
-from fractaldims.ifs import apply
-from fractaldims.vonkoch import (GKCParams, base_polygon, build_system,
-                                 generator_vertices, prefractal,
-                                 sector_region, self_avoidance_bound,
-                                 snowflake, snowflake_area_series)
+from fractaldims.vonkoch import (GKCParams, base_polygon, generator_vertices,
+                                 prefractal, sector_region,
+                                 self_avoidance_bound, snowflake,
+                                 snowflake_area_series)
 from fractaldims.zeta import RatioMultiset
+
+from conftest import koch_maps
 
 SQRT3 = np.sqrt(3.0)
 
@@ -22,37 +23,44 @@ def test_params_derived_quantities():
     assert p.alpha_int == pytest.approx(np.pi - 2 * np.pi / 5)
 
 
-def test_build_system_koch_generator():
-    params = GKCParams(3, 1 / 3)
-    system = build_system(params)
-    assert len(system.maps) == 4
-    assert np.allclose([m.scale for m in system.maps], 1 / 3)
-    verts = generator_vertices(params)
+def test_generator_vertices_koch():
+    verts = generator_vertices(GKCParams(3, 1 / 3))
     expected = np.array([[0, 0], [1 / 3, 0], [0.5, SQRT3 / 6],
                          [2 / 3, 0], [1, 0]])
     assert np.allclose(verts, expected, atol=1e-14)
 
 
+# The construction's iterated function system is the chain of maps of
+# ``conftest.koch_maps``; its ratios are ``GKCParams.ratio_pairs`` and its
+# images of (1, 0) are the generator vertices.
+
 def test_build_system_ratio_multiset():
     params = GKCParams(5, 1 / 5)
-    entries = RatioMultiset.from_pairs(
-        (m.scale, 1) for m in build_system(params).maps).entries
+    entries = RatioMultiset.from_pairs(params.ratio_pairs).entries
     assert entries == ((pytest.approx(0.4), 2), (pytest.approx(0.2), 4))
+    assert entries == RatioMultiset.from_pairs(
+        (m.scale, 1) for m in koch_maps(params)).entries
 
 
 def test_build_system_endpoints_fixed():
     params = GKCParams(4, 0.22)
-    system = build_system(params)
-    assert np.allclose(apply(system.maps[0], (0.0, 0.0)), (0.0, 0.0))
-    assert np.allclose(apply(system.maps[-1], (1.0, 0.0)), (1.0, 0.0))
+    maps = koch_maps(params)
+    assert np.allclose(maps[0]((0.0, 0.0)), (0.0, 0.0))
+    assert np.allclose(maps[-1]((1.0, 0.0)), (1.0, 0.0))
+    verts = generator_vertices(params)
+    assert np.allclose(verts[0], (0.0, 0.0))
+    assert np.allclose(verts[-1], (1.0, 0.0))
 
 
 def test_build_system_chain_continuity():
     for n, r in ((3, 1 / 3), (4, 0.2), (6, 0.1), (7, 0.17)):
-        system = build_system(GKCParams(n, r))
-        for left, right in zip(system.maps, system.maps[1:]):
-            assert np.allclose(apply(left, (1.0, 0.0)),
-                               apply(right, (0.0, 0.0)), atol=1e-12)
+        params = GKCParams(n, r)
+        maps = koch_maps(params)
+        for left, right in zip(maps, maps[1:]):
+            assert np.allclose(left((1.0, 0.0)), right((0.0, 0.0)),
+                               atol=1e-12)
+        assert np.allclose(generator_vertices(params)[1:],
+                           [m((1.0, 0.0)) for m in maps], atol=1e-12)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -70,23 +78,22 @@ def test_self_avoidance_warning_band_n6():
 
 
 def test_prefractal_level0():
-    curve = prefractal(GKCParams(3, 1 / 3), 0)
-    assert np.allclose(curve.vertices, [[0, 0], [1, 0]])
+    assert np.allclose(prefractal(GKCParams(3, 1 / 3), 0), [[0, 0], [1, 0]])
 
 
 def test_prefractal_counts_and_endpoints():
     for n, r, level in ((3, 1 / 3, 4), (5, 0.19, 3)):
         curve = prefractal(GKCParams(n, r), level)
-        assert len(curve.vertices) == (n + 1) ** level + 1
-        assert np.allclose(curve.vertices[0], (0, 0), atol=1e-15)
-        assert np.allclose(curve.vertices[-1], (1, 0), atol=1e-12)
+        assert len(curve) == (n + 1) ** level + 1
+        assert np.allclose(curve[0], (0, 0), atol=1e-15)
+        assert np.allclose(curve[-1], (1, 0), atol=1e-12)
 
 
 def test_prefractal_segment_lengths_are_mixed_powers():
     params = GKCParams(4, 0.21)
     level = 3
     curve = prefractal(params, level)
-    seg = np.diff(curve.vertices, axis=0)
+    seg = np.diff(curve, axis=0)
     lens = np.hypot(seg[:, 0], seg[:, 1])
     allowed = sorted({params.r ** a * params.ell ** (level - a)
                       for a in range(level + 1)})
@@ -98,7 +105,7 @@ def test_prefractal_total_length_scaling():
     params = GKCParams(3, 1 / 3)
     for level in range(7):
         curve = prefractal(params, level)
-        seg = np.diff(curve.vertices, axis=0)
+        seg = np.diff(curve, axis=0)
         total = np.hypot(seg[:, 0], seg[:, 1]).sum()
         assert total == pytest.approx((4 / 3) ** level, rel=1e-12)
 
@@ -108,7 +115,7 @@ def test_prefractal_general_length_scaling():
     per_step = 2 * params.ell + 4 * params.r
     for level in range(5):
         curve = prefractal(params, level)
-        seg = np.diff(curve.vertices, axis=0)
+        seg = np.diff(curve, axis=0)
         total = np.hypot(seg[:, 0], seg[:, 1]).sum()
         assert total == pytest.approx(per_step ** level, rel=1e-12)
 
@@ -126,15 +133,15 @@ def test_prefractal_cap(monkeypatch):
 
 def test_prefractal_matches_hutchinson_iteration():
     params = GKCParams(3, 1 / 3)
-    system = build_system(params)
+    maps = koch_maps(params)
     cloud = np.array([[0.0, 0.0], [1.0, 0.0]])
     for level in range(5):
-        verts = prefractal(params, level).vertices
+        verts = prefractal(params, level)
         got = {tuple(np.round(p, 10)) for p in cloud}
         expect = {tuple(np.round(p, 10)) for p in verts}
         assert got == expect
-        # the set map X -> union of phi_i(X) over the system's maps
-        cloud = np.vstack([apply(m, cloud) for m in system.maps])
+        # the set map X -> union of phi_i(X) over the construction's maps
+        cloud = np.vstack([m(cloud) for m in maps])
 
 
 def test_snowflake_level0_is_ngon():

@@ -21,6 +21,10 @@ CANTOR = RatioMultiset(((1 / 3, 2),))
 KOCH = RatioMultiset(((1 / 3, 4),))
 
 
+def omegas_of(dims) -> np.ndarray:
+    return np.array([p.omega for p in dims.poles])
+
+
 def random_multiset(rng, max_entries=3):
     k = rng.integers(1, max_entries + 1)
     ratios = np.sort(rng.uniform(0.05, 0.9, size=k))[::-1]
@@ -274,7 +278,7 @@ def test_nonlattice_pole_band_and_conjugacy():
     d_up = similarity_dimension(rm)
     d_lo = lower_similarity_dimension(rm)
     dims = nonlattice_poles(poly, (d_lo, d_up), 25.0)
-    omegas = dims.omegas()
+    omegas = omegas_of(dims)
     assert np.all(omegas.real >= d_lo - 1e-9)
     assert np.all(omegas.real <= d_up + 1e-9)
     as_set = {(round(w.real, 9), round(w.imag, 9)) for w in omegas}
@@ -293,7 +297,7 @@ def test_nonlattice_three_ratios_full_height():
         dims = nonlattice_poles(poly, band, 60.0)
     assert len(dims.poles) == 31 == dims.search_count
     assert all(p.multiplicity == 1 for p in dims.poles)
-    assert max(abs(poly(w)) for w in dims.omegas()) < POLE_TOL
+    assert max(abs(poly(w)) for w in omegas_of(dims)) < POLE_TOL
 
 
 def test_nonlattice_search_count_excludes_margin_zeros():
@@ -303,10 +307,10 @@ def test_nonlattice_search_count_excludes_margin_zeros():
     rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
     poly = DirichletPoly(rm)
     band = (lower_similarity_dimension(rm), similarity_dimension(rm))
-    top = max(w.imag for w in nonlattice_poles(poly, band, 12.0).omegas())
+    top = max(w.imag for w in omegas_of(nonlattice_poles(poly, band, 12.0)))
     dims = nonlattice_poles(poly, band, top - 1e-4)
     assert dims.search_rect[3] > top
-    assert max(w.imag for w in dims.omegas()) < top - 1e-4
+    assert max(w.imag for w in omegas_of(dims)) < top - 1e-4
     assert sum(p.multiplicity for p in dims.poles) == dims.search_count
 
 
@@ -379,10 +383,10 @@ def test_nonlattice_locates_a_near_double_zero_pair():
     band = (lower_similarity_dimension(rm), similarity_dimension(rm))
     dims = nonlattice_poles(poly, band, 10.0)
     assert len(dims.poles) == dims.search_count == 7
-    near = sorted((w for w in dims.omegas() if w.imag > 0),
+    near = sorted((w for w in omegas_of(dims) if w.imag > 0),
                   key=lambda w: w.imag)[:2]
     assert 1e-5 < abs(near[0] - near[1]) < 1e-3
-    assert max(abs(poly(w)) for w in dims.omegas()) < POLE_TOL
+    assert max(abs(poly(w)) for w in omegas_of(dims)) < POLE_TOL
 
 
 def test_nonlattice_random_multisets_count_and_simplicity():
@@ -485,7 +489,8 @@ def test_residue_of_zeta_at_half_scale():
     # pole at omega/2 with residue residue_simple(P, omega) / 2
     dims = lattice_poles(detect_lattice(CANTOR), im_max=20.0)
     poly = DirichletPoly(CANTOR)
-    omega = dims.omegas()[np.argmin(np.abs(dims.omegas().imag))]
+    omegas = omegas_of(dims)
+    omega = omegas[np.argmin(np.abs(omegas.imag))]
     res = residue_contour(lambda s: zeta_eval(poly, 2 * s), omega / 2,
                           radius=1e-3)
     assert res == pytest.approx(residue_simple(poly, omega) / 2, rel=1e-9)
@@ -499,9 +504,9 @@ def test_json_roundtrip():
     poles = doc["poles"]
     assert {"re", "im", "res_re", "res_im", "mult"} <= set(poles[0])
     assert np.allclose([complex(p["re"], p["im"]) for p in poles],
-                       dims.omegas())
+                       omegas_of(dims))
     assert np.allclose([complex(p["res_re"], p["res_im"]) for p in poles],
-                       dims.residues())
+                       [p.residue for p in dims.poles])
     assert [p["mult"] for p in poles] == [p.multiplicity for p in dims.poles]
     assert doc["lattice"]["generator"] == pytest.approx(
         dims.lattice.generator)
