@@ -1,10 +1,13 @@
 """Content-addressed result cache keyed by canonical config JSON.
 
 The cache root comes from the FRACTAL_DIMS_CACHE environment variable;
-without it caching is disabled.  Entries are directories named by the
-SHA-256 of (command, canonical config, package version, source digest),
-so a result computed by other code is never served; writes go through a
-temp directory and a rename so a crashed run never leaves a half entry.
+without it caching is disabled.  Each entry is one JSON file,
+``<root>/<key>.json``, named by the SHA-256 of (command, canonical config,
+package version, source digest), so a result computed by other code is
+never served.  It holds the run's output files, as latin-1 text so that
+their bytes round-trip exactly, and its checks list.  It is written to a
+temporary file in the root and renamed over the entry, so no reader sees
+a half-written entry; one that does not parse is a miss.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import hashlib
 import json
 import os
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -46,49 +48,32 @@ def sha256_file(path: Path) -> str:
 
 
 class ResultCache:
+    """The entries under FRACTAL_DIMS_CACHE; ``root`` is None without it."""
+
     def __init__(self):
         root = os.environ.get("FRACTAL_DIMS_CACHE")
         self.root = Path(root) if root else None
 
-    def enabled(self) -> bool:
-        return self.root is not None
-
-    def lookup(self, key: str) -> Path | None:
-        if not self.enabled():
-            return None
-        entry = self.root / key
-        return entry if (entry / "_complete").exists() else None
-
-    def store(self, key: str, files: dict[str, bytes]) -> Path | None:
-        """Atomically store named blobs under the key; returns the entry."""
-        if not self.enabled():
-            return None
-        self.root.mkdir(parents=True, exist_ok=True)
-        entry = self.root / key
-        if (entry / "_complete").exists():
-            return entry
-        tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".wip-"))
+    def load(self, key: str) -> tuple[dict[str, bytes], list] | None:
+        """(files, checks) stored under the key, or None when the entry is
+        missing or does not parse."""
         try:
-            for name, blob in files.items():
-                path = tmp / name
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(blob)
-            (tmp / "_complete").write_text("ok\n")
-            if entry.exists():
-                shutil.rmtree(tmp)
-                return entry
-            os.replace(tmp, entry)
-            return entry
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-
-    def load_all(self, key: str) -> dict[str, bytes] | None:
-        entry = self.lookup(key)
-        if entry is None:
+            doc = json.loads((self.root / f"{key}.json").read_text())
+            return ({name: text.encode("latin-1")
+                     for name, text in doc["files"].items()}, doc["checks"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
-        out = {}
-        for path in sorted(entry.rglob("*")):
-            if path.is_file() and path.name != "_complete":
-                out[str(path.relative_to(entry))] = path.read_bytes()
-        return out
+
+    def store(self, key: str, files: dict[str, bytes], checks: list) -> None:
+        """Write the entry in one rename over ``<root>/<key>.json``."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        doc = {"files": {name: blob.decode("latin-1")
+                         for name, blob in files.items()}, "checks": checks}
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, self.root / f"{key}.json")
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -6,24 +6,26 @@
 Each run reads one JSON config document (flags override file values),
 writes its outputs plus a manifest.json into the output directory, and
 is keyed by the SHA-256 of the canonical config.  With FRACTAL_DIMS_CACHE
-set, heavy stages are reused from the cache byte-for-byte; cache entries
-are keyed by the config, the package version and a digest of the
-package source, so results of other code are never served.  All commands
-are deterministic: identical configs produce identical CSV bytes, at any
+set, ``tube``, ``heat`` and ``explicit`` serve their files byte-for-byte
+from one cache file per run, keyed by the config, the package version
+and a digest of the package source (``cache``).  All commands are
+deterministic: identical configs produce identical CSV bytes, at any
 BLAS thread count.
 
 ``tube``, ``heat`` and ``explicit`` build their snowflake once and pass
 it to ``verify_gkf_sfe(region, fld, ts)`` and ``decomposition_remainder(
 region, ts, h)``; both ``explicit`` sources take R from
-``sampled.sfe_remainder``.
-
+``sampled.sfe_remainder``.  They read h, t_min, t_max and
+points_per_decade once, and refuse before any snowflake
+points_per_decade < 1 and times the grid cannot resolve: t_min < 5h on
+the tube, t_min < 25h^2 (diffusivity * t_min for ``heat remainder=true``)
+on the heat content; plain ``heat`` takes any t.
 ``explicit`` compares data integrated from the first sample with the pole
 sum modulo the polynomial that start leaves, which it reports
-(``explicit.fit_start_polynomial``).  It refuses k < 2, a t_min below
-the grid's resolution (5h for the tube, 25h^2 for the heat content) and
-a delta above t_max * lambda_min^alpha before any field or solve, and a
-window of fewer than FIT_MIN_SAMPLES + k - 2 times before any pole
-search.
+(``explicit.fit_start_polynomial``).  It also refuses k < 2 and a delta
+above t_max * lambda_min^alpha before any field or solve, a window of
+fewer than FIT_MIN_SAMPLES + k - 2 times before any pole search, and a
+pole left of the abscissa fitted to R, naming t_min.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .cache import ResultCache, config_hash, sha256_file, source_digest
-from .errors import GeometryError
+from .errors import DivergenceDomainError, GeometryError
 from .explicit import (build_terms, compare_explicit, evaluate_sum,
                        fit_start_polynomial, remainder_term)
 from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
@@ -218,16 +220,36 @@ def cmd_poles(cfg):
                     "detail": detail}]
 
 
-def _tube_times(cfg):
-    """(h, tube time grid) of a tube run."""
-    h = _number(cfg, "h", 1e-3)
-    return h, geometric_grid(_number(cfg, "t_min", max(10 * h, 1e-3)),
-                             _number(cfg, "t_max", 0.3),
-                             _number(cfg, "points_per_decade", 48, int))
+def _times(cfg, h, t_min, t_max, per_decade):
+    """(h, t grid, points_per_decade) of a run, each knob read once and by
+    default the given value; t_min's default is a function of h."""
+    h = _number(cfg, "h", h)
+    t_min = _number(cfg, "t_min", t_min(h))
+    t_max = _number(cfg, "t_max", t_max)
+    per_decade = _number(cfg, "points_per_decade", per_decade, int)
+    if per_decade < 1:
+        raise ValueError(f"points_per_decade must be >= 1; got {per_decade}")
+    return h, geometric_grid(t_min, t_max, per_decade), per_decade
 
 
-def _compute_tube(cfg):
-    """(region, sector distance field, tube time grid) of a tube run.
+def _resolved(run, name, t, h, floor_name, floor):
+    """Refuse a time below the grid's resolution floor before any work."""
+    if t < floor:
+        raise ValueError(
+            f"{run} needs {name} >= {floor_name}, where the grid resolves "
+            f"it; {name}={t:g} with h={h:g} is below {floor:.6g}: raise "
+            f"t_min or lower h")
+
+
+def _tube_times(cfg, run: str):
+    """(h, tube time grid) of a tube run, refused below 5h."""
+    h, ts, _ = _times(cfg, 1e-3, lambda h: max(10 * h, 1e-3), 0.3, 48)
+    _resolved(run, "t_min", ts[0], h, "5h", 5 * h)
+    return h, ts
+
+
+def _compute_tube(cfg, h: float):
+    """(region, sector distance field at spacing h) of a tube run.
 
     ``sector`` (default 0) picks the sector between base vertices
     ``sector`` and ``sector`` + 1.  All sectors are congruent, so their
@@ -235,22 +257,19 @@ def _compute_tube(cfg):
     canonical frame: measured on the half above its mirror axis and
     reflected onto the other (``tubes.sector_half``).
     """
-    h, ts = _tube_times(cfg)
     index = _number(cfg, "sector", 0, int)
     region = _snowflake_from_config(cfg, 5)
     params = region.params
     curve, half = sector_half(region, index)
-    fld = mirror_field(distance_field(curve, half, h,
-                                      meta={"level": region.level,
-                                            "n": params.n, "r": params.r}))
-    return region, fld, ts
+    return region, mirror_field(distance_field(
+        curve, half, h, meta={"level": region.level, "n": params.n,
+                              "r": params.r}))
 
 
-def _tube_windows(cfg):
+def _tube_windows(cfg, h: float, ts):
     """(SFE times, fit window) of a tube run, refused before any field
     is built: the SFE resolves t >= 5h only, and the fit needs
     FIT_MIN_SAMPLES tube times in its window."""
-    h, ts = _tube_times(cfg)
     sfe_min = _number(cfg, "sfe_t_min", max(0.01, 5 * h))
     sfe_max = _number(cfg, "sfe_t_max", 0.05)
     points = _number(cfg, "sfe_points", 9, int)
@@ -274,8 +293,9 @@ def _tube_windows(cfg):
 
 
 def cmd_tube(cfg):
-    sfe_ts, window = _tube_windows(cfg)
-    region, fld, ts = _compute_tube(cfg)
+    h, ts = _tube_times(cfg, "tube")
+    sfe_ts, window = _tube_windows(cfg, h, ts)
+    region, fld = _compute_tube(cfg, h)
     tube = tube_function(fld, ts)
     report = verify_gkf_sfe(region, fld, sfe_ts)
     d_est, c_est = minkowski_fit(tube, window)
@@ -307,22 +327,20 @@ def cmd_heat(cfg):
         lam = _number(cfg, "scaling_lambda")
         if not lam > 0:
             raise ValueError(f"scaling_lambda must be > 0; got {lam:g}")
-    h = _number(cfg, "h", 2e-3)
     diffusivity = _number(cfg, "diffusivity", 1.0)
     if diffusivity <= 0:
         raise ValueError("diffusivity must be positive")
-    t_min, t_max = _number(cfg, "t_min", 3e-4), _number(cfg, "t_max", 3e-3)
-    per_decade = _number(cfg, "points_per_decade", 24, int)
-    if per_decade < 1:
-        raise ValueError(f"points_per_decade must be >= 1; got {per_decade}")
-    ts = geometric_grid(t_min, t_max, per_decade)
+    h, ts, per_decade = _times(cfg, 2e-3, lambda h: 3e-4, 3e-3, 24)
     # the exponent fit runs on every sample; refuse its grid before a solve
     if len(ts) < FIT_MIN_SAMPLES:
         raise ValueError(
             f"heat needs at least {FIT_MIN_SAMPLES} times; points_per_decade="
-            f"{per_decade} over t_min={t_min:g}, t_max={t_max:g} gives "
+            f"{per_decade} over t_min={ts[0]:g}, t_max={ts[-1]:g} gives "
             f"{len(ts)}: raise points_per_decade or widen [t_min, t_max]")
     remainder = _choice(cfg, "remainder", (False, True))
+    if remainder:
+        _resolved("heat remainder=true", "diffusivity*t_min",
+                  diffusivity * ts[0], h, "25h^2", 25 * h * h)
     region = _snowflake_from_config(cfg, 4)
     problem = HeatProblem(region=region.boundary)
     # diffusivity C rescales time: E_C(t) = E_1(C t); with the remainder,
@@ -332,9 +350,8 @@ def cmd_heat(cfg):
         content, rem = decomposition_remainder(region, diffusivity * ts, h)
     else:
         content = solve_heat_content(problem, h, diffusivity * ts)
-    content = SampledFunction(ts, content.vals,
-                              meta={**content.meta,
-                                    "diffusivity": diffusivity})
+    content = SampledFunction(
+        ts, content.vals, meta={**content.meta, "diffusivity": diffusivity})
     # the fitted exponent and the remainder bound have no declared budget,
     # so they are reported numbers, not checks
     doc = {"exponent_fit": heat_exponent_fit(content, (ts[0], ts[-1]))}
@@ -344,8 +361,9 @@ def cmd_heat(cfg):
         "heat_meta.json": (content.meta_json() + "\n").encode(),
     }
     if rem is not None:
-        files["remainder.csv"] = rem.to_csv()
-        doc["remainder_linear_bound_fit"] = rem.meta["linear_bound_fit"]
+        # R labelled, and its bound max |R|/t fitted, at the requested t
+        files["remainder.csv"] = SampledFunction(ts, rem.vals).to_csv()
+        doc["remainder_linear_bound_fit"] = float(np.abs(rem.vals / ts).max())
     if lam is not None:
         rep = verify_heat_scaling(problem, lam, diffusivity * ts, h)
         checks.append({"name": "heat_scaling", "passed": bool(rep.passed),
@@ -372,20 +390,12 @@ def cmd_explicit(cfg):
     beta = 2.0
     if source == "tube":
         alpha = 1.0
-        h, ts = _tube_times(cfg)
-        floor, floor_name = 5 * h, "5h"
+        h, ts = _tube_times(cfg, "explicit source=tube")
     else:
         alpha = 2.0
-        h = _number(cfg, "h", 2e-3)
-        ts = geometric_grid(_number(cfg, "t_min", 25 * h * h * 1.05),
-                            _number(cfg, "t_max", 0.5),
-                            _number(cfg, "points_per_decade", 24, int))
-        floor, floor_name = 25 * h * h, "25h^2"
-    if ts[0] < floor:
-        raise ValueError(
-            f"explicit source={source} needs t_min >= {floor_name}, where "
-            f"the grid resolves it; t_min={ts[0]:g} with h={h:g} is below "
-            f"{floor:.6g}: raise t_min or lower h")
+        h, ts, _ = _times(cfg, 2e-3, lambda h: 25 * h * h * 1.05, 0.5, 24)
+        _resolved("explicit source=heat", "t_min", ts[0], h, "25h^2",
+                  25 * h * h)
     pairs = _params(cfg).ratio_pairs
     ratios = RatioMultiset.from_pairs(pairs)
     # the residues read F up to delta / lambda_min^alpha
@@ -399,7 +409,7 @@ def cmd_explicit(cfg):
                 f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
                 f"lower delta or raise t_max")
     if source == "tube":
-        region, fld, ts = _compute_tube(cfg)
+        region, fld = _compute_tube(cfg, h)
         tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
         f_ts, r_ts = sfe_remainder(tube, pairs, alpha, ts)
         area = fld.region_area
@@ -433,10 +443,21 @@ def cmd_explicit(cfg):
             f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
             f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
     dims = _locate_poles(ratios, im_max)
+
+    def residue(omega):
+        # zeta_R converges right of the abscissa of R's power law at t_min
+        try:
+            return sfe_zeta_residue(ratios, norm, remainder, omega, delta,
+                                    alpha=alpha)
+        except DivergenceDomainError:
+            fit = remainder.leading_power
+            raise DivergenceDomainError(
+                f"explicit source={source}: zeta_R diverges at the pole "
+                f"{omega:.6g}, Re(omega)/alpha={omega.real / alpha:.6g} not "
+                f"above the abscissa {-fit[0] if fit else 0.0:.6g} fitted to "
+                f"R from t_min={ts[0]:g}: raise t_min") from None
     # build_terms reads residues of simple poles only
-    residues = [sfe_zeta_residue(ratios, norm, remainder, p.omega, delta,
-                                 alpha=alpha)
-                if p.multiplicity == 1 else None
+    residues = [residue(p.omega) if p.multiplicity == 1 else None
                 for p in dims.poles]
     built = build_terms(dims, residues, beta=beta, alpha=alpha, k=k)
     terms = list(built.terms)
@@ -544,26 +565,20 @@ def run_command(command: str, config: dict, out_dir: Path,
     """Execute one command, write outputs + manifest, return the out dir."""
     started = time.perf_counter()
     key = config_hash(command, config)
-    # results of other code are never served: the key carries the code too
-    cache_key = config_hash(command, {"config": config,
-                                      "version": __version__,
-                                      "source": source_digest()})
     cache = ResultCache()
-    from_cache = False
-    files = None
-    checks = []
-    if command in CACHED_COMMANDS:
-        cached = cache.load_all(cache_key)
-        if cached is not None:
-            files = {k: v for k, v in cached.items()
-                     if k != "checks.json"}
-            checks = json.loads(cached.get("checks.json", b"[]"))
-            from_cache = True
-    if files is None:
+    cache_key = cached = None
+    if command in CACHED_COMMANDS and cache.root is not None:
+        # results of other code are never served: the key carries the code
+        cache_key = config_hash(command, {"config": config,
+                                          "version": __version__,
+                                          "source": source_digest()})
+        cached = cache.load(cache_key)
+    if cached is None:
         files, checks = COMMANDS[command](config)
-        if command in CACHED_COMMANDS:
-            cache.store(cache_key, {**files,
-                              "checks.json": json.dumps(checks).encode()})
+        if cache_key is not None:
+            cache.store(cache_key, files, checks)
+    else:
+        files, checks = cached
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, blob in files.items():
         tmp = out_dir / (name + ".tmp")
@@ -577,7 +592,7 @@ def run_command(command: str, config: dict, out_dir: Path,
         "inputs": ({str(config_path): sha256_file(config_path)}
                    if config_path and config_path.exists() else {}),
         "outputs": {name: sha256_file(out_dir / name) for name in files},
-        "from_cache": from_cache,
+        "from_cache": cached is not None,
         "timing_s": round(time.perf_counter() - started, 6),
         "checks": checks,
     }

@@ -12,9 +12,9 @@ import pytest
 from dataclasses import replace
 
 from fractaldims import cli, heat, tubes
-from fractaldims.cache import config_hash
+from fractaldims.cache import ResultCache, config_hash
 from fractaldims.cli import run_command
-from fractaldims.errors import GeometryError
+from fractaldims.errors import DivergenceDomainError, GeometryError
 
 TINY_TUBE = {
     "n": 3, "r": 1 / 3, "level": 2, "h": 5e-3,
@@ -98,6 +98,53 @@ def test_tube_command_and_cache_roundtrip(tmp_path, monkeypatch):
     assert m2["from_cache"]
     assert read_outputs(out1) == read_outputs(out2)
     assert m1["outputs"] == m2["outputs"]
+
+
+def test_cache_holds_one_file_per_run(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("FRACTAL_DIMS_CACHE", str(root))
+    for name in ("cold", "warm"):
+        run_command("tube", dict(TINY_TUBE), tmp_path / name / "tube")
+        run_command("heat", dict(TINY_HEAT), tmp_path / name / "heat")
+        run_command("dims", {"n": 3, "r": 1 / 3}, tmp_path / name / "dims")
+        entries = sorted(root.iterdir())
+        assert len(entries) == 2
+        assert all(p.is_file() and p.suffix == ".json" and len(p.stem) == 64
+                   for p in entries)
+
+
+def test_unparseable_cache_entry_is_recomputed_and_replaced(tmp_path,
+                                                           monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("FRACTAL_DIMS_CACHE", str(root))
+    cold = run_command("tube", dict(TINY_TUBE), tmp_path / "cold")
+    (entry,) = root.iterdir()
+    stored = entry.read_bytes()
+    for bad in (stored[:len(stored) // 2], b"[]", b'{"files": {}}',
+                rb'{"files": {"tube.csv": "\u0394"}, "checks": []}'):
+        entry.write_bytes(bad)
+        out = run_command("tube", dict(TINY_TUBE), tmp_path / "again")
+        assert not json.loads((out / "manifest.json").read_text())[
+            "from_cache"]
+        assert read_outputs(out) == read_outputs(cold)
+        assert entry.read_bytes() == stored
+    assert [p.name for p in root.iterdir()] == [entry.name]
+
+
+def test_cache_round_trips_every_byte_and_leaves_no_partial_file(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACTAL_DIMS_CACHE", str(tmp_path))
+    cache = ResultCache()
+    files = {"all.bin": bytes(range(256)), "empty.csv": b""}
+    cache.store("key", files, [{"name": "c", "passed": True}])
+    # a write that fails removes its temporary file and keeps the entry
+    with pytest.raises(TypeError):
+        cache.store("key", files, [object()])
+    with pytest.raises(TypeError):
+        cache.store("other", files, [object()])
+    assert [p.name for p in tmp_path.iterdir()] == ["key.json"]
+    assert cache.load("key") == (files, [{"name": "c", "passed": True}])
+    assert cache.load("other") is None
 
 
 def test_tube_command_deterministic_without_cache(tmp_path, monkeypatch):
@@ -208,6 +255,17 @@ def test_render_curve_kind(tmp_path):
      r"^explicit source=heat needs t_min >= 25h\^2, where the grid "
      r"resolves it; t_min=0\.0008 with h=0\.006 is below 0\.0009: raise "
      r"t_min or lower h$"),
+    ("tube", {"n": 3, "r": 1 / 3, "level": 3, "h": 4e-3, "t_min": 1e-4},
+     r"^tube needs t_min >= 5h, where the grid resolves it; t_min=0\.0001 "
+     r"with h=0\.004 is below 0\.02: raise t_min or lower h$"),
+    ("tube", dict(TINY_TUBE, points_per_decade=0),
+     r"^points_per_decade must be >= 1; got 0$"),
+    ("explicit", dict(TINY_HEAT, source="heat", points_per_decade=0),
+     r"^points_per_decade must be >= 1; got 0$"),
+    ("heat", {"n": 3, "r": 1 / 3, "h": 5e-3, "remainder": True},
+     r"^heat remainder=true needs diffusivity\*t_min >= 25h\^2, where the "
+     r"grid resolves it; diffusivity\*t_min=0\.0003 with h=0\.005 is below "
+     r"0\.000625: raise t_min or lower h$"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
@@ -220,7 +278,9 @@ def test_render_curve_kind(tmp_path):
         "tube-sfe-points-zero", "tube-sfe-t-min-zero",
         "tube-fit-window-too-few", "explicit-k-one", "explicit-k-negative",
         "explicit-tube-delta-too-large", "explicit-heat-delta-too-large",
-        "explicit-tube-t-min-below-5h", "explicit-heat-t-min-below-25h2"])
+        "explicit-tube-t-min-below-5h", "explicit-heat-t-min-below-25h2",
+        "tube-t-min-below-5h", "tube-points-per-decade-zero",
+        "explicit-points-per-decade-zero", "heat-remainder-t-min-below-25h2"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -515,6 +575,47 @@ def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="empty evaluation window"):
         run_command("explicit", cfg, tmp_path / "explicit")
     assert len(calls) == 1
+
+
+def test_tube_times_are_gridded_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    calls = []
+    grid = cli.geometric_grid
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(cli, "geometric_grid", counted)
+    run_command("tube", dict(TINY_TUBE), tmp_path / "tube")
+    assert calls == [(5e-2, 0.2, 16)]
+
+
+def test_plain_heat_runs_below_the_remainder_floor(tmp_path, monkeypatch):
+    # t_min = 3e-4 is below 25h^2 = 6.25e-4, which only the remainder needs
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    out = run_command("heat", {"n": 3, "r": 1 / 3, "level": 2, "h": 5e-3},
+                      tmp_path / "heat")
+    table = np.loadtxt(out / "heat.csv", delimiter=",", skiprows=1)
+    assert table[0, 0] == 3e-4 and np.all(np.isfinite(table))
+
+
+def test_explicit_names_t_min_when_the_remainder_transform_diverges(
+        tmp_path, monkeypatch):
+    # R's power law fitted near t_min puts the abscissa of zeta_R at 1.11,
+    # right of every pole's Re(omega)/alpha = 0.631
+    monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
+    cfg = {"n": 3, "r": 1 / 3, "source": "heat", "level": 2, "h": 2e-3,
+           "t_max": 0.12, "points_per_decade": 12, "im_max": 10}
+    with pytest.raises(DivergenceDomainError,
+                       match=r"^explicit source=heat: zeta_R diverges at the "
+                       r"pole 1\.26186-5\.7192j, Re\(omega\)/alpha=0\.63093 "
+                       r"not above the abscissa 1\.1129 fitted to R from "
+                       r"t_min=0\.000105: raise t_min$"):
+        run_command("explicit", cfg, tmp_path / "low")
+    out = run_command("explicit", dict(cfg, t_min=1e-3), tmp_path / "raised")
+    doc = json.loads((out / "explicit_report.json").read_text())
+    assert doc["poles"] == 3 and np.isfinite(doc["max_rel_dev"])
 
 
 def test_remainder_is_a_boolean(tmp_path, monkeypatch):

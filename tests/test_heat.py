@@ -1,4 +1,5 @@
 import csv
+import json
 from itertools import islice
 
 import numpy as np
@@ -500,10 +501,21 @@ def test_diffusivity_rescales_time(tmp_path):
         table = np.array([[float(v) for v in row]
                           for row in list(csv.reader(fh))[1:]])
     ts = geometric_grid(1e-3, 2e-3, 24)
-    problem = HeatProblem(region=snowflake(GKCParams(3, 1 / 3), 2).boundary)
+    region = snowflake(GKCParams(3, 1 / 3), 2)
+    problem = HeatProblem(region=region.boundary)
     e = solve_heat_content(problem, 6e-3, 2 * ts)
     assert np.array_equal(table[:, 0], ts)
     assert np.array_equal(table[:, 1], e.vals)
+    # R_C(t) = R_1(C t), labelled at the same t as the content
+    out = run_command("heat", dict(cfg, diffusivity=2, remainder=True),
+                      tmp_path / "c2-rem")
+    rem = decomposition_remainder(region, 2 * ts, 6e-3)[1]
+    table = np.loadtxt(out / "remainder.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], ts)
+    assert np.array_equal(table[:, 1], rem.vals)
+    report = (out / "heat_report.json").read_text()
+    assert json.loads(report)["remainder_linear_bound_fit"] == \
+        np.max(np.abs(rem.vals) / ts)
     for bad in (0, -1.0):
         with pytest.raises(ValueError, match="diffusivity"):
             run_command("heat", dict(cfg, diffusivity=bad), tmp_path / "bad")

@@ -147,8 +147,8 @@ def test_snowflake_tube_sees_the_closing_edge():
     # the edge from the last vertex back to the first.  In its canonical
     # frame sector 2 has cells nearest to that edge, below the mirror
     # axis; they hold the distances of their mirror images above it
-    region, fld, _ = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
-                                    "h": 1e-2, "sector": 2})
+    region, fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
+                                 "sector": 2}, 1e-2)
     b = tubes.sector_half(region, 2)[0][:-1]
     ny = fld.grid.ny // 2
     gx, gy = np.meshgrid(fld.grid.xs, (np.arange(ny) + 0.5) * fld.h,
@@ -263,7 +263,7 @@ def test_half_sector_measures_half_the_cells(monkeypatch):
         return fields[-1]
 
     monkeypatch.setattr(cli, "distance_field", recorded)
-    fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 4, "h": 3e-3})[1]
+    fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 4}, 3e-3)[1]
     (upper,) = fields
     measured = int(np.isfinite(upper.grid.values).sum())
     assert measured == upper.inside.sum() == fld.meta["cells_measured"]
