@@ -22,15 +22,17 @@ the tube, t_min < 25h^2 (diffusivity * t_min for ``heat remainder=true``)
 on the heat content; plain ``heat`` takes any t.
 ``explicit`` compares data integrated from the first sample with the pole
 sum modulo the polynomial that start leaves, which it reports
-(``explicit.fit_start_polynomial``).  It also refuses k < 2 and a delta
-above t_max * lambda_min^alpha before any field or solve, a window of
-fewer than FIT_MIN_SAMPLES + k - 2 times before any pole search, and a
-pole left of the abscissa fitted to R, naming t_min.
+(``explicit.fit_start_polynomial``).  It also refuses k < 2, im_max <= 0,
+a negative cutoff and a delta above t_max * lambda_min^alpha before any
+field or solve, a window of fewer than FIT_MIN_SAMPLES + k - 2 times
+before any pole search, and a pole left of the abscissa fitted to R,
+naming t_min.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -381,8 +383,13 @@ def cmd_explicit(cfg):
         raise ValueError(f"k must be >= 2, where the explicit formula holds "
                          f"pointwise; got {k}")
     im_max = _number(cfg, "im_max", 80.0)
+    if not im_max > 0:
+        raise ValueError(f"im_max must be > 0; got {im_max:g}")
     cutoffs = _number(cfg, "cutoffs", (10, 20, 40, 80),
                       lambda v: tuple(float(c) for c in v))
+    if any(c < 0 for c in cutoffs):
+        raise ValueError(f"cutoffs must be >= 0, the heights |Im omega| "
+                         f"of the partial sums; got {list(cutoffs)}")
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
     # F = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R: alpha 1 for the
     # sector tube volume, 2 for the heat content; the tube and heat zeta
@@ -591,7 +598,8 @@ def run_command(command: str, config: dict, out_dir: Path,
         "version": __version__,
         "inputs": ({str(config_path): sha256_file(config_path)}
                    if config_path and config_path.exists() else {}),
-        "outputs": {name: sha256_file(out_dir / name) for name in files},
+        "outputs": {name: hashlib.sha256(blob).hexdigest()
+                    for name, blob in files.items()},
         "from_cache": cached is not None,
         "timing_s": round(time.perf_counter() - started, 6),
         "checks": checks,

@@ -3,14 +3,21 @@
 The transform of a sampled function integrates t^(s-1) * f(t) over [a, b]
 with f replaced by its piecewise-linear interpolant; each interval is
 integrated in closed form, so arbitrarily oscillatory s (large |Im s|)
-costs nothing in resolution.  One table of node powers t^s per window
-(one log and one complex exp per node) serves every interval: the two
-power integrals of an interval are differences of t^s and of
-t^(s+1) = t * t^s between its ends, and the error estimate reuses the
-same table on every second node.  Below the first sample the fitted leading
-power law c * t^p is integrated analytically, which also fixes the
-abscissa of convergence: with f = O(t^-sigma_hat) as t -> 0 the a = 0
-transform exists for Re(s) > sigma_hat.
+costs nothing in resolution.  What does not depend on s is formed once
+per sampled function and window and kept with the function
+(``SampledFunction.mellin_windows``): the window's nodes (the samples
+inside it and its two interpolated ends), their logs, and the slope and
+intercept of each interval of the interpolant on all the nodes and on
+every second node (and the last one), for the error estimate
+(``_Window``).  Each s then costs one complex exp per node for the
+powers t^s, from which the two power integrals of an interval are
+differences of t^s and of t^(s+1) = t * t^s between its ends, and the
+sums; the coarse interpolant reads a slice of the same powers.  A
+residue evaluates its transforms on the same windows at every pole.
+Below the first sample the fitted leading power law c * t^p is
+integrated analytically, which also fixes the abscissa of convergence:
+with f = O(t^-sigma_hat) as t -> 0 the a = 0 transform exists for
+Re(s) > sigma_hat.
 
 For a function satisfying a scaling functional equation
 f = sum_k a_k f(t / lambda_k^alpha) + R on (0, delta], the transform
@@ -73,61 +80,97 @@ class MellinEvaluator:
         return cls(f=f, sigma_hat=-p, tail_coef=c, tail_ok=True)
 
 
-def _power_integral(ts: np.ndarray, pw: np.ndarray, s: complex) -> np.ndarray:
-    """integral of t^(s-1) dt over each [ts[i], ts[i+1]] from the node
-    powers pw = ts^s: (pw[i+1] - pw[i]) / s, in a stable expm1 form where
-    |s| < 1e-8."""
+def _power_integral(log_t: np.ndarray, pw: np.ndarray,
+                    s: complex) -> np.ndarray:
+    """integral of t^(s-1) dt over each interval of the nodes t =
+    exp(log_t), from their powers pw = t^s: (pw[i+1] - pw[i]) / s, in a
+    stable expm1 form where |s| < 1e-8."""
     if abs(s) < 1e-8:
-        u = np.log(ts)
-        du = u[1:] - u[:-1]
+        du = log_t[1:] - log_t[:-1]
         z = s * du
         phi = np.where(np.abs(z) < 1e-30, 1.0, np.expm1(z) / np.where(z == 0, 1, z))
         return pw[:-1] * du * phi
     return (pw[1:] - pw[:-1]) / s
 
 
-def _pl_transform(ts: np.ndarray, vals: np.ndarray, pw: np.ndarray,
+@dataclass(frozen=True)
+class _Nodes:
+    """The piecewise-linear interpolant on one node set, as far as it
+    does not depend on s: log t and each interval's slope and intercept."""
+
+    t: np.ndarray
+    log_t: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+
+    @classmethod
+    def of(cls, t: np.ndarray, v: np.ndarray, log_t: np.ndarray) -> "_Nodes":
+        slope = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+        return cls(t, log_t, slope, v[:-1] - slope * t[:-1])
+
+    def transform(self, pw: np.ndarray, tpw: np.ndarray,
                   s: complex) -> complex:
-    """Exact transform of the piecewise-linear interpolant on the grid,
-    from the node powers pw = ts^s."""
-    m = (vals[1:] - vals[:-1]) / (ts[1:] - ts[:-1])
-    const = vals[:-1] - m * ts[:-1]
-    i_s = _power_integral(ts, pw, s)
-    i_s1 = _power_integral(ts, ts * pw, s + 1.0)
-    return complex((const * i_s).sum() + (m * i_s1).sum())
+        """Exact transform of the interpolant from the node powers
+        pw = t^s and tpw = t^(s+1)."""
+        return complex(
+            (self.intercept * _power_integral(self.log_t, pw, s)).sum()
+            + (self.slope * _power_integral(self.log_t, tpw, s + 1.0)).sum())
 
 
-def _restrict(f: SampledFunction, a: float, b: float):
-    """Sample grid restricted to [a, b] with interpolated endpoints."""
-    ts, vals = f.ts, f.vals
-    if b > ts[-1] * (1 + 1e-12):
-        raise SampleRangeError(f"b={b} beyond sampled range {ts[-1]}")
-    lo = np.searchsorted(ts, a, side="right")
-    hi = np.searchsorted(ts, b, side="left")
-    mid_t = ts[lo:hi]
-    mid_v = vals[lo:hi]
-    parts_t = [mid_t]
-    parts_v = [mid_v]
-    if a < (mid_t[0] if len(mid_t) else b):
-        parts_t.insert(0, [a])
-        parts_v.insert(0, [np.interp(a, ts, vals)])
-    if b > (mid_t[-1] if len(mid_t) else a):
-        parts_t.append([b])
-        parts_v.append([np.interp(b, ts, vals)])
-    return np.concatenate(parts_t), np.concatenate(parts_v)
+@dataclass(frozen=True)
+class _Window:
+    """The s-independent table of one window [a, b] on a sampled function.
+
+    ``full`` holds the samples inside (a, b) and the two interpolated
+    ends; ``coarse`` the same on every second node and the last one,
+    picked from ``full`` by ``every_second``, or None when no node lies
+    inside and there is nothing to drop.
+    """
+
+    full: _Nodes
+    every_second: np.ndarray | None
+    coarse: _Nodes | None
+
+    @classmethod
+    def build(cls, f: SampledFunction, a: float, b: float) -> "_Window":
+        ts, vals = f.ts, f.vals
+        if b > ts[-1] * (1 + 1e-12):
+            raise SampleRangeError(f"b={b} beyond sampled range {ts[-1]}")
+        inside = slice(np.searchsorted(ts, a, side="right"),
+                       np.searchsorted(ts, b, side="left"))
+        t = np.concatenate(([a], ts[inside], [b]))
+        v = np.concatenate(([np.interp(a, ts, vals)], vals[inside],
+                            [np.interp(b, ts, vals)]))
+        log_t = np.log(t)
+        n = len(t)
+        if n < 3:
+            return cls(_Nodes.of(t, v, log_t), None, None)
+        half = np.arange(0, n + 1, 2)
+        half[-1] = min(half[-1], n - 1)
+        return cls(_Nodes.of(t, v, log_t), half,
+                   _Nodes.of(t[half], v[half], log_t[half]))
+
+
+def _window(f: SampledFunction, a: float, b: float) -> _Window:
+    """f's table of [a, b], built on the first transform over it."""
+    tables = f.mellin_windows
+    if (a, b) not in tables:
+        tables[a, b] = _Window.build(f, a, b)
+    return tables[a, b]
 
 
 def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
                      b: float) -> ZetaSample:
     """integral of t^(s-1) f(t) dt over [a, b] from the sampled table.
 
-    The node powers pw = t^s are formed once on the window's grid (the
-    samples inside it and its two interpolated ends).  The error estimate
-    is the change when the interpolant uses every second node (and the
-    last one) instead, evaluated on a slice of the same pw; a window with
-    no node inside has nothing to drop, and its estimate is |value|.
-    With a = 0 the fitted power tail c t^(-sigma_hat) is integrated in
-    closed form below the first sample, which requires Re(s) > sigma_hat.
+    The window's table (``_Window``) is formed once per sampled function
+    and window; each s then costs the node powers pw = t^s, one complex
+    exp per node, and the sums.  The error estimate is the change when
+    the interpolant uses every second node (and the last one) instead,
+    on a slice of the same pw; a window with no node inside has nothing
+    to drop, and its estimate is |value|.  With a = 0 the fitted power
+    tail c t^(-sigma_hat) is integrated in closed form below the first
+    sample, which requires Re(s) > sigma_hat.
     """
     s = complex(s)
     if a < 0 or b <= a:
@@ -146,9 +189,9 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
             if a == 0.0:
                 tail_val = ev.tail_coef * top ** (s + p) / (s + p)
             else:
-                ends = np.array([a, top])
+                log_ends = np.log(np.array([a, top]))
                 tail_val = ev.tail_coef * complex(_power_integral(
-                    ends, np.exp((s + p) * np.log(ends)), s + p)[0])
+                    log_ends, np.exp((s + p) * log_ends), s + p)[0])
             # interpolation-vs-power disagreement at the first node
             tail_err = abs(ev.tail_coef * t0 ** p - ev.f.vals[0]) \
                 * abs(top ** (s.real + p)) / max(s.real + p, 1e-3)
@@ -158,21 +201,16 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
         a = top
     if a >= b:
         return ZetaSample(s=s, value=complex(tail_val), quad_error=tail_err)
-    grid_t, grid_v = _restrict(ev.f, a, b)
-    n = len(grid_t)
-    if n < 2:
-        return ZetaSample(s=s, value=complex(tail_val), quad_error=tail_err)
-    pw = np.exp(s * np.log(grid_t))
-    full = _pl_transform(grid_t, grid_v, pw, s)
-    if n < 3:
-        # no node to drop: the estimate is the whole value
+    window = _window(ev.f, a, b)
+    nodes = window.full
+    pw = np.exp(s * nodes.log_t)
+    tpw = nodes.t * pw
+    full = nodes.transform(pw, tpw, s)
+    if window.coarse is None:
         err = abs(full)
     else:
-        # every second node, keeping the last
-        half = np.arange(0, n + 1, 2)
-        half[-1] = min(half[-1], n - 1)
-        err = abs(full - _pl_transform(grid_t[half], grid_v[half], pw[half],
-                                       s))
+        half = window.every_second
+        err = abs(full - window.coarse.transform(pw[half], tpw[half], s))
     return ZetaSample(s=s, value=complex(full + tail_val),
                       quad_error=err + tail_err)
 

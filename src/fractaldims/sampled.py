@@ -87,6 +87,13 @@ class SampledFunction:
         except FitError:
             return None
 
+    @cached_property
+    def mellin_windows(self) -> dict:
+        """``mellin``'s s-independent table of each transform window,
+        keyed by (a, b) and built on first use, so that the transforms
+        at every pole share it."""
+        return {}
+
     def transform_vals(self, fn):
         return SampledFunction(self.ts, fn(self.ts, self.vals),
                                meta=dict(self.meta))

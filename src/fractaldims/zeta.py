@@ -23,10 +23,22 @@ its edges, certifies that none is missing (Kravanja & Van Barel,
 *Computing the Zeros of Analytic Functions*, LNM 1727, 2000).  Everything
 here is pure and operates on immutable values; poles are sorted by
 (Im, Re) so output is deterministic.
+
+P, P', P'' and the Moran sum take a number or an array.  Newton steps,
+residues and the real-root brackets evaluate one number at a time, a
+few terms each, where numpy's per-call dispatch costs more than the
+arithmetic; there the K-term sums run in plain float or complex
+arithmetic over (a_k, log lambda_k), built once per ``RatioMultiset``.
+Arrays (the winding panels, the deflated Newton seeds, ``zeta_eval`` on
+a grid) stay in numpy.  Both paths form each term as
+a_k exp(s log lambda_k), with exp rounding as the C library's, and add
+the terms left to right, so a number and the same number inside an array
+give the same bits (``_ExpSum``, ``_ksum``).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -133,39 +145,101 @@ class RatioMultiset:
         """The multiplicities, in the order of ``ratios``, read-only."""
         return _frozen([m for _, m in self.entries])
 
+    @cached_property
+    def log_terms(self) -> _ExpSum:
+        """The terms a_k exp(s log lambda_k) of the Moran sum, with
+        log lambda_k from one np.log of ``ratios``, built once."""
+        return _ExpSum(self.multiplicities, np.log(self.ratios))
+
+    @cached_property
+    def neg_logs(self) -> tuple[float, ...]:
+        """log(1/lambda_k), the weights of P'."""
+        return tuple(-log for _, log in self.log_terms.pairs)
+
+    @cached_property
+    def log_squares(self) -> tuple[float, ...]:
+        """log(lambda_k)^2, the weights of -P''."""
+        return tuple(log * log for _, log in self.log_terms.pairs)
+
+
+def _ksum(terms, weights: tuple[float, ...] | None = None):
+    """sum_k w_k t_k (w_k = 1 without weights), left to right, over a
+    list of numbers or along the last axis of an array.  np.sum would add
+    an array's blocks of 8 doubles pairwise, an order that no scalar loop
+    shares beyond 3 complex or 7 real terms."""
+    if isinstance(terms, list):
+        if weights is not None:
+            terms = [t * w for t, w in zip(terms, weights)]
+    else:
+        if weights is not None:
+            terms = terms * np.asarray(weights)
+        terms = [terms[..., k] for k in range(terms.shape[-1])]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+@dataclass(frozen=True)
+class _ExpSum:
+    """The terms c_k exp(s l_k) of an exponential sum.
+
+    At a Python number s (numpy's float64 and complex128 are subclasses
+    of float and complex) a list of numbers from math.exp or cmath.exp;
+    at an array s an array with k along a new last axis, from numpy's
+    complex exp, whose real part is taken for a real s.  Both round as
+    the C library's exp and cexp (numpy's real exp is a vector kernel
+    that can differ by an ulp), so the two paths give the same bits.
+    """
+
+    coefs: np.ndarray
+    logs: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        """(c_k, l_k) as Python floats, for the scalar path."""
+        return tuple(zip(self.coefs.astype(float).tolist(),
+                         self.logs.tolist()))
+
+    def terms(self, s):
+        try:
+            if isinstance(s, complex):
+                return [c * cmath.exp(s * log) for c, log in self.pairs]
+            if isinstance(s, (int, float)):
+                return [c * math.exp(s * log) for c, log in self.pairs]
+        except OverflowError:
+            pass    # numpy's inf, as at an array
+        s = np.asarray(s)
+        e = np.exp((s[..., None] * self.logs).astype(complex, copy=False))
+        return self.coefs * (e if np.iscomplexobj(s) else e.real)
+
+
 @dataclass(frozen=True)
 class DirichletPoly:
     """P(s) = 1 - sum a_k lambda_k^s, an entire function of s."""
 
     ratios: RatioMultiset
 
-    def _terms(self, s):
-        """a_k lambda_k^s, with k along a new last axis."""
-        return self.ratios.multiplicities * np.power(
-            self.ratios.ratios, np.asarray(s)[..., None])
-
     def __call__(self, s):
         return 1.0 - self.moran_sum(s)
 
     def moran_sum(self, s):
         """sum a_k lambda_k^s (strictly decreasing along the real axis)."""
-        return np.sum(self._terms(s), axis=-1)
+        return _ksum(self.ratios.log_terms.terms(s))
 
     def derivative(self, s):
         """P'(s) = sum a_k lambda_k^s log(1/lambda_k)."""
-        return np.sum(self._terms(s) * (-np.log(self.ratios.ratios)),
-                      axis=-1)
+        return _ksum(self.ratios.log_terms.terms(s), self.ratios.neg_logs)
 
     def second_derivative(self, s):
         """P''(s) = -sum a_k lambda_k^s log(lambda_k)^2."""
-        return -np.sum(self._terms(s) * np.log(self.ratios.ratios) ** 2,
-                       axis=-1)
+        return -_ksum(self.ratios.log_terms.terms(s),
+                      self.ratios.log_squares)
 
     def with_derivative(self, s):
-        """(P(s), P'(s)) from one shared array of a_k lambda_k^s."""
-        terms = self._terms(s)
-        log_lam = np.log(self.ratios.ratios)
-        return 1.0 - np.sum(terms, axis=-1), terms @ -log_lam
+        """(P(s), P'(s)) from one shared set of terms a_k lambda_k^s."""
+        terms = self.ratios.log_terms.terms(s)
+        return 1.0 - _ksum(terms), _ksum(terms, self.ratios.neg_logs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +323,14 @@ def _lower_poly(ratios: RatioMultiset):
     bases = np.concatenate(([1.0 / r_small], r[:-1] / r_small))
     coefs = np.concatenate(([1.0 / m_small], m[:-1] / m_small))
     logb = np.log(bases)
+    q_terms = _ExpSum(coefs, logb)
+    dq_terms = _ExpSum(coefs * logb, logb)
 
     def q(t):
-        return float(np.sum(coefs * np.exp(logb * t)))
+        return _ksum(q_terms.terms(t))
 
     def dq(t):
-        return float(np.sum(coefs * logb * np.exp(logb * t)))
+        return _ksum(dq_terms.terms(t))
 
     return q, dq
 

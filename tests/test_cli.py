@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -85,6 +86,8 @@ def test_manifest_structure(tmp_path):
                                                   {"n": 3, "r": 0.3})
     assert set(manifest["outputs"]) == {"dims.json", "dims.csv"}
     assert all(len(h) == 64 for h in manifest["outputs"].values())
+    for name, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert manifest["checks"]
 
 
@@ -289,6 +292,25 @@ def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
     monkeypatch.setattr(cli, "snowflake", no_snowflake)
     with pytest.raises(ValueError, match=message):
         run_command(command, cfg, tmp_path / "a")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"n": 3, "r": 1 / 3, "level": 3, "h": 4e-3, "source": "tube",
+      "im_max": 0}, r"^im_max must be > 0; got 0$"),
+    (dict(TINY_HEAT, source="heat", cutoffs=[10, -5]),
+     r"^cutoffs must be >= 0, the heights \|Im omega\| of the partial "
+     r"sums; got \[10\.0, -5\.0\]$"),
+], ids=["im-max-zero", "cutoffs-negative"])
+def test_explicit_refuses_its_pole_sum_knobs_before_any_work(
+        tmp_path, monkeypatch, cfg, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("field or solve run before the config was "
+                             "checked")
+
+    monkeypatch.setattr(cli, "distance_field", no_work)
+    monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
+    with pytest.raises(ValueError, match=message):
+        run_command("explicit", cfg, tmp_path / "a")
 
 
 @pytest.mark.parametrize("kind, n, r, level", [

@@ -5,6 +5,7 @@ import pytest
 
 from fractaldims.errors import (DivergenceDomainError, MultiplePoleError,
                                 SampleRangeError)
+from fractaldims import mellin
 from fractaldims.mellin import (MellinEvaluator, partial_xi, sfe_zeta_residue,
                                 truncated_mellin)
 from fractaldims.sampled import SampledFunction, geometric_grid
@@ -448,3 +449,119 @@ def test_sfe_zeta_residue_rejects_double_pole():
     for omega in doubles + [exact]:
         with pytest.raises(MultiplePoleError):
             sfe_zeta_residue(ratios, f, f, omega, 1.0)
+
+
+# ------------------------------------------- per-window table, bit for bit
+
+
+def _oracle_power_integral(ts, pw, s):
+    if abs(s) < 1e-8:
+        u = np.log(ts)
+        du = u[1:] - u[:-1]
+        z = s * du
+        phi = np.where(np.abs(z) < 1e-30, 1.0,
+                       np.expm1(z) / np.where(z == 0, 1, z))
+        return pw[:-1] * du * phi
+    return (pw[1:] - pw[:-1]) / s
+
+
+def _oracle_pl_transform(ts, vals, pw, s):
+    m = (vals[1:] - vals[:-1]) / (ts[1:] - ts[:-1])
+    const = vals[:-1] - m * ts[:-1]
+    i_s = _oracle_power_integral(ts, pw, s)
+    i_s1 = _oracle_power_integral(ts, ts * pw, s + 1.0)
+    return complex((const * i_s).sum() + (m * i_s1).sum())
+
+
+def table_free_mellin(ev, s, a, b):
+    """Oracle: the transform with no table kept between calls; each call
+    restricts the samples to [a, b], takes their logs and forms the
+    piecewise-linear transforms on the full and every-second-node grids."""
+    s = complex(s)
+    ts, vals = ev.f.ts, ev.f.vals
+    t0 = float(ts[0])
+    tail_val, tail_err = 0.0 + 0.0j, 0.0
+    if a < t0:
+        p = -ev.sigma_hat
+        top = min(b, t0)
+        if a == 0.0:
+            tail_val = ev.tail_coef * top ** (s + p) / (s + p)
+        else:
+            ends = np.array([a, top])
+            tail_val = ev.tail_coef * complex(_oracle_power_integral(
+                ends, np.exp((s + p) * np.log(ends)), s + p)[0])
+        tail_err = abs(ev.tail_coef * t0 ** p - vals[0]) \
+            * abs(top ** (s.real + p)) / max(s.real + p, 1e-3)
+        a = top
+    inside = (ts > a) & (ts < b)
+    grid_t = np.concatenate(([a], ts[inside], [b]))
+    grid_v = np.concatenate(([np.interp(a, ts, vals)], vals[inside],
+                             [np.interp(b, ts, vals)]))
+    pw = np.exp(s * np.log(grid_t))
+    full = _oracle_pl_transform(grid_t, grid_v, pw, s)
+    n = len(grid_t)
+    if n < 3:
+        err = abs(full)
+    else:
+        half = np.arange(0, n + 1, 2)
+        half[-1] = min(half[-1], n - 1)
+        err = abs(full - _oracle_pl_transform(grid_t[half], grid_v[half],
+                                              pw[half], s))
+    return complex(full + tail_val), err + tail_err
+
+
+@pytest.mark.parametrize("s", [0.9 + 3j, 2.5 - 40j, 1e-9, 3e-9 - 2e-9j,
+                               -1 + 1e-9, 0.6 + 250j])
+def test_window_table_matches_table_free_oracle_exactly(s):
+    ts = geometric_grid(1e-6, 1.0, 40)
+    vals = np.sqrt(ts) * (1.5 + np.sin(3 * np.log(ts)))
+    ev = MellinEvaluator.build(SampledFunction(ts, vals))
+    assert ev.tail_ok
+    k = np.searchsorted(ts, 2e-3)
+    windows = [(0.0, 0.71),                      # a = 0: the power tail
+               (3.3e-7, 2e-5),                   # a below the first sample
+               (1.17e-3, 0.2),                   # interior
+               (ts[5], ts[60]),                  # ends on nodes
+               (ts[k] * 1.02, ts[k + 1] * 0.98),  # no node inside: 2 nodes
+               (ts[k] * 0.98, ts[k + 1] * 0.98)]  # one node inside
+    for a, b in windows:
+        if a < ts[0] and s.real <= ev.sigma_hat:
+            continue
+        for _ in range(2):   # the second call reads the kept table
+            got = truncated_mellin(ev, s, a, b)
+            value, err = table_free_mellin(ev, s, a, b)
+            assert got.value == value, (a, b)
+            assert got.quad_error == err, (a, b)
+
+
+def test_five_residues_build_each_window_table_once(cantor_string,
+                                                    monkeypatch):
+    ratios, f, rn, delta = cantor_sfe_fixture(cantor_string)
+    dims = lattice_poles(detect_lattice(ratios), im_max=12.0)
+    assert len(dims.poles) == 5
+    built, calls = [], []
+    build = mellin._Window.build.__func__
+    transform = mellin.truncated_mellin
+
+    def counting_build(cls, g, a, b):
+        built.append((id(g), a, b))
+        return build(cls, g, a, b)
+
+    def counting_transform(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(mellin._Window, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(mellin, "truncated_mellin", counting_transform)
+    residues = [sfe_zeta_residue(ratios, f, rn, p.omega, delta)
+                for p in dims.poles]
+    # two transforms a residue, on one window of f, [delta, 3 delta], and
+    # one of R, [t_0, delta]: each table is built at the first pole only
+    assert len(calls) == 10
+    assert len(built) == len(set(built)) == 2
+    assert {(g, a) for g, a, _ in built} == {(id(f), delta),
+                                             (id(rn), float(rn.ts[0]))}
+    monkeypatch.undo()
+    assert residues == [sfe_zeta_residue(ratios, f, rn, p.omega, delta)
+                        for p in dims.poles]

@@ -421,6 +421,64 @@ def test_dirichlet_with_derivative_matches_separate_calls():
     assert np.allclose(dp, poly.derivative(s), rtol=1e-14, atol=1e-14)
 
 
+#: the ratio sets of the scalar-against-array tests; the nine ratios pass
+#: the 4 complex and 8 real terms where np.sum turns to pairwise blocks
+EVAL_SETS = {
+    "nonlattice-3": ((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)),
+    "koch-4-0.24": (((1 - 0.24) / 2, 2), (0.24, 3)),
+    "cantor": ((1 / 3, 2),),
+    "double-pole-lattice": ((1 / 4, 3), (1 / 8, 2)),
+    "nine-ratios": tuple((0.9 - 0.1 * k, k % 3 + 1) for k in range(9)),
+}
+EVAL_REAL = [0.0, 0.7, -1.3, 2.0, 1.0, 1.2618595071429148, 31.5]
+EVAL_COMPLEX = [0.3 + 2j, -0.4 - 35j, 1.26 + 57.5j, 1e-9j, 1.0 + 0j,
+                2.0 - 1e-12j, -3.0 + 400j]
+
+
+@pytest.mark.parametrize("pairs", EVAL_SETS.values(), ids=EVAL_SETS.keys())
+def test_scalar_and_array_evaluation_agree_bit_for_bit(pairs):
+    poly = DirichletPoly(RatioMultiset.from_pairs(pairs))
+    real = np.array(EVAL_REAL)
+    cplx = np.array(EVAL_COMPLEX)
+    # a real point inside a complex array takes the complex path
+    as_complex = real.astype(complex)
+    for fn in (poly, poly.moran_sum, poly.derivative,
+               poly.second_derivative):
+        for points, values in ((real, fn(real)), (cplx, fn(cplx)),
+                               (real, fn(as_complex))):
+            assert values.shape == points.shape
+            for s, value in zip(points, values):
+                scalar = fn(complex(s) if np.iscomplexobj(points)
+                            else float(s))
+                assert isinstance(scalar, (float, complex))
+                assert scalar == value, (fn, s)
+        grid = cplx.reshape(7, 1) + np.array([0.0, 0.5j])
+        assert np.array_equal(fn(grid)[:, 0], fn(cplx))
+    p, dp = poly.with_derivative(cplx)
+    assert np.array_equal(p, poly(cplx))
+    assert np.array_equal(dp, poly.derivative(cplx))
+
+
+def test_scalar_evaluation_overflows_to_inf_as_an_array_does():
+    poly = DirichletPoly(CANTOR)
+    with np.errstate(over="ignore"):
+        for fn in (poly, poly.derivative, poly.second_derivative):
+            assert fn(-1000.0) == fn(np.array([-1000.0]))[0]
+            assert np.isinf(fn(-1000.0))
+
+
+@pytest.mark.parametrize("pairs", EVAL_SETS.values(), ids=EVAL_SETS.keys())
+def test_lower_poly_scalar_and_array_agree_bit_for_bit(pairs):
+    q, dq = zeta._lower_poly(RatioMultiset.from_pairs(pairs))
+    ts = np.array([-1.0, -0.25, 0.0, 0.6, 1.0, 2.5])
+    for fn in (q, dq):
+        values = fn(ts)
+        for t, value in zip(ts, values):
+            scalar = fn(float(t))
+            assert isinstance(scalar, float)
+            assert scalar == value
+
+
 # ---------------------------------------------------------------- evaluation
 
 
