@@ -6,10 +6,11 @@ in particular), measures tube volumes and heat content on their regions,
 and evaluates the scaling-functional-equation machinery (truncated
 Mellin transforms, zeta-function factorization, pointwise explicit
 formulas).  The ``fractal-dims`` commands in ``cli`` run that pipeline
-and reach every definition in the package but one:
-``vonkoch.snowflake_area_series``, the closed-form area the benchmark
-checks snowflakes against.  The other analytic oracles live in the
-tests.
+and reach every definition in the package but two, which the benchmark
+calls: ``vonkoch.snowflake_area_series``, the closed-form area it checks
+snowflakes against, and ``mellin.sfe_zeta_residue``, the residues of its
+Cantor explicit formula (``explicit.run`` reads 1/P' from the pole
+search instead).  The other analytic oracles live in the tests.
 """
 
 __version__ = "0.1.0"

@@ -20,13 +20,13 @@ points_per_decade once, and refuse before any snowflake
 points_per_decade < 1 and times the grid cannot resolve: t_min < 5h on
 the tube, t_min < 25h^2 (diffusivity * t_min for ``heat remainder=true``)
 on the heat content; plain ``heat`` takes any t.
-``explicit`` compares data integrated from the first sample with the pole
-sum modulo the polynomial that start leaves, which it reports
-(``explicit.fit_start_polynomial``).  It also refuses k < 2, im_max <= 0,
-a negative cutoff and a delta above t_max * lambda_min^alpha before any
-field or solve, a window of fewer than FIT_MIN_SAMPLES + k - 2 times
-before any pole search, and a pole left of the abscissa fitted to R,
-naming t_min.
+``explicit`` checks its knobs, computes F and R, locates the poles and
+hands all three to ``explicit.run``, which compares data integrated from
+the first sample with the pole sum modulo the polynomial that start
+leaves, reported too.  It refuses k < 2, im_max <= 0, a negative cutoff
+and a delta above t_max * lambda_min^alpha before any field or solve, a
+window of fewer than FIT_MIN_SAMPLES + k - 2 times before any pole
+search, and a pole left of the abscissa fitted to R, naming t_min.
 """
 
 from __future__ import annotations
@@ -43,13 +43,15 @@ import numpy as np
 from . import __version__
 from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .errors import DivergenceDomainError, GeometryError
-from .explicit import (build_terms, compare_explicit, evaluate_sum,
-                       fit_start_polynomial, remainder_term)
+# build_terms, compare_explicit, evaluate_sum and sfe_zeta_residue are not
+# called here: the benchmark's layer probes wrap them in cli
+from .explicit import (build_terms, compare_explicit,  # noqa: F401
+                       evaluate_sum, run)
 from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
                    solve_heat_content, verify_heat_scaling)
-from .mellin import sfe_zeta_residue
-from .sampled import (FIT_MIN_SAMPLES, SampledFunction, antiderivative,
-                      csv_bytes, geometric_grid, sfe_grid, sfe_remainder)
+from .mellin import sfe_zeta_residue  # noqa: F401
+from .sampled import (FIT_MIN_SAMPLES, SampledFunction, csv_bytes,
+                      geometric_grid, sfe_grid, sfe_remainder)
 from .tubes import (distance_field, minkowski_fit, mirror_field, sector_half,
                     tube_function, verify_gkf_sfe)
 from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
@@ -425,8 +427,6 @@ def cmd_explicit(cfg):
         content, rem = decomposition_remainder(region, ts, h)
         f_ts, r_ts = content.vals, rem.vals
         area = abs(region.area)
-    norm = SampledFunction(ts, f_ts / ts ** (beta / alpha))
-    remainder = SampledFunction(ts, r_ts / ts ** (beta / alpha))
     if delta is None:
         # largest t with data below 90% of saturation, inside the range
         below = ts[f_ts <= 0.9 * area]
@@ -450,41 +450,23 @@ def cmd_explicit(cfg):
             f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
             f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
     dims = _locate_poles(ratios, im_max)
-
-    def residue(omega):
-        # zeta_R converges right of the abscissa of R's power law at t_min
-        try:
-            return sfe_zeta_residue(ratios, norm, remainder, omega, delta,
-                                    alpha=alpha)
-        except DivergenceDomainError:
-            fit = remainder.leading_power
-            raise DivergenceDomainError(
-                f"explicit source={source}: zeta_R diverges at the pole "
-                f"{omega:.6g}, Re(omega)/alpha={omega.real / alpha:.6g} not "
-                f"above the abscissa {-fit[0] if fit else 0.0:.6g} fitted to "
-                f"R from t_min={ts[0]:g}: raise t_min") from None
-    # build_terms reads residues of simple poles only
-    residues = [residue(p.omega) if p.multiplicity == 1 else None
-                for p in dims.poles]
-    built = build_terms(dims, residues, beta=beta, alpha=alpha, k=k)
-    terms = list(built.terms)
-    extra = remainder_term(ratios, remainder, beta=beta, alpha=alpha, k=k)
-    if extra is not None:
-        terms.append(extra)
-    series = evaluate_sum(terms, t_grid, im_cutoffs=cutoffs)
-    direct, start_poly = fit_start_polynomial(
-        antiderivative(SampledFunction(ts, f_ts), k), series, k)
-    expected = beta / alpha - 0.0 + k  # remainder order sigma0 = 0
-    comp = compare_explicit(direct, series,
-                            expected_remainder_exp=expected - 0.05)
+    try:
+        result = run(SampledFunction(ts, f_ts), SampledFunction(ts, r_ts),
+                     ratios, dims, alpha=alpha, beta=beta, k=k, delta=delta,
+                     t_grid=t_grid, cutoffs=cutoffs)
+    except DivergenceDomainError as exc:
+        raise DivergenceDomainError(f"explicit source={source}: {exc}") \
+            from None
+    series, comp = result.series, result.comparison
     term_rows = [(tm.omega.real, tm.omega.imag, tm.coeff.real, tm.coeff.imag,
-                  tm.exponent.real, tm.exponent.imag) for tm in terms]
+                  tm.exponent.real, tm.exponent.imag)
+                 for tm in result.terms]
     series_rows = np.column_stack([series.t_grid, *series.sums]).tolist()
     doc = {
         "k": k, "alpha": alpha, "beta": beta, "delta": delta,
-        "poles": len(dims.poles), "skipped_non_simple": len(built.skipped),
+        "poles": len(dims.poles), "skipped_non_simple": len(result.skipped),
         "window_points": len(t_grid),
-        "start_polynomial": [float(c) for c in start_poly],
+        "start_polynomial": [float(c) for c in result.start_polynomial],
         "max_rel_dev": comp.max_rel_dev,
         "fitted_slope": comp.fitted_slope,
         "at_floor": comp.at_floor,

@@ -20,6 +20,18 @@ The direct side is integrated from the first sample t0 > 0, so it differs
 from the antiderivative from 0 by a polynomial of degree k - 1, which
 ``fit_start_polynomial`` removes.  That removes no term of the sum: an
 exponent (beta-omega)/alpha + k in {0, ..., k-1} needs Re omega > beta.
+
+``run`` is the whole pipeline, and the one place it is assembled.  It
+takes F and the remainder R of its scaling functional equation, sampled
+on one grid, the ratios, the complex dimensions the caller located, and
+alpha, beta, k, delta, the evaluation grid and the cutoffs.  It
+normalizes F and R by t^(beta/alpha); takes each simple pole's residue
+as h(omega/alpha) (``mellin.sfe_h``) times the 1/P'(omega) the pole
+search stored in ``Pole.residue``; builds the terms and the s = 0
+remainder term; evaluates the partial sums; fits the start polynomial
+to the k-fold antiderivative of F; and compares.  It returns an
+``ExplicitResult``: the terms, the skipped poles, the series, the direct
+side, the start polynomial and the comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampled import SampledFunction
+from .errors import DivergenceDomainError
+from .mellin import sfe_h
+from .sampled import SampledFunction, antiderivative
 from .zeta import ComplexDimensionSet, DirichletPoly, RatioMultiset
 
 FLAT_TOL = 0.02  #: largest |fitted power| of a remainder flat at t -> 0
@@ -228,3 +242,64 @@ def compare_explicit(direct: SampledFunction, series: PartialSumSeries,
         t_grid=t, residual=res, max_rel_dev=max_rel, fitted_slope=slope,
         expected_remainder_exp=expected_remainder_exp, floor=floor,
         at_floor=False, passed=bool(passed))
+
+
+@dataclass(frozen=True)
+class ExplicitResult:
+    """The pieces of one explicit-formula comparison (``run``)."""
+
+    #: one term per simple pole, by |Im omega|, then the s = 0 remainder
+    #: term when R has one
+    terms: tuple[FormulaTerm, ...]
+    skipped: tuple[complex, ...]  # non-simple poles, which carry no term
+    series: PartialSumSeries
+    direct: SampledFunction  # F^[k] less the fitted start polynomial
+    start_polynomial: np.ndarray  # its coefficients, lowest first
+    comparison: ExplicitComparison
+
+
+def run(F: SampledFunction, R: SampledFunction, ratios: RatioMultiset,
+        dims: ComplexDimensionSet, *, alpha: float, beta: float, k: int,
+        delta: float, t_grid, cutoffs) -> ExplicitResult:
+    """Compare F^[k] with the partial sums over ``dims`` at ``t_grid``.
+
+    F = sum_k a_k lambda_k^beta F(t / lambda_k^alpha) + R, with R
+    sampled on F's grid.  The residues read the normalized F and R up to
+    delta / lambda_min^alpha.  Where zeta_R diverges at a pole, raises
+    DivergenceDomainError naming the pole, Re(omega)/alpha, the abscissa
+    fitted to R and R's first sample.
+    """
+    ts = F.ts
+    norm = SampledFunction(ts, F.vals / ts ** (beta / alpha))
+    remainder = SampledFunction(ts, R.vals / ts ** (beta / alpha))
+    residues = []
+    for pole in dims.poles:
+        if pole.multiplicity != 1:
+            residues.append(None)  # build_terms skips it
+            continue
+        omega = pole.omega
+        try:
+            h = sfe_h(ratios, norm, remainder, complex(omega) / alpha,
+                      delta, alpha)
+        except DivergenceDomainError:
+            # zeta_R converges right of the abscissa of R's power law at
+            # its first sample
+            fit = remainder.leading_power
+            raise DivergenceDomainError(
+                f"zeta_R diverges at the pole {omega:.6g}, Re(omega)/alpha="
+                f"{omega.real / alpha:.6g} not above the abscissa "
+                f"{-fit[0] if fit else 0.0:.6g} fitted to R from t_min="
+                f"{ts[0]:g}: raise t_min") from None
+        residues.append(complex(h * pole.residue))
+    built = build_terms(dims, residues, beta=beta, alpha=alpha, k=k)
+    extra = remainder_term(ratios, remainder, beta=beta, alpha=alpha, k=k)
+    terms = built.terms + (() if extra is None else (extra,))
+    series = evaluate_sum(terms, t_grid, im_cutoffs=cutoffs)
+    direct, start_poly = fit_start_polynomial(antiderivative(F, k), series,
+                                              k)
+    # the residual is O(t^(beta/alpha + k)): remainder order sigma0 = 0
+    comparison = compare_explicit(
+        direct, series, expected_remainder_exp=beta / alpha + k - 0.05)
+    return ExplicitResult(terms=terms, skipped=built.skipped, series=series,
+                          direct=direct, start_polynomial=start_poly,
+                          comparison=comparison)

@@ -26,9 +26,10 @@ zeta_R(s; delta))  where zeta = 1/P is the scaling zeta function of the
 ratios and xi is an entire correction built from doubly-truncated
 transforms (``partial_xi``).  That right side is the only analytic
 continuation used anywhere: the package never quadratures a divergent
-integral.  ``sfe_zeta_residue`` reads the residue at a simple pole off
-it.  The tube and heat zeta functions are the transforms of
-t^(-beta/alpha) F(t) over (0, delta]; ``cli.cmd_explicit`` forms that
+integral.  ``sfe_h`` evaluates h = xi + zeta_R, and ``sfe_zeta_residue``
+reads the residue h(omega/alpha) / P'(omega) at a simple pole off it.
+The tube and heat zeta functions are the transforms of
+t^(-beta/alpha) F(t) over (0, delta]; ``explicit.run`` forms that
 normalization of the tube volume or heat content F.
 """
 
@@ -235,23 +236,35 @@ def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
     return ZetaSample(s=complex(s), value=total, quad_error=err)
 
 
+def sfe_h(ratios: RatioMultiset, f: SampledFunction,
+          remainder: SampledFunction, s: complex, delta: float,
+          alpha: float = 1.0) -> complex:
+    """h(s) = xi(s; delta) + zeta_R(s; delta), the factor of
+    zeta_f(s; delta) = zeta(alpha s) h(s) that is holomorphic where
+    zeta_R converges: Re(s) above the abscissa fitted to ``remainder``,
+    else DivergenceDomainError."""
+    h = partial_xi(ratios, f, s, delta, alpha).value
+    h += truncated_mellin(MellinEvaluator.build(remainder), s, 0.0,
+                          delta).value
+    return h
+
+
 def sfe_zeta_residue(ratios: RatioMultiset, f: SampledFunction,
                      remainder: SampledFunction, omega: complex,
                      delta: float, alpha: float = 1.0) -> complex:
     """Residue of s -> zeta_f(s/alpha; delta) at a simple pole omega of 1/P.
 
     By the factorization zeta_f(s/alpha) = zeta(s) h(s/alpha) with
-    h = xi + zeta_R holomorphic near omega, the residue at a simple zero
-    of P is h(omega/alpha) / P'(omega) (Lapidus & van Frankenhuijsen,
-    *Fractal Geometry, Complex Dimensions and Zeta Functions*, 2nd ed.,
-    ch. 5): one evaluation of h, never a quadrature of a divergent
-    integral.  Raises MultiplePoleError when omega fails residue_simple's
-    simple-zero test (also at a multiple zero located only to ~1e-8); a
-    multiple pole needs residue_contour on the same factorization.
+    h = xi + zeta_R holomorphic near omega (``sfe_h``), the residue at a
+    simple zero of P is h(omega/alpha) / P'(omega) (Lapidus & van
+    Frankenhuijsen, *Fractal Geometry, Complex Dimensions and Zeta
+    Functions*, 2nd ed., ch. 5): one evaluation of h, never a quadrature
+    of a divergent integral.  The pole search stores the same 1/P'(omega)
+    as ``Pole.residue``, and ``explicit.run`` reads it from there.  Raises
+    MultiplePoleError when omega fails residue_simple's simple-zero test
+    (also at a multiple zero located only to ~1e-8); a multiple pole needs
+    residue_contour on the same factorization.
     """
     rho = residue_simple(DirichletPoly(ratios), omega)
     s = complex(omega) / alpha
-    h = partial_xi(ratios, f, s, delta, alpha).value
-    h += truncated_mellin(MellinEvaluator.build(remainder), s, 0.0,
-                          delta).value
-    return complex(h * rho)
+    return complex(sfe_h(ratios, f, remainder, s, delta, alpha) * rho)

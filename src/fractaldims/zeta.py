@@ -146,6 +146,15 @@ class RatioMultiset:
         return _frozen([m for _, m in self.entries])
 
     @cached_property
+    def dimension(self) -> float:
+        """The similarity dimension D (``similarity_dimension``), solved
+        once per ratio set: a pole search and its caller share it."""
+        poly = DirichletPoly(self)
+        return _increasing_root(lambda s: float(poly(s)),
+                                lambda s: float(poly.derivative(s)),
+                                0.0, 1.0)
+
+    @cached_property
     def log_terms(self) -> _ExpSum:
         """The terms a_k exp(s log lambda_k) of the Moran sum, with
         log lambda_k from one np.log of ``ratios``, built once."""
@@ -307,12 +316,10 @@ def similarity_dimension(ratios: RatioMultiset) -> float:
     concave on the real axis (each lambda^sigma decreases and is convex),
     so ``_increasing_root`` brackets the root and Newton converges inside
     the bracket in a handful of steps; |P(D)| < 1e-12 on return.  D > 0
-    whenever the total multiplicity is at least two.
+    whenever the total multiplicity is at least two.  The root is kept on
+    the ratio set (``RatioMultiset.dimension``), so it is solved once.
     """
-    poly = DirichletPoly(ratios)
-    return _increasing_root(lambda s: float(poly(s)),
-                            lambda s: float(poly.derivative(s)),
-                            0.0, 1.0)
+    return ratios.dimension
 
 
 def _lower_poly(ratios: RatioMultiset):
