@@ -13,20 +13,22 @@ deterministic: identical configs produce identical CSV bytes, at any
 BLAS thread count.
 
 ``tube``, ``heat`` and ``explicit`` build their snowflake once and pass
-it to ``verify_gkf_sfe(region, fld, ts)`` and ``decomposition_remainder(
-region, ts, h)``; both ``explicit`` sources take R from
-``sampled.sfe_remainder``.  They read h, t_min, t_max and
+it to ``verify_gkf_sfe(region, fld, ts)`` and
+``decomposition_remainder(region, ts, h)``; both ``explicit`` sources
+take R from ``sampled.sfe_remainder``.  They read h, t_min, t_max and
 points_per_decade once, and refuse before any snowflake
-points_per_decade < 1 and times the grid cannot resolve: t_min < 5h on
-the tube, t_min < 25h^2 (diffusivity * t_min for ``heat remainder=true``)
-on the heat content; plain ``heat`` takes any t.
-``explicit`` checks its knobs, computes F and R, locates the poles and
-hands all three to ``explicit.run``, which compares data integrated from
-the first sample with the pole sum modulo the polynomial that start
-leaves, reported too.  It refuses k < 2, im_max <= 0, a negative cutoff
-and a delta above t_max * lambda_min^alpha before any field or solve, a
-window of fewer than FIT_MIN_SAMPLES + k - 2 times before any pole
-search, and a pole left of the abscissa fitted to R, naming t_min.
+points_per_decade < 1 and a t_min below the floor that their kernel
+checks again at entry: ``tubes.TUBE_FLOOR`` (5h) or ``heat.HEAT_FLOOR``
+(25h^2, on diffusivity * t_min for ``heat remainder=true``; plain
+``heat`` takes any t).  ``explicit`` checks its knobs, computes F and R,
+locates the poles and hands all three to ``explicit.run``, which
+compares data integrated from the first sample with the pole sum modulo
+the polynomial that start leaves, reported too.  Before any field or
+solve it refuses k < 2, im_max <= 0, a negative cutoff, a delta above
+t_max * lambda_min^alpha and, with delta given, an evaluation window
+that is empty or under FIT_MIN_SAMPLES + k - 2 times; with delta read
+off the data, that window right after it.  A pole left of the abscissa
+fitted to R is refused naming t_min.
 """
 
 from __future__ import annotations
@@ -47,13 +49,13 @@ from .errors import DivergenceDomainError, GeometryError
 # called here: the benchmark's layer probes wrap them in cli
 from .explicit import (build_terms, compare_explicit,  # noqa: F401
                        evaluate_sum, run)
-from .heat import (HeatProblem, decomposition_remainder, heat_exponent_fit,
-                   solve_heat_content, verify_heat_scaling)
+from .heat import (HEAT_FLOOR, HeatProblem, decomposition_remainder,
+                   heat_exponent_fit, solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue  # noqa: F401
 from .sampled import (FIT_MIN_SAMPLES, SampledFunction, csv_bytes,
                       geometric_grid, sfe_grid, sfe_remainder)
-from .tubes import (distance_field, minkowski_fit, mirror_field, sector_half,
-                    tube_function, verify_gkf_sfe)
+from .tubes import (TUBE_FLOOR, distance_field, minkowski_fit, mirror_field,
+                    sector_half, tube_function, verify_gkf_sfe)
 from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
 from .zeta import (LATTICE_MAX_DENOMINATOR, POLE_TOL, ComplexDimensionSet,
                    DirichletPoly, RatioMultiset, detect_lattice,
@@ -124,6 +126,10 @@ def _snowflake_from_config(cfg, default_level: int):
     return region
 
 
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
 def _poles_csv(dims: ComplexDimensionSet) -> bytes:
     rows = [(p.omega.real, p.omega.imag, p.residue.real, p.residue.imag,
              p.multiplicity) for p in dims.poles]
@@ -187,8 +193,7 @@ def cmd_dims(cfg):
         "ratios": [[r, m] for r, m in ratios.entries],
     }
     files = {
-        "dims.json": (json.dumps(doc, indent=2, sort_keys=True) + "\n"
-                      ).encode(),
+        "dims.json": _json_bytes(doc),
         "dims.csv": csv_bytes(
             ["quantity", "value"],
             [("similarity_dimension", d_up),
@@ -236,48 +241,30 @@ def _times(cfg, h, t_min, t_max, per_decade):
     return h, geometric_grid(t_min, t_max, per_decade), per_decade
 
 
-def _resolved(run, name, t, h, floor_name, floor):
-    """Refuse a time below the grid's resolution floor before any work."""
-    if t < floor:
-        raise ValueError(
-            f"{run} needs {name} >= {floor_name}, where the grid resolves "
-            f"it; {name}={t:g} with h={h:g} is below {floor:.6g}: raise "
-            f"t_min or lower h")
-
-
 def _tube_times(cfg, run: str):
-    """(h, tube time grid) of a tube run, refused below 5h."""
+    """(h, tube time grid) of a tube run, refused below the tube floor."""
     h, ts, _ = _times(cfg, 1e-3, lambda h: max(10 * h, 1e-3), 0.3, 48)
-    _resolved(run, "t_min", ts[0], h, "5h", 5 * h)
+    TUBE_FLOOR.check(run, "t_min", ts[0], h)
     return h, ts
 
 
 def _compute_tube(cfg, h: float):
-    """(region, sector distance field at spacing h) of a tube run.
-
-    ``sector`` (default 0) picks the sector between base vertices
-    ``sector`` and ``sector`` + 1.  All sectors are congruent, so their
-    tubes agree up to round-off.  The field is built in the sector's
-    canonical frame: measured on the half above its mirror axis and
-    reflected onto the other (``tubes.sector_half``).
-    """
-    index = _number(cfg, "sector", 0, int)
+    """(region, field at spacing h on sector 0, all sectors congruent) of
+    a tube run, measured above the mirror axis (``tubes.sector_half``)."""
     region = _snowflake_from_config(cfg, 5)
-    params = region.params
-    curve, half = sector_half(region, index)
-    return region, mirror_field(distance_field(
-        curve, half, h, meta={"level": region.level, "n": params.n,
-                              "r": params.r}))
+    curve, half = sector_half(region, 0)
+    return region, mirror_field(distance_field(curve, half, h, meta={
+        "level": region.level, "n": region.params.n, "r": region.params.r}))
 
 
 def _tube_windows(cfg, h: float, ts):
     """(SFE times, fit window) of a tube run, refused before any field
-    is built: the SFE resolves t >= 5h only, and the fit needs
-    FIT_MIN_SAMPLES tube times in its window."""
-    sfe_min = _number(cfg, "sfe_t_min", max(0.01, 5 * h))
+    is built: the SFE resolves t >= TUBE_FLOOR only, and the fit
+    needs FIT_MIN_SAMPLES tube times in its window."""
+    sfe_min = _number(cfg, "sfe_t_min", max(0.01, TUBE_FLOOR.at(h)))
     sfe_max = _number(cfg, "sfe_t_max", 0.05)
     points = _number(cfg, "sfe_points", 9, int)
-    if not 5 * h <= sfe_min < sfe_max:
+    if not TUBE_FLOOR.at(h) <= sfe_min < sfe_max:
         raise ValueError(
             f"tube needs 5h <= sfe_t_min < sfe_t_max; h={h:g} gives "
             f"sfe_t_min={sfe_min:g} (default max(0.01, 5h)), sfe_t_max="
@@ -316,8 +303,7 @@ def cmd_tube(cfg):
     files = {
         "tube.csv": tube.to_csv(),
         "tube_meta.json": (tube.meta_json() + "\n").encode(),
-        "sfe_report.json": (json.dumps(doc, indent=2, sort_keys=True)
-                            + "\n").encode(),
+        "sfe_report.json": _json_bytes(doc),
     }
     checks = [{"name": "sfe_residual", "passed": bool(report.passed),
                "detail": f"max rho {float(np.max(report.rho)):.3e}"}]
@@ -343,8 +329,8 @@ def cmd_heat(cfg):
             f"{len(ts)}: raise points_per_decade or widen [t_min, t_max]")
     remainder = _choice(cfg, "remainder", (False, True))
     if remainder:
-        _resolved("heat remainder=true", "diffusivity*t_min",
-                  diffusivity * ts[0], h, "25h^2", 25 * h * h)
+        HEAT_FLOOR.check("heat remainder=true", "diffusivity*t_min",
+                         diffusivity * ts[0], h)
     region = _snowflake_from_config(cfg, 4)
     problem = HeatProblem(region=region.boundary)
     # diffusivity C rescales time: E_C(t) = E_1(C t); with the remainder,
@@ -373,9 +359,30 @@ def cmd_heat(cfg):
         checks.append({"name": "heat_scaling", "passed": bool(rep.passed),
                        "detail": f"max rel dev {rep.max_rel_dev:.4g}"})
     doc["checks"] = checks
-    files["heat_report.json"] = (json.dumps(doc, indent=2, sort_keys=True)
-                                 + "\n").encode()
+    files["heat_report.json"] = _json_bytes(doc)
     return files, checks
+
+
+def _eval_grid(cfg, ts, delta: float, k: int):
+    """An explicit run's evaluation times, 24 per decade from eval_t_min
+    (default t_min) to eval_t_max (default 0.8 delta) in [t_min, t_max]:
+    at least FIT_MIN_SAMPLES + k - 2, as the start polynomial takes k."""
+    eval_t_min = _number(cfg, "eval_t_min", ts[0])
+    eval_t_max = _number(cfg, "eval_t_max", delta * 0.8)
+    if not ts[0] <= eval_t_min < eval_t_max <= ts[-1]:
+        raise ValueError(
+            f"empty evaluation window: need t_min <= eval_t_min < eval_t_max "
+            f"<= t_max, got eval_t_min={eval_t_min:.6g}, eval_t_max="
+            f"{eval_t_max:.6g} (default 0.8*delta), delta={delta:.6g}, "
+            f"t_min={ts[0]:.6g}, t_max={ts[-1]:.6g}")
+    t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
+    need = FIT_MIN_SAMPLES + k - 2
+    if len(t_grid) < need:
+        raise ValueError(
+            f"explicit needs at least {need} evaluation times at k={k}; "
+            f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
+            f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
+    return t_grid
 
 
 def cmd_explicit(cfg):
@@ -402,9 +409,8 @@ def cmd_explicit(cfg):
         h, ts = _tube_times(cfg, "explicit source=tube")
     else:
         alpha = 2.0
-        h, ts, _ = _times(cfg, 2e-3, lambda h: 25 * h * h * 1.05, 0.5, 24)
-        _resolved("explicit source=heat", "t_min", ts[0], h, "25h^2",
-                  25 * h * h)
+        h, ts, _ = _times(cfg, 2e-3, lambda h: 1.05 * HEAT_FLOOR.at(h), .5, 24)
+        HEAT_FLOOR.check("explicit source=heat", "t_min", ts[0], h)
     pairs = _params(cfg).ratio_pairs
     ratios = RatioMultiset.from_pairs(pairs)
     # the residues read F up to delta / lambda_min^alpha
@@ -417,6 +423,7 @@ def cmd_explicit(cfg):
                 f"need 0 < delta <= t_max*lambda_min^alpha; delta={delta:g} "
                 f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
                 f"lower delta or raise t_max")
+        t_grid = _eval_grid(cfg, ts, delta, k)
     if source == "tube":
         region, fld = _compute_tube(cfg, h)
         tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
@@ -428,27 +435,12 @@ def cmd_explicit(cfg):
         f_ts, r_ts = content.vals, rem.vals
         area = abs(region.area)
     if delta is None:
-        # largest t with data below 90% of saturation, inside the range
+        # the window's default and its refusal read delta, here read off
+        # the data: the largest t below 90% of saturation, in the range
         below = ts[f_ts <= 0.9 * area]
         delta = float(below[-1]) if len(below) else float(ts[-1])
         delta = min(delta, delta_max * 0.999)
-    eval_t_min = _number(cfg, "eval_t_min", ts[0])
-    eval_t_max = _number(cfg, "eval_t_max", delta * 0.8)
-    if not ts[0] <= eval_t_min < eval_t_max <= ts[-1]:
-        raise ValueError(
-            f"empty evaluation window: need t_min <= eval_t_min < eval_t_max "
-            f"<= t_max, got eval_t_min={eval_t_min:.6g}, eval_t_max="
-            f"{eval_t_max:.6g} (default 0.8*delta), delta={delta:.6g}, "
-            f"t_min={ts[0]:.6g}, t_max={ts[-1]:.6g}")
-    t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
-    # the start polynomial takes k of the window's points; at k = 2 the
-    # residual keeps FIT_MIN_SAMPLES - 2 of them
-    need = FIT_MIN_SAMPLES + k - 2
-    if len(t_grid) < need:
-        raise ValueError(
-            f"explicit needs at least {need} evaluation times at k={k}; "
-            f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
-            f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
+        t_grid = _eval_grid(cfg, ts, delta, k)
     dims = _locate_poles(ratios, im_max)
     try:
         result = run(SampledFunction(ts, f_ts), SampledFunction(ts, r_ts),
@@ -478,8 +470,7 @@ def cmd_explicit(cfg):
              "exp_re", "exp_im"], term_rows),
         "series.csv": csv_bytes(
             ["t"] + [f"sum_T{c:g}" for c in series.im_cutoffs], series_rows),
-        "explicit_report.json": (json.dumps(doc, indent=2, sort_keys=True)
-                                 + "\n").encode(),
+        "explicit_report.json": _json_bytes(doc),
     }
     checks = [{"name": "explicit_formula",
                "passed": bool(comp.passed),
@@ -568,11 +559,6 @@ def run_command(command: str, config: dict, out_dir: Path,
             cache.store(cache_key, files, checks)
     else:
         files, checks = cached
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, blob in files.items():
-        tmp = out_dir / (name + ".tmp")
-        tmp.write_bytes(blob)
-        tmp.replace(out_dir / name)
     manifest = {
         "command": command,
         "config": config,
@@ -586,8 +572,13 @@ def run_command(command: str, config: dict, out_dir: Path,
         "timing_s": round(time.perf_counter() - started, 6),
         "checks": checks,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # every file, the manifest last, is renamed over its name whole
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, blob in {**files,
+                       "manifest.json": _json_bytes(manifest)}.items():
+        tmp = out_dir / (name + ".tmp")
+        tmp.write_bytes(blob)
+        tmp.replace(out_dir / name)
     return out_dir
 
 

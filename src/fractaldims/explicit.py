@@ -21,17 +21,11 @@ from the antiderivative from 0 by a polynomial of degree k - 1, which
 ``fit_start_polynomial`` removes.  That removes no term of the sum: an
 exponent (beta-omega)/alpha + k in {0, ..., k-1} needs Re omega > beta.
 
-``run`` is the whole pipeline, and the one place it is assembled.  It
-takes F and the remainder R of its scaling functional equation, sampled
-on one grid, the ratios, the complex dimensions the caller located, and
-alpha, beta, k, delta, the evaluation grid and the cutoffs.  It
-normalizes F and R by t^(beta/alpha); takes each simple pole's residue
-as h(omega/alpha) (``mellin.sfe_h``) times the 1/P'(omega) the pole
-search stored in ``Pole.residue``; builds the terms and the s = 0
-remainder term; evaluates the partial sums; fits the start polynomial
-to the k-fold antiderivative of F; and compares.  It returns an
-``ExplicitResult``: the terms, the skipped poles, the series, the direct
-side, the start polynomial and the comparison.
+``run`` is the whole pipeline, and the one place it is assembled: it
+takes each simple pole's residue as h(omega/alpha) (``mellin.sfe_h``)
+times the 1/P'(omega) the pole search stored in ``Pole.residue``, builds
+the terms and the s = 0 remainder term, sums them, fits the start
+polynomial and compares (``ExplicitResult``).
 """
 
 from __future__ import annotations
@@ -67,6 +61,11 @@ class FormulaTerm:
     omega: complex
     coeff: complex
     exponent: complex
+
+
+def symmetric_order(term: FormulaTerm) -> tuple[float, float, float]:
+    """Sort key of the symmetric partial sums, conjugate pairs adjacent."""
+    return abs(term.omega.imag), term.omega.imag, term.omega.real
 
 
 def formula_term(omega: complex, rho: complex, beta: float, alpha: float,
@@ -117,8 +116,7 @@ def build_terms(dims: ComplexDimensionSet, zeta_residues, beta: float,
             skipped.append(pole.omega)
             continue
         terms.append(formula_term(pole.omega, rho, beta, alpha, k))
-    terms.sort(key=lambda tm: (abs(tm.omega.imag), tm.omega.imag,
-                               tm.omega.real))
+    terms.sort(key=symmetric_order)
     return TermBuildResult(terms=tuple(terms), skipped=tuple(skipped))
 
 
@@ -170,8 +168,7 @@ def evaluate_sum(terms, t_grid, im_cutoffs) -> PartialSumSeries:
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be positive")
     cutoffs = tuple(sorted(im_cutoffs))
-    terms = sorted(terms, key=lambda tm: (abs(tm.omega.imag),
-                                          tm.omega.imag, tm.omega.real))
+    terms = sorted(terms, key=symmetric_order)
     log_t = np.log(t_grid)
     sums = np.zeros((len(cutoffs), len(t_grid)))
     leaks = []

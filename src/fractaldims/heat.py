@@ -69,8 +69,8 @@ import numpy as np
 
 from .errors import GeometryError, ResolutionError
 from .geom import point_in_polygon_mask, polygon_area, rotation_matrix
-from .sampled import (FIT_MIN_SAMPLES, SampledFunction, sfe_grid,
-                      sfe_remainder)
+from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
+                      sfe_grid, sfe_remainder)
 from .vonkoch import SnowflakeRegion
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
@@ -81,6 +81,8 @@ KRYLOV_BLOCK = 20
 KRYLOV_MAX = 2000
 KRYLOV_TOL = 1e-12
 
+#: the least t whose remainder R a grid of spacing h resolves
+HEAT_FLOOR = ResolutionFloor("25h^2", lambda h: 25 * h * h)
 PAD_CELLS = 2  #: grid cells around the region's bounding box
 SCALING_BUDGET_REL = 0.02  #: verify_heat_scaling's relative budget
 #: rotation of verify_heat_scaling's scaled copy, so that its grid cuts
@@ -111,7 +113,6 @@ class HeatProblem:
 class HeatField:
     """Solver output: interior mask, content series, run diagnostics."""
 
-    h: float
     interior: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     contents: np.ndarray = field(repr=False)
@@ -365,7 +366,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
             raise ArithmeticError(
                 f"Lanczos quadrature not converged at m={m}: relative "
                 f"Gauss-Radau bracket width of E {bound:.3e}")
-    return HeatField(h=h, interior=interior, times=save_times,
+    return HeatField(interior=interior, times=save_times,
                      contents=contents,
                      meta={"h": h, "dt": dt, "area": problem.area,
                            "unknowns": start.size, "krylov_steps": m,
@@ -416,27 +417,18 @@ def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
 def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
                             ) -> tuple[SampledFunction, SampledFunction]:
     """(E, R) at the sorted t_list on a snowflake region, R(t) = E(t) -
-    sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve on ``sfe_grid``.
-
-    R's meta carries the fitted bound max |R|/t over the window.
-    """
+    sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve on ``sfe_grid``."""
     ts = np.asarray(sorted(t_list), dtype=float)
-    if np.any(ts < 25.0 * h ** 2):
-        raise ResolutionError("t below 25 h^2 is not resolvable")
+    HEAT_FLOOR.check("decomposition_remainder", "t", ts, h)
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "heat checks refuse it")
-    params = region.params
-    pairs = params.ratio_pairs
-    problem = HeatProblem(region=region.boundary)
-    e = solve_heat_content(problem, h, sfe_grid(ts, pairs, 2))
+    pairs = region.params.ratio_pairs
+    e = solve_heat_content(HeatProblem(region=region.boundary), h,
+                           sfe_grid(ts, pairs, 2))
     e_ts, rem = sfe_remainder(e, pairs, 2, ts)
-    c_fit = float(np.max(np.abs(rem) / ts))
-    content = SampledFunction(ts, e_ts, meta=dict(e.meta))
-    return content, SampledFunction(ts, rem, meta={
-        "h": h, "level": region.level, "n": params.n, "r": params.r,
-        "linear_bound_fit": c_fit, "content_meta": dict(e.meta),
-    })
+    return (SampledFunction(ts, e_ts, meta=dict(e.meta)),
+            SampledFunction(ts, rem))
 
 
 def heat_exponent_fit(content: SampledFunction,

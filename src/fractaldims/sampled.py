@@ -17,18 +17,36 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, ResolutionError
 
 #: default geometric sampling density
 POINTS_PER_DECADE = 48
 FIT_DECADE = 10.0  #: leading_power_fit's span of samples above ts[0]
 #: fewest samples in the window of heat_exponent_fit and minkowski_fit
 FIT_MIN_SAMPLES = 8
+
+
+@dataclass(frozen=True)
+class ResolutionFloor:
+    """A grid's least resolved time ``at(h)``, spelled ``name`` in refusals."""
+
+    name: str
+    at: Callable[[float], float]
+
+    def check(self, run: str, knob: str, ts, h: float) -> None:
+        """Refuse ``knob``, the time or times ts of ``run``, below it."""
+        t, floor = float(np.min(ts, initial=np.inf)), self.at(h)
+        if t < floor:
+            raise ResolutionError(
+                f"{run} needs {knob} >= {self.name}, where the grid "
+                f"resolves it; {knob}={t:g} with h={h:g} is below "
+                f"{floor:.6g}: raise t_min or lower h")
 
 
 def csv_bytes(header, rows) -> bytes:

@@ -52,13 +52,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError, SizeLimitError
+from .errors import GeometryError, SizeLimitError
 from .geom import (_ranges, _segment_frames, _squared_distances,
                    clip_polygon_halfplane, point_in_polygon_mask,
                    polygon_area, polyline_length, rotation_matrix,
                    segment_distances)
-from .sampled import (FIT_MIN_SAMPLES, SampledFunction, sfe_grid,
-                      sfe_images, sfe_remainder)
+from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
+                      sfe_grid, sfe_images, sfe_remainder)
 from .vonkoch import (GKCParams, SnowflakeRegion, generator_vertices,
                       sector_region)
 # not called here: the benchmark's layer probes wrap tubes.snowflake
@@ -71,6 +71,8 @@ CELL_CAP = 1 << 27
 TILE = 16
 #: side of the sub-tiles that prune their tile's segment set again
 SUB = 4
+#: the least t whose tube volume a grid of spacing h resolves
+TUBE_FLOOR = ResolutionFloor("5h", lambda h: 5 * h)
 #: largest distance of a rotated boundary vertex from its partner's
 #: mirror image that ``sector_half`` takes for round-off
 MIRROR_TOL = 1e-12
@@ -343,8 +345,7 @@ def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
     """Test the functional equation of the tube function of ``fld``, a
     distance field to ``region``'s boundary on one of its sectors."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 5 * fld.h):
-        raise ResolutionError("requested t below 5h is not resolvable")
+    TUBE_FLOOR.check("verify_gkf_sfe", "t", ts, fld.h)
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "tube checks refuse it")

@@ -15,7 +15,10 @@ from dataclasses import replace
 from fractaldims import cli, heat, tubes
 from fractaldims.cache import ResultCache, config_hash
 from fractaldims.cli import run_command
-from fractaldims.errors import DivergenceDomainError, GeometryError
+from fractaldims.errors import (DivergenceDomainError, GeometryError,
+                                ResolutionError)
+from fractaldims.tubes import distance_field, mirror_field, sector_half
+from fractaldims.vonkoch import GKCParams, snowflake
 
 TINY_TUBE = {
     "n": 3, "r": 1 / 3, "level": 2, "h": 5e-3,
@@ -546,32 +549,111 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
     def no_poles(*args, **kwargs):
         raise AssertionError("poles located before the window check")
 
+    def no_work(*args, **kwargs):
+        raise AssertionError("snowflake, field or solve built before the "
+                             "window check")
+
     monkeypatch.setattr(cli, "_locate_poles", no_poles)
+    # with delta defaulted the refusal reports the delta read off the data
     cfg = dict(TINY_TUBE, im_max=5, eval_t_min=1e-3, eval_t_max=1e-4)
     with pytest.raises(ValueError, match=r"eval_t_min=0\.001, "
                        r"eval_t_max=0\.0001 \(default 0\.8\*delta\), "
                        r"delta=0\.\d+"):
         run_command("explicit", cfg, tmp_path / "tube")
-    # a window past the sampled range is refused before the pole search too
-    cfg = dict(TINY_TUBE, delta=0.05, eval_t_min=0.06, eval_t_max=0.25)
-    with pytest.raises(ValueError, match=r"need t_min <= eval_t_min < "
-                       r"eval_t_max <= t_max, got eval_t_min=0\.06, "
-                       r"eval_t_max=0\.25 .* t_min=0\.05, t_max=0\.2$"):
-        run_command("explicit", cfg, tmp_path / "past")
     # t_max = 2e-3 leaves the heat source's eval_t_min = t_min above
-    # 0.8 delta
+    # 0.8 delta, known only once the solve has run
+    solves = []
+    solve = heat.solve_heat_fdm
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(heat, "solve_heat_fdm", counted)
     cfg = dict(TINY_HEAT, source="heat", im_max=5)
     del cfg["t_min"]
     with pytest.raises(ValueError, match="empty evaluation window") as err:
         run_command("explicit", cfg, tmp_path / "heat")
     assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)
-    # a window of two times is refused, not read as a residual at the floor
+    assert len(solves) == 1
+    # with delta given the window is refused before any work
+    monkeypatch.setattr(cli, "snowflake", no_work)
+    monkeypatch.setattr(cli, "distance_field", no_work)
+    monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
+    # a window past the sampled range
+    cfg = dict(TINY_TUBE, delta=0.05, eval_t_min=0.06, eval_t_max=0.25)
+    with pytest.raises(ValueError, match=r"need t_min <= eval_t_min < "
+                       r"eval_t_max <= t_max, got eval_t_min=0\.06, "
+                       r"eval_t_max=0\.25 .* t_min=0\.05, t_max=0\.2$"):
+        run_command("explicit", cfg, tmp_path / "past")
+    # a window of two times, not read as a residual at the floor
     cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
            "delta": 0.05, "eval_t_min": 0.039, "eval_t_max": 0.04}
     with pytest.raises(ValueError, match=r"^explicit needs at least 8 "
                        r"evaluation times at k=2; eval_t_min=0\.039, "
                        r"eval_t_max=0\.04 \(default 0\.8\*delta\) gives 2"):
         run_command("explicit", cfg, tmp_path / "two")
+
+
+class Passed(Exception):
+    """Raised where the work begins, once every check has passed."""
+
+
+def _work_begins(*args, **kwargs):
+    raise Passed
+
+
+@pytest.mark.parametrize("h", [0.0005056378869683274, 0.0014, 0.0018])
+def test_heat_floor_is_one_check_in_cli_and_library(tmp_path, monkeypatch,
+                                                    h):
+    # at these h the spellings 25 * h * h and 25.0 * h ** 2 differ by an
+    # ulp; a t at the floor passes the CLI and the library alike, one ulp
+    # below is refused by both, by the CLI before any snowflake
+    floor = 25 * h * h
+    below = float(np.nextafter(floor, 0.0))
+    region = snowflake(GKCParams(3, 1 / 3), 1)
+    monkeypatch.setattr(cli, "snowflake", _work_begins)
+    monkeypatch.setattr(heat, "solve_heat_content", _work_begins)
+    with pytest.raises(Passed):
+        heat.decomposition_remainder(region, [floor, 2 * floor], h)
+    with pytest.raises(ResolutionError, match=r"^decomposition_remainder "
+                       r"needs t >= 25h\^2, "):
+        heat.decomposition_remainder(region, [below, floor], h)
+    base = {"n": 3, "r": 1 / 3, "level": 1, "h": h}
+    for command, cfg, run in (
+            ("heat", dict(base, remainder=True),
+             r"heat remainder=true needs diffusivity\*t_min"),
+            ("explicit", dict(base, source="heat"),
+             r"explicit source=heat needs t_min")):
+        with pytest.raises(Passed):
+            run_command(command, dict(cfg, t_min=floor), tmp_path / "at")
+        with pytest.raises(ResolutionError, match=rf"^{run} >= 25h\^2, "):
+            run_command(command, dict(cfg, t_min=below), tmp_path / "below")
+
+
+@pytest.mark.parametrize("h", [1e-2, 3e-3])
+def test_tube_floor_is_one_check_in_cli_and_library(tmp_path, monkeypatch,
+                                                    h):
+    floor = 5 * h
+    below = float(np.nextafter(floor, 0.0))
+    region = snowflake(GKCParams(3, 1 / 3), 1)
+    fld = mirror_field(distance_field(*sector_half(region, 0), h))
+    monkeypatch.setattr(cli, "snowflake", _work_begins)
+    monkeypatch.setattr(tubes, "tube_function", _work_begins)
+    with pytest.raises(Passed):
+        tubes.verify_gkf_sfe(region, fld, [floor])
+    with pytest.raises(ResolutionError,
+                       match=r"^verify_gkf_sfe needs t >= 5h, "):
+        tubes.verify_gkf_sfe(region, fld, [below, floor])
+    base = {"n": 3, "r": 1 / 3, "level": 1, "h": h, "sfe_t_max": 0.1}
+    for command, cfg, run in (("tube", base, "tube"),
+                              ("explicit", dict(base, source="tube"),
+                               "explicit source=tube")):
+        with pytest.raises(Passed):
+            run_command(command, dict(cfg, t_min=floor), tmp_path / "at")
+        with pytest.raises(ResolutionError,
+                           match=rf"^{run} needs t_min >= 5h, "):
+            run_command(command, dict(cfg, t_min=below), tmp_path / "below")
 
 
 def test_heat_is_solved_once_per_run(tmp_path, monkeypatch):

@@ -147,9 +147,9 @@ def test_snowflake_tube_sees_the_closing_edge():
     # the edge from the last vertex back to the first.  In its canonical
     # frame sector 2 has cells nearest to that edge, below the mirror
     # axis; they hold the distances of their mirror images above it
-    region, fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 3,
-                                 "sector": 2}, 1e-2)
-    b = tubes.sector_half(region, 2)[0][:-1]
+    curve, _, fld = half_and_whole(snowflake(GKCParams(3, 1 / 3), 3), 2,
+                                   1e-2)
+    b = curve[:-1]
     ny = fld.grid.ny // 2
     gx, gy = np.meshgrid(fld.grid.xs, (np.arange(ny) + 0.5) * fld.h,
                          indexing="ij")
