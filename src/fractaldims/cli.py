@@ -13,22 +13,23 @@ deterministic: identical configs produce identical CSV bytes, at any
 BLAS thread count.
 
 ``tube``, ``heat`` and ``explicit`` build their snowflake once and pass
-it to ``verify_gkf_sfe(region, fld, ts)`` and
-``decomposition_remainder(region, ts, h)``; both ``explicit`` sources
-take R from ``sampled.sfe_remainder``.  They read h, t_min, t_max and
-points_per_decade once, and refuse before any snowflake
-points_per_decade < 1 and a t_min below the floor that their kernel
-checks again at entry: ``tubes.TUBE_FLOOR`` (5h) or ``heat.HEAT_FLOOR``
-(25h^2, on diffusivity * t_min for ``heat remainder=true``; plain
-``heat`` takes any t).  ``explicit`` checks its knobs, computes F and R,
-locates the poles and hands all three to ``explicit.run``, which
-compares data integrated from the first sample with the pole sum modulo
-the polynomial that start leaves, reported too.  Before any field or
-solve it refuses k < 2, im_max <= 0, a negative cutoff, a delta above
-t_max * lambda_min^alpha and, with delta given, an evaluation window
-that is empty or under FIT_MIN_SAMPLES + k - 2 times; with delta read
-off the data, that window right after it.  A pole left of the abscissa
-fitted to R is refused naming t_min.
+it on: ``tube`` to ``tubes.sector_field`` and ``verify_gkf_sfe``, and
+``explicit`` and ``heat remainder=true`` to their source's
+``decomposition_remainder(region, ts, h)``, in ``tubes`` or ``heat``.
+They read h, t_min, t_max and points_per_decade once, and refuse before
+any snowflake points_per_decade < 1 and a t_min below the floor that
+their kernel checks again at entry: ``tubes.TUBE_FLOOR`` (5h) or
+``heat.HEAT_FLOOR`` (25h^2, on diffusivity * t_min for ``heat
+remainder=true``; plain ``heat`` takes any t).  ``explicit`` checks its
+knobs, computes F and R, locates the poles and hands all three to
+``explicit.run``, which compares data integrated from the first sample
+with the pole sum modulo the polynomial that start leaves, reported too.
+Before any field or solve it refuses k < 2, im_max <= 0, a negative
+cutoff, a delta above t_max * lambda_min^alpha and, with delta or
+eval_t_max given, an evaluation window that is empty or under
+FIT_MIN_SAMPLES + k - 2 times; a window resting on delta read off the
+data, right after it.  A pole left of the abscissa fitted to R is
+refused naming t_min.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, heat, tubes
 from .cache import ResultCache, config_hash, sha256_file, source_digest
 from .errors import DivergenceDomainError, GeometryError
 # build_terms, compare_explicit, evaluate_sum and sfe_zeta_residue are not
@@ -53,14 +54,14 @@ from .heat import (HEAT_FLOOR, HeatProblem, decomposition_remainder,
                    heat_exponent_fit, solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue  # noqa: F401
 from .sampled import (FIT_MIN_SAMPLES, SampledFunction, csv_bytes,
-                      geometric_grid, sfe_grid, sfe_remainder)
-from .tubes import (TUBE_FLOOR, distance_field, minkowski_fit, mirror_field,
-                    sector_half, tube_function, verify_gkf_sfe)
+                      geometric_grid)
+from .tubes import (TUBE_FLOOR, distance_field, minkowski_fit, sector_field,
+                    tube_function, verify_gkf_sfe)
 from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
-from .zeta import (LATTICE_MAX_DENOMINATOR, POLE_TOL, ComplexDimensionSet,
-                   DirichletPoly, RatioMultiset, detect_lattice,
-                   lattice_poles, lower_similarity_dimension,
-                   nonlattice_poles, similarity_dimension)
+from .zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
+                   RatioMultiset, detect_lattice, lattice_poles,
+                   lower_similarity_dimension, nonlattice_poles,
+                   similarity_dimension)
 
 POLES_SVG_SIZE = 640  #: side of the square poles.svg plot, in pixels
 
@@ -161,10 +162,9 @@ def _poles_svg(dims: ComplexDimensionSet) -> bytes:
     return "\n".join(parts).encode()
 
 
-def _locate_poles(ratios: RatioMultiset, im_max: float,
-                  max_denominator: int = LATTICE_MAX_DENOMINATOR
+def _locate_poles(ratios: RatioMultiset, im_max: float
                   ) -> ComplexDimensionSet:
-    lattice = detect_lattice(ratios, max_denominator)
+    lattice = detect_lattice(ratios)
     if lattice is not None:
         return lattice_poles(lattice, im_max)
     poly = DirichletPoly(ratios)
@@ -181,8 +181,7 @@ def cmd_dims(cfg):
     ratios = _ratios_from_config(cfg)
     d_up = similarity_dimension(ratios)
     d_lo = lower_similarity_dimension(ratios)
-    lattice = detect_lattice(ratios, _number(cfg, "max_denominator",
-                                             LATTICE_MAX_DENOMINATOR, int))
+    lattice = detect_lattice(ratios)
     doc = {
         "similarity_dimension": d_up,
         "lower_similarity_dimension": d_lo,
@@ -207,9 +206,7 @@ def cmd_dims(cfg):
 
 def cmd_poles(cfg):
     ratios = _ratios_from_config(cfg)
-    dims = _locate_poles(ratios, _number(cfg, "im_max", 60.0),
-                         _number(cfg, "max_denominator",
-                                 LATTICE_MAX_DENOMINATOR, int))
+    dims = _locate_poles(ratios, _number(cfg, "im_max", 60.0))
     files = {
         "poles.csv": _poles_csv(dims),
         "poles.svg": _poles_svg(dims),
@@ -248,15 +245,6 @@ def _tube_times(cfg, run: str):
     return h, ts
 
 
-def _compute_tube(cfg, h: float):
-    """(region, field at spacing h on sector 0, all sectors congruent) of
-    a tube run, measured above the mirror axis (``tubes.sector_half``)."""
-    region = _snowflake_from_config(cfg, 5)
-    curve, half = sector_half(region, 0)
-    return region, mirror_field(distance_field(curve, half, h, meta={
-        "level": region.level, "n": region.params.n, "r": region.params.r}))
-
-
 def _tube_windows(cfg, h: float, ts):
     """(SFE times, fit window) of a tube run, refused before any field
     is built: the SFE resolves t >= TUBE_FLOOR only, and the fit
@@ -286,7 +274,9 @@ def _tube_windows(cfg, h: float, ts):
 def cmd_tube(cfg):
     h, ts = _tube_times(cfg, "tube")
     sfe_ts, window = _tube_windows(cfg, h, ts)
-    region, fld = _compute_tube(cfg, h)
+    region = _snowflake_from_config(cfg, 5)
+    # the kernel by its cli name, which the benchmark's layer probes wrap
+    fld = sector_field(region, h, distance_field)
     tube = tube_function(fld, ts)
     report = verify_gkf_sfe(region, fld, sfe_ts)
     d_est, c_est = minkowski_fit(tube, window)
@@ -363,25 +353,28 @@ def cmd_heat(cfg):
     return files, checks
 
 
-def _eval_grid(cfg, ts, delta: float, k: int):
+def _eval_grid(cfg, ts, delta: float | None, k: int):
     """An explicit run's evaluation times, 24 per decade from eval_t_min
-    (default t_min) to eval_t_max (default 0.8 delta) in [t_min, t_max]:
-    at least FIT_MIN_SAMPLES + k - 2, as the start polynomial takes k."""
+    (default t_min) to eval_t_max (default 0.8 delta, the one read of
+    delta) in [t_min, t_max]: at least FIT_MIN_SAMPLES + k - 2, as the
+    start polynomial takes k."""
     eval_t_min = _number(cfg, "eval_t_min", ts[0])
-    eval_t_max = _number(cfg, "eval_t_max", delta * 0.8)
+    given = "eval_t_max" in cfg
+    eval_t_max = _number(cfg, "eval_t_max", None if given else delta * 0.8)
+    default = "" if given else " (default 0.8*delta)"
     if not ts[0] <= eval_t_min < eval_t_max <= ts[-1]:
+        named = f"{default}, delta={delta:.6g}" if default else ""
         raise ValueError(
             f"empty evaluation window: need t_min <= eval_t_min < eval_t_max "
             f"<= t_max, got eval_t_min={eval_t_min:.6g}, eval_t_max="
-            f"{eval_t_max:.6g} (default 0.8*delta), delta={delta:.6g}, "
-            f"t_min={ts[0]:.6g}, t_max={ts[-1]:.6g}")
+            f"{eval_t_max:.6g}{named}, t_min={ts[0]:.6g}, t_max={ts[-1]:.6g}")
     t_grid = geometric_grid(eval_t_min, eval_t_max, 24)
     need = FIT_MIN_SAMPLES + k - 2
     if len(t_grid) < need:
         raise ValueError(
             f"explicit needs at least {need} evaluation times at k={k}; "
-            f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g} "
-            f"(default 0.8*delta) gives {len(t_grid)}: widen the window")
+            f"eval_t_min={eval_t_min:.6g}, eval_t_max={eval_t_max:.6g}"
+            f"{default} gives {len(t_grid)}: widen the window")
     return t_grid
 
 
@@ -405,14 +398,13 @@ def cmd_explicit(cfg):
     # functions transform F(t) / t^(beta/alpha)
     beta = 2.0
     if source == "tube":
-        alpha = 1.0
+        alpha, data, level = 1.0, tubes, 5
         h, ts = _tube_times(cfg, "explicit source=tube")
     else:
-        alpha = 2.0
+        alpha, data, level = 2.0, heat, 4
         h, ts, _ = _times(cfg, 2e-3, lambda h: 1.05 * HEAT_FLOOR.at(h), .5, 24)
         HEAT_FLOOR.check("explicit source=heat", "t_min", ts[0], h)
-    pairs = _params(cfg).ratio_pairs
-    ratios = RatioMultiset.from_pairs(pairs)
+    ratios = RatioMultiset.from_pairs(_params(cfg).ratio_pairs)
     # the residues read F up to delta / lambda_min^alpha
     delta_max = float(ts[-1]) * float(np.min(ratios.ratios)) ** alpha
     delta = cfg.get("delta")
@@ -423,29 +415,24 @@ def cmd_explicit(cfg):
                 f"need 0 < delta <= t_max*lambda_min^alpha; delta={delta:g} "
                 f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
                 f"lower delta or raise t_max")
-        t_grid = _eval_grid(cfg, ts, delta, k)
-    if source == "tube":
-        region, fld = _compute_tube(cfg, h)
-        tube = tube_function(fld, sfe_grid(ts, pairs, alpha))
-        f_ts, r_ts = sfe_remainder(tube, pairs, alpha, ts)
-        area = fld.region_area
-    else:
-        region = _snowflake_from_config(cfg, 4)
-        content, rem = decomposition_remainder(region, ts, h)
-        f_ts, r_ts = content.vals, rem.vals
-        area = abs(region.area)
+    # a window that does not rest on the data is refused before any work
+    t_grid = (_eval_grid(cfg, ts, delta, k)
+              if delta is not None or "eval_t_max" in cfg else None)
+    F, R = data.decomposition_remainder(
+        _snowflake_from_config(cfg, level), ts, h)
     if delta is None:
-        # the window's default and its refusal read delta, here read off
-        # the data: the largest t below 90% of saturation, in the range
-        below = ts[f_ts <= 0.9 * area]
+        # read off the data: the largest t below 90% of the saturation
+        # area, the sector's (tube) or the region's (heat), in the range
+        area = F.meta["region_area" if source == "tube" else "area"]
+        below = ts[F.vals <= 0.9 * area]
         delta = float(below[-1]) if len(below) else float(ts[-1])
         delta = min(delta, delta_max * 0.999)
+    if t_grid is None:
         t_grid = _eval_grid(cfg, ts, delta, k)
     dims = _locate_poles(ratios, im_max)
     try:
-        result = run(SampledFunction(ts, f_ts), SampledFunction(ts, r_ts),
-                     ratios, dims, alpha=alpha, beta=beta, k=k, delta=delta,
-                     t_grid=t_grid, cutoffs=cutoffs)
+        result = run(F, R, ratios, dims, alpha=alpha, beta=beta, k=k,
+                     delta=delta, t_grid=t_grid, cutoffs=cutoffs)
     except DivergenceDomainError as exc:
         raise DivergenceDomainError(f"explicit source={source}: {exc}") \
             from None

@@ -22,11 +22,7 @@ class DivergenceDomainError(ValueError):
 
 
 class PoleProximityError(ArithmeticError):
-    """Evaluation too close to a pole.  Carries the denominator magnitude."""
-
-    def __init__(self, message, denom_abs):
-        super().__init__(message)
-        self.denom_abs = float(denom_abs)
+    """Evaluation too close to a pole."""
 
 
 class MultiplePoleError(ArithmeticError):

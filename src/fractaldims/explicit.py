@@ -250,8 +250,7 @@ class ExplicitResult:
     terms: tuple[FormulaTerm, ...]
     skipped: tuple[complex, ...]  # non-simple poles, which carry no term
     series: PartialSumSeries
-    direct: SampledFunction  # F^[k] less the fitted start polynomial
-    start_polynomial: np.ndarray  # its coefficients, lowest first
+    start_polynomial: np.ndarray  # fitted to F^[k] - series, lowest first
     comparison: ExplicitComparison
 
 
@@ -298,5 +297,4 @@ def run(F: SampledFunction, R: SampledFunction, ratios: RatioMultiset,
     comparison = compare_explicit(
         direct, series, expected_remainder_exp=beta / alpha + k - 0.05)
     return ExplicitResult(terms=terms, skipped=built.skipped, series=series,
-                          direct=direct, start_polynomial=start_poly,
-                          comparison=comparison)
+                          start_polynomial=start_poly, comparison=comparison)

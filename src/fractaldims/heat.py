@@ -55,9 +55,9 @@ recurrence calls no BLAS: OpenBLAS threads its sums on long vectors, so
 the contents' bytes would depend on the thread count.
 
 The snowflake's remainder R(t) = E(t) - sum_k a_k lambda_k^2 E(t/lambda_k^2)
-comes from ``decomposition_remainder(region, ts, h)``: one solve on the
-region its caller built, read through the shared kernel
-``sampled.sfe_remainder``.
+comes from ``decomposition_remainder(region, ts, h)``, as the tube's
+comes from ``tubes.decomposition_remainder``: one solve on the region
+its caller built, at the image times of ``sampled.sfe_split``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 from .errors import GeometryError, ResolutionError
 from .geom import point_in_polygon_mask, polygon_area, rotation_matrix
 from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
-                      sfe_grid, sfe_remainder)
+                      sfe_split)
 from .vonkoch import SnowflakeRegion
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
@@ -417,17 +417,16 @@ def verify_heat_scaling(problem: HeatProblem, lam: float, t_list,
 def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
                             ) -> tuple[SampledFunction, SampledFunction]:
     """(E, R) at the sorted t_list on a snowflake region, R(t) = E(t) -
-    sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve on ``sfe_grid``."""
+    sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve by ``sfe_split``."""
     ts = np.asarray(sorted(t_list), dtype=float)
     HEAT_FLOOR.check("decomposition_remainder", "t", ts, h)
     if not region.verified_simple:
         raise GeometryError("snowflake region is not verified simple; "
                             "heat checks refuse it")
-    pairs = region.params.ratio_pairs
-    e = solve_heat_content(HeatProblem(region=region.boundary), h,
-                           sfe_grid(ts, pairs, 2))
-    e_ts, rem = sfe_remainder(e, pairs, 2, ts)
-    return (SampledFunction(ts, e_ts, meta=dict(e.meta)),
+    problem = HeatProblem(region=region.boundary)
+    e, rem = sfe_split(lambda grid: solve_heat_content(problem, h, grid),
+                       region.params.ratio_pairs, 2, ts)
+    return (SampledFunction(ts, e(ts), meta=dict(e.meta)),
             SampledFunction(ts, rem))
 
 

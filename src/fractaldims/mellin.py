@@ -46,7 +46,6 @@ from .zeta import DirichletPoly, RatioMultiset, residue_simple
 
 @dataclass(frozen=True)
 class ZetaSample:
-    s: complex
     value: complex
     quad_error: float
 
@@ -201,7 +200,7 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
             tail_err = fmax * top ** s.real / max(s.real, 1e-3)
         a = top
     if a >= b:
-        return ZetaSample(s=s, value=complex(tail_val), quad_error=tail_err)
+        return ZetaSample(value=complex(tail_val), quad_error=tail_err)
     window = _window(ev.f, a, b)
     nodes = window.full
     pw = np.exp(s * nodes.log_t)
@@ -212,7 +211,7 @@ def truncated_mellin(ev: MellinEvaluator, s: complex, a: float,
     else:
         half = window.every_second
         err = abs(full - window.coarse.transform(pw[half], tpw[half], s))
-    return ZetaSample(s=s, value=complex(full + tail_val),
+    return ZetaSample(value=complex(full + tail_val),
                       quad_error=err + tail_err)
 
 
@@ -233,7 +232,7 @@ def partial_xi(ratios: RatioMultiset, f: SampledFunction, s: complex,
         w = mk * lk ** (alpha * complex(s))
         total += w * piece.value
         err += abs(w) * piece.quad_error
-    return ZetaSample(s=complex(s), value=total, quad_error=err)
+    return ZetaSample(value=total, quad_error=err)
 
 
 def sfe_h(ratios: RatioMultiset, f: SampledFunction,

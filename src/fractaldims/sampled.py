@@ -5,11 +5,11 @@ positive grid, usually geometric (log-uniform).  Provenance travels in
 ``meta`` (grid size, construction level, hashes) so downstream reports can
 declare error budgets.
 
-``sfe_grid``, ``sfe_images`` and ``sfe_remainder`` implement the scaling
-functional equation F(t) = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R(t)
-over (ratio lambda_k, multiplicity a_k) pairs: alpha = 1 for tube volumes,
+``sfe_images`` and ``sfe_split`` implement the scaling functional
+equation F(t) = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R(t) over
+(ratio lambda_k, multiplicity a_k) pairs: alpha = 1 for tube volumes,
 alpha = 2 for heat content (Lapidus & van Frankenhuijsen, 2nd ed., ch. 5).
-``sfe_remainder(F, pairs, alpha, ts)`` is the one place R is formed.
+``sfe_split`` is the one place R is formed, from one sampling of F.
 """
 
 from __future__ import annotations
@@ -123,28 +123,21 @@ class SampledFunction:
         return json.dumps(self.meta, sort_keys=True, default=float)
 
 
-def sfe_grid(ts, pairs, alpha: float) -> np.ndarray:
-    """``ts`` and every image time ts / lambda^alpha of the pairs, sorted
-    and without repeats: one sampling of F on it serves both sides."""
-    ts = np.asarray(ts, dtype=float)
-    return np.unique(np.concatenate(
-        [ts] + [ts / lam ** alpha for lam, _ in pairs]))
-
-
 def sfe_images(F, pairs, alpha: float, ts) -> np.ndarray:
     """sum_k a_k lambda_k^2 F(ts / lambda_k^alpha) for any callable F."""
     ts = np.asarray(ts, dtype=float)
     return sum(a * lam ** 2 * F(ts / lam ** alpha) for lam, a in pairs)
 
 
-def sfe_remainder(F: SampledFunction, pairs, alpha: float, ts
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(F(ts), R(ts)) with R = F - sfe_images(F); F sampled on
-    ``sfe_grid(ts, pairs, alpha)`` is read at its samples only, never
-    interpolated."""
+def sfe_split(sample: Callable[[np.ndarray], SampledFunction], pairs,
+              alpha: float, ts) -> tuple[SampledFunction, np.ndarray]:
+    """(F, R(ts)): F = sample(grid) on ts and every image time
+    ts / lambda^alpha, sorted and without repeats, and R = F -
+    sfe_images(F), which reads F at its samples only, never interpolated."""
     ts = np.asarray(ts, dtype=float)
-    f_ts = F(ts)
-    return f_ts, f_ts - sfe_images(F, pairs, alpha, ts)
+    F = sample(np.unique(np.concatenate(
+        [ts] + [ts / lam ** alpha for lam, _ in pairs])))
+    return F, F(ts) - sfe_images(F, pairs, alpha, ts)
 
 
 def leading_power_fit(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:

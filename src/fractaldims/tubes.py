@@ -37,12 +37,14 @@ segment's first end, so a direct distance at (x, -y) can differ from
 the one at (x, y) by round-off, a few eps times the segment's length.
 The upper half stays the exact minimum over every stored segment.
 
-``verify_gkf_sfe(region, fld, ts)`` checks the von Koch scaling
-functional equation: it takes the snowflake and the sector field its
-caller built and forms rho through the shared kernel
-``sampled.sfe_remainder``.  The check carries a declared grid-error
-budget 4h*perimeter + prefractal sandwich width rather than a bare
-tolerance; ``minkowski_fit`` reads a box dimension off V(t).
+``sector_field(region, h)`` measures sector 0 so, all sectors being
+congruent, and ``decomposition_remainder(region, ts, h)`` owns the tube
+data as ``heat``'s owns the heat content's: V and R(t) = V(t) -
+sum_k a_k lambda_k^2 V(t/lambda_k) at ts, from one field sampled by
+``sampled.sfe_split``.  ``verify_gkf_sfe(region, fld, ts)`` checks that
+equation on its caller's field with a declared grid budget 4h*perimeter
++ prefractal sandwich width, not a bare tolerance; ``minkowski_fit``
+reads a box dimension off V(t).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .geom import (_ranges, _segment_frames, _squared_distances,
                    polygon_area, polyline_length, rotation_matrix,
                    segment_distances)
 from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
-                      sfe_grid, sfe_images, sfe_remainder)
+                      sfe_images, sfe_split)
 from .vonkoch import (GKCParams, SnowflakeRegion, generator_vertices,
                       sector_region)
 # not called here: the benchmark's layer probes wrap tubes.snowflake
@@ -288,6 +290,16 @@ def mirror_field(half: DistanceField) -> DistanceField:
     return fld
 
 
+def sector_field(region: SnowflakeRegion, h: float,
+                 kernel=None) -> DistanceField:
+    """``region``'s field at spacing h on sector 0, measured above its
+    mirror axis by ``kernel`` (``distance_field`` when None) and
+    mirrored; meta carries the level, n and r."""
+    curve, half = sector_half(region, 0)
+    return mirror_field((kernel or distance_field)(curve, half, h, meta={
+        "level": region.level, "n": region.params.n, "r": region.params.r}))
+
+
 def tube_function(fld: DistanceField, ts) -> SampledFunction:
     """V(t) = h^2 #{cells: d < t and inside}, nondecreasing in t.
 
@@ -351,9 +363,8 @@ def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
                             "tube checks refuse it")
     params = region.params
     pairs = params.ratio_pairs
-    all_ts = sfe_grid(ts, pairs, 1)
-    v = tube_function(fld, all_ts)
-    _, rho = sfe_remainder(v, pairs, 1, ts)
+    # V on the whole image grid: the slack reads it between the samples
+    v, rho = sfe_split(lambda grid: tube_function(fld, grid), pairs, 1, ts)
     theta = params.theta
     bound = (2.0 / np.tan(theta / 2.0) + theta) * ts ** 2
 
@@ -362,8 +373,8 @@ def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
 
     def slack(t):
         # grid budget plus the prefractal sandwich width of V at t
-        hi = np.minimum(t + gap, all_ts[-1])
-        lo = np.maximum(t - gap, all_ts[0])
+        hi = np.minimum(t + gap, v.ts[-1])
+        lo = np.maximum(t - gap, v.ts[0])
         return base + (v(hi) - v(lo))
 
     # every term of the equation carries its own slack
@@ -371,6 +382,22 @@ def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
     passed = bool(np.all(rho >= -budget) and np.all(rho <= bound + budget))
     return SFEReport(ts=ts, rho=rho, bound=bound, budget=budget,
                      passed=passed, gap=gap)
+
+
+def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
+                            ) -> tuple[SampledFunction, SampledFunction]:
+    """(V, R) at the sorted t_list on a snowflake region, R(t) = V(t) -
+    sum_k a_k lambda_k^2 V(t/lambda_k), from one field by ``sfe_split``."""
+    ts = np.asarray(sorted(t_list), dtype=float)
+    TUBE_FLOOR.check("decomposition_remainder", "t", ts, h)
+    if not region.verified_simple:
+        raise GeometryError("snowflake region is not verified simple; "
+                            "tube checks refuse it")
+    fld = sector_field(region, h)
+    v, rem = sfe_split(lambda grid: tube_function(fld, grid),
+                       region.params.ratio_pairs, 1, ts)
+    return (SampledFunction(ts, v(ts), meta=dict(v.meta)),
+            SampledFunction(ts, rem))
 
 
 def minkowski_fit(samples: SampledFunction,

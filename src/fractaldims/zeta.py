@@ -499,8 +499,7 @@ def zeta_eval(poly: DirichletPoly, s):
     pa = np.abs(ps)
     if np.any(pa <= NEAR_POLE_TOL):
         raise PoleProximityError(
-            f"|P(s)|={float(np.min(pa)):.3e} too close to a pole",
-            float(np.min(pa)))
+            f"|P(s)|={float(np.min(pa)):.3e} too close to a pole")
     return 1.0 / ps
 
 

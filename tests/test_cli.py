@@ -17,7 +17,6 @@ from fractaldims.cache import ResultCache, config_hash
 from fractaldims.cli import run_command
 from fractaldims.errors import (DivergenceDomainError, GeometryError,
                                 ResolutionError)
-from fractaldims.tubes import distance_field, mirror_field, sector_half
 from fractaldims.vonkoch import GKCParams, snowflake
 
 TINY_TUBE = {
@@ -310,7 +309,7 @@ def test_explicit_refuses_its_pole_sum_knobs_before_any_work(
         raise AssertionError("field or solve run before the config was "
                              "checked")
 
-    monkeypatch.setattr(cli, "distance_field", no_work)
+    monkeypatch.setattr(tubes, "distance_field", no_work)
     monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
     with pytest.raises(ValueError, match=message):
         run_command("explicit", cfg, tmp_path / "a")
@@ -554,12 +553,6 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
                              "window check")
 
     monkeypatch.setattr(cli, "_locate_poles", no_poles)
-    # with delta defaulted the refusal reports the delta read off the data
-    cfg = dict(TINY_TUBE, im_max=5, eval_t_min=1e-3, eval_t_max=1e-4)
-    with pytest.raises(ValueError, match=r"eval_t_min=0\.001, "
-                       r"eval_t_max=0\.0001 \(default 0\.8\*delta\), "
-                       r"delta=0\.\d+"):
-        run_command("explicit", cfg, tmp_path / "tube")
     # t_max = 2e-3 leaves the heat source's eval_t_min = t_min above
     # 0.8 delta, known only once the solve has run
     solves = []
@@ -576,22 +569,33 @@ def test_explicit_rejects_an_empty_evaluation_window(tmp_path, monkeypatch):
         run_command("explicit", cfg, tmp_path / "heat")
     assert "eval_t_max=" in str(err.value) and "delta=" in str(err.value)
     assert len(solves) == 1
-    # with delta given the window is refused before any work
+    # with delta or eval_t_max given the window is refused before any
+    # work, and delta is named only where eval_t_max defaults to it
     monkeypatch.setattr(cli, "snowflake", no_work)
-    monkeypatch.setattr(cli, "distance_field", no_work)
+    monkeypatch.setattr(tubes, "distance_field", no_work)
     monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
+    # delta defaulted, eval_t_max given
+    cfg = dict(TINY_TUBE, im_max=5, eval_t_min=1e-3, eval_t_max=1e-4)
+    with pytest.raises(ValueError, match=r"got eval_t_min=0\.001, "
+                       r"eval_t_max=0\.0001, t_min=0\.05, t_max=0\.2$"):
+        run_command("explicit", cfg, tmp_path / "tube")
     # a window past the sampled range
     cfg = dict(TINY_TUBE, delta=0.05, eval_t_min=0.06, eval_t_max=0.25)
     with pytest.raises(ValueError, match=r"need t_min <= eval_t_min < "
                        r"eval_t_max <= t_max, got eval_t_min=0\.06, "
-                       r"eval_t_max=0\.25 .* t_min=0\.05, t_max=0\.2$"):
+                       r"eval_t_max=0\.25, t_min=0\.05, t_max=0\.2$"):
         run_command("explicit", cfg, tmp_path / "past")
+    # the default eval_t_max = 0.8 delta, below t_min
+    cfg = dict(TINY_TUBE, delta=0.05)
+    with pytest.raises(ValueError, match=r"eval_t_max=0\.04 \(default "
+                       r"0\.8\*delta\), delta=0\.05, t_min=0\.05, "):
+        run_command("explicit", cfg, tmp_path / "default")
     # a window of two times, not read as a residual at the floor
     cfg = {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
            "delta": 0.05, "eval_t_min": 0.039, "eval_t_max": 0.04}
     with pytest.raises(ValueError, match=r"^explicit needs at least 8 "
                        r"evaluation times at k=2; eval_t_min=0\.039, "
-                       r"eval_t_max=0\.04 \(default 0\.8\*delta\) gives 2"):
+                       r"eval_t_max=0\.04 gives 2: widen the window$"):
         run_command("explicit", cfg, tmp_path / "two")
 
 
@@ -637,14 +641,20 @@ def test_tube_floor_is_one_check_in_cli_and_library(tmp_path, monkeypatch,
     floor = 5 * h
     below = float(np.nextafter(floor, 0.0))
     region = snowflake(GKCParams(3, 1 / 3), 1)
-    fld = mirror_field(distance_field(*sector_half(region, 0), h))
+    fld = tubes.sector_field(region, h)
     monkeypatch.setattr(cli, "snowflake", _work_begins)
     monkeypatch.setattr(tubes, "tube_function", _work_begins)
+    monkeypatch.setattr(tubes, "sector_field", _work_begins)
     with pytest.raises(Passed):
         tubes.verify_gkf_sfe(region, fld, [floor])
     with pytest.raises(ResolutionError,
                        match=r"^verify_gkf_sfe needs t >= 5h, "):
         tubes.verify_gkf_sfe(region, fld, [below, floor])
+    with pytest.raises(Passed):
+        tubes.decomposition_remainder(region, [floor, 2 * floor], h)
+    with pytest.raises(ResolutionError, match=r"^decomposition_remainder "
+                       r"needs t >= 5h, "):
+        tubes.decomposition_remainder(region, [below, floor], h)
     base = {"n": 3, "r": 1 / 3, "level": 1, "h": h, "sfe_t_max": 0.1}
     for command, cfg, run in (("tube", base, "tube"),
                               ("explicit", dict(base, source="tube"),
@@ -783,7 +793,9 @@ def test_unverified_snowflake_is_refused_before_any_work(tmp_path,
         raise AssertionError("field or solve built for an unverified region")
 
     monkeypatch.delenv("FRACTAL_DIMS_CACHE", raising=False)
-    monkeypatch.setattr(cli, "distance_field", no_work)
+    # tube passes the kernel by its cli name; explicit's field is tubes'
+    for owner in (cli, tubes):
+        monkeypatch.setattr(owner, "distance_field", no_work)
     monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
     cfg = {"n": 6, "r": 0.3, "level": 2}
     with pytest.raises(GeometryError, match="not verified simple"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,8 @@ from fractaldims.explicit import (FormulaTerm, build_terms, compare_explicit,
                                   run)
 from fractaldims.mellin import sfe_zeta_residue
 from fractaldims.sampled import (SampledFunction, antiderivative,
-                                 geometric_grid, sfe_grid, sfe_remainder)
-from fractaldims.tubes import (distance_field, mirror_field, sector_half,
-                               tube_function)
+                                 geometric_grid)
+from fractaldims.tubes import decomposition_remainder
 from fractaldims.vonkoch import GKCParams, snowflake
 from fractaldims.zeta import (ComplexDimensionSet, DirichletPoly, Pole,
                               RatioMultiset, detect_lattice, lattice_poles,
@@ -264,14 +265,9 @@ def tube_sfe():
     """(F, R, ratios, delta) of a level-2 (4, 0.24) sector tube at
     h = 4e-3, on t in [2e-2, 0.3]."""
     params = GKCParams(4, 0.24)
-    curve, half = sector_half(snowflake(params, 2), 0)
-    fld = mirror_field(distance_field(curve, half, 4e-3))
-    ts = geometric_grid(2e-2, 0.3, 48)
-    pairs = params.ratio_pairs
-    tube = tube_function(fld, sfe_grid(ts, pairs, 1.0))
-    f_ts, r_ts = sfe_remainder(tube, pairs, 1.0, ts)
-    return (SampledFunction(ts, f_ts), SampledFunction(ts, r_ts),
-            RatioMultiset.from_pairs(pairs), 0.05)
+    F, R = decomposition_remainder(snowflake(params, 2),
+                                   geometric_grid(2e-2, 0.3, 48), 4e-3)
+    return F, R, RatioMultiset.from_pairs(params.ratio_pairs), 0.05
 
 
 @pytest.mark.parametrize("fixture", ["cantor", "tube"])
@@ -300,6 +296,24 @@ def test_run_equals_the_pipeline_assembled_by_hand(cantor_string, fixture):
     assert np.array_equal(result.start_polynomial, start_poly)
     assert result.comparison.max_rel_dev == comp.max_rel_dev
     assert result.skipped == ()
+
+
+def test_run_skips_a_non_simple_pole(cantor_string):
+    # a pole of multiplicity 2 carries no term; every other term is the
+    # one of a run on the poles without it
+    F, R, ratios, delta = cantor_sfe(cantor_string, 1.0)
+    dims = lattice_poles(detect_lattice(ratios), im_max=20.0)
+    i = next(j for j, p in enumerate(dims.poles) if p.omega.imag > 0)
+    omega = dims.poles[i].omega
+    double = replace(dims, poles=dims.poles[:i] + (
+        replace(dims.poles[i], multiplicity=2),) + dims.poles[i + 1:])
+    without = replace(dims, poles=dims.poles[:i] + dims.poles[i + 1:])
+    knobs = dict(alpha=1.0, beta=1.0, k=2, delta=delta,
+                 t_grid=geometric_grid(1e-3, 1e-1, 24), cutoffs=(10.0, 20.0))
+    result = run(F, R, ratios, double, **knobs)
+    assert result.skipped == (omega,)
+    assert all(tm.omega != omega for tm in result.terms)
+    assert result.terms == run(F, R, ratios, without, **knobs).terms
 
 
 def test_run_names_the_pole_where_the_remainder_transform_diverges(

@@ -16,7 +16,7 @@ from fractaldims.heat import (HeatProblem, decomposition_remainder,
                               heat_exponent_fit, solve_heat_content,
                               solve_heat_fdm)
 from fractaldims.sampled import (SampledFunction, geometric_grid,
-                                sfe_grid)
+                                sfe_split)
 from fractaldims.vonkoch import GKCParams, snowflake
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -332,11 +332,12 @@ def test_content_ignores_the_other_save_times():
     problem = HeatProblem(region=region.boundary)
     ts = geometric_grid(3e-4, 3e-3, 24)
     alone = solve_heat_fdm(problem, 5e-3, ts)
-    union = solve_heat_fdm(problem, 5e-3,
-                           sfe_grid(ts, region.params.ratio_pairs, 2))
-    at_ts = np.searchsorted(union.times, ts)
-    assert np.array_equal(union.times[at_ts], ts)
-    assert np.max(np.abs(union.contents[at_ts] - alone.contents)
+    union, _ = sfe_split(lambda grid: solve_heat_content(problem, 5e-3, grid),
+                         region.params.ratio_pairs, 2, ts)
+    at_ts = np.searchsorted(union.ts, ts)
+    assert len(union.ts) > len(ts)
+    assert np.array_equal(union.ts[at_ts], ts)
+    assert np.max(np.abs(union.vals[at_ts] - alone.contents)
                   / alone.contents) < 1e-12
 
 

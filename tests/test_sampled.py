@@ -8,8 +8,8 @@ from fractaldims import sampled
 from fractaldims.errors import FitError
 from fractaldims.mellin import MellinEvaluator
 from fractaldims.sampled import (SampledFunction, antiderivative,
-                                 geometric_grid, leading_power_fit, sfe_grid,
-                                 sfe_images, sfe_remainder)
+                                 geometric_grid, leading_power_fit,
+                                 sfe_images, sfe_split)
 from fractaldims.vonkoch import GKCParams
 from fractaldims.zeta import RatioMultiset
 
@@ -30,18 +30,18 @@ def test_sfe_images_of_a_power_law(alpha, c, p):
     factor = 1.0 - sum(a * lam ** (2 - alpha * p) for lam, a in PAIRS)
     got = F(ts) - sfe_images(F, PAIRS, alpha, ts)
     assert np.allclose(got, c * ts ** p * factor, rtol=1e-14, atol=0)
-    # sampled on sfe_grid, F is read only at its samples
-    grid = sfe_grid(ts, PAIRS, alpha)
-    f_ts, rem = sfe_remainder(SampledFunction(grid, F(grid)), PAIRS, alpha,
-                              ts)
-    assert np.array_equal(f_ts, F(ts))
+    # sampled once by sfe_split, F is read only at its samples
+    sampled_F, rem = sfe_split(lambda grid: SampledFunction(grid, F(grid)),
+                               PAIRS, alpha, ts)
+    assert np.array_equal(sampled_F(ts), F(ts))
     assert np.allclose(rem, c * ts ** p * factor, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
-def test_sfe_grid_holds_every_image_time(alpha):
+def test_sfe_split_samples_every_image_time(alpha):
     ts = np.geomspace(1e-3, 1e-2, 5)
-    grid = sfe_grid(ts, PAIRS, alpha)
+    grid = sfe_split(lambda grid: SampledFunction(grid, grid), PAIRS, alpha,
+                     ts)[0].ts
     assert np.all(np.diff(grid) > 0)
     images = [ts] + [ts / lam ** alpha for lam, _ in PAIRS]
     assert len(grid) == 3 * len(ts)

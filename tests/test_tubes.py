@@ -3,8 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fractaldims import cli, tubes
-from fractaldims.cli import _compute_tube
+from fractaldims import tubes
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
 from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
@@ -239,9 +238,9 @@ def test_every_sector_has_the_same_tube(params, level, h):
 
 
 def test_half_sector_measures_half_the_cells(monkeypatch):
-    # the (3, 1/3) L4 sector at h = 3e-3: the CLI's field measures the
-    # half above the mirror axis, about half the sector's inside cells,
-    # in about half the kernel's (point, segment) pairs
+    # the (3, 1/3) L4 sector at h = 3e-3: the CLI's field, sector_field,
+    # measures the half above the mirror axis, about half the sector's
+    # inside cells, in about half the kernel's (point, segment) pairs
     region = snowflake(GKCParams(3, 1 / 3), 4)
     kernel, pairs = tubes._squared_distances, []
 
@@ -256,14 +255,14 @@ def test_half_sector_measures_half_the_cells(monkeypatch):
     whole_pairs = sum(pairs)
     pairs.clear()
     fields = []
-    build = cli.distance_field
+    build = tubes.distance_field
 
     def recorded(*args, **kwargs):
         fields.append(build(*args, **kwargs))
         return fields[-1]
 
-    monkeypatch.setattr(cli, "distance_field", recorded)
-    fld = _compute_tube({"n": 3, "r": 1 / 3, "level": 4}, 3e-3)[1]
+    monkeypatch.setattr(tubes, "distance_field", recorded)
+    fld = tubes.sector_field(region, 3e-3)
     (upper,) = fields
     measured = int(np.isfinite(upper.grid.values).sum())
     assert measured == upper.inside.sum() == fld.meta["cells_measured"]

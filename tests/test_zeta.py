@@ -374,6 +374,42 @@ def test_nonlattice_search_never_winds_through_the_real_pole(monkeypatch):
     assert failures == [] and calls == [dims.search_rect]
 
 
+def test_nonlattice_retries_a_zero_on_the_top_edge(monkeypatch):
+    # a winding count that fails on the outer rectangle is retried with a
+    # top margin 1.7 times wider; ten failures give up
+    rm = RatioMultiset(((1 / 2, 1), (1 / 3, 1), (1 / 5, 1)))
+    poly = DirichletPoly(rm)
+    band = (lower_similarity_dimension(rm), similarity_dimension(rm))
+    plain = nonlattice_poles(poly, band, 12.0)
+    winding, rects = zeta._winding_number, []
+
+    def fails_once(poly, rect):
+        rects.append(rect)
+        if len(rects) == 1:
+            raise ContourError("a zero on the top edge")
+        return winding(poly, rect)
+
+    monkeypatch.setattr(zeta, "_winding_number", fails_once)
+    retried = nonlattice_poles(poly, band, 12.0)
+    assert rects == [plain.search_rect, retried.search_rect]
+    assert retried.search_rect[3] - 12.0 == pytest.approx(
+        1.7 * (plain.search_rect[3] - 12.0), rel=1e-12)
+    assert retried.search_rect[:3] == plain.search_rect[:3]
+    assert [p.multiplicity for p in retried.poles] == \
+        [p.multiplicity for p in plain.poles]
+    assert np.allclose(omegas_of(retried), omegas_of(plain), rtol=1e-12,
+                       atol=0)
+    assert retried.search_count == plain.search_count
+
+    def always_fails(poly, rect):
+        raise ContourError("a zero on the top edge")
+
+    monkeypatch.setattr(zeta, "_winding_number", always_fails)
+    with pytest.raises(ContourError, match="^could not free the outer "
+                       "rectangle of zeros$"):
+        nonlattice_poles(poly, band, 12.0)
+
+
 def test_nonlattice_locates_a_near_double_zero_pair():
     # 1 - 3 z^2 - 2 z^3 has a double root; perturbing one ratio by 1e-9
     # splits each double pole into two simple zeros 1.6e-4 apart
