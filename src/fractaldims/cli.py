@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__, heat, tubes
 from .cache import ResultCache, config_hash, sha256_file, source_digest
-from .errors import DivergenceDomainError, GeometryError
+from .errors import DivergenceDomainError
 # build_terms, compare_explicit, evaluate_sum and sfe_zeta_residue are not
 # called here: the benchmark's layer probes wrap them in cli
 from .explicit import (build_terms, compare_explicit,  # noqa: F401
@@ -57,7 +57,8 @@ from .sampled import (FIT_MIN_SAMPLES, SampledFunction, csv_bytes,
                       geometric_grid)
 from .tubes import (TUBE_FLOOR, distance_field, minkowski_fit, sector_field,
                     tube_function, verify_gkf_sfe)
-from .vonkoch import GKCParams, polyline_to_svg_path, prefractal, snowflake
+from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal, snowflake,
+                      snowflake_boundary)
 from .zeta import (POLE_TOL, ComplexDimensionSet, DirichletPoly,
                    RatioMultiset, detect_lattice, lattice_poles,
                    lower_similarity_dimension, nonlattice_poles,
@@ -95,17 +96,22 @@ def _choice(cfg, key: str, allowed: tuple):
 def _number(cfg, key: str, default=None, kind=float):
     """kind(cfg[key]), or kind(default) when the key is absent; without a
     default the key is required.  kind is float, int (which refuses a
-    fractional value) or a converter of a list.  A value that does not
-    convert raises one ValueError naming the key and the value, and so
-    does a required key that is absent."""
+    fractional value) or a converter of a list.  A bool, a value that does
+    not convert and a result with a non-finite number in it raise one
+    ValueError naming the key and the value, and so does a required key
+    that is absent."""
     if default is None and key not in cfg:
         raise ValueError(f"{key} is required")
     value = cfg.get(key, default)
     try:
+        if isinstance(value, bool):
+            raise ValueError
         out = kind(value)
         if kind is int and out != float(value):
             raise ValueError
-    except (TypeError, ValueError):
+        if not np.all(np.isfinite(out)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "numeric"
         raise ValueError(f"{key} must be {what}; got {value!r}") from None
     return out
@@ -116,15 +122,10 @@ def _params(cfg) -> GKCParams:
 
 
 def _snowflake_from_config(cfg, default_level: int):
-    """The one snowflake of a tube, heat or explicit run; refuses an
-    unverified snowflake before any field or solve (render does not)."""
-    params = _params(cfg)
-    region = snowflake(params, _number(cfg, "level", default_level, int))
-    if not region.verified_simple:
-        raise GeometryError(f"snowflake n={params.n}, r={params.r:g} is "
-                            "not verified simple; lower r below the "
-                            "self-avoidance bound")
-    return region
+    """The one snowflake of a tube, heat or explicit run, built before
+    any field or solve: ``snowflake`` refuses r at or above the
+    self-avoidance bound (render draws ``snowflake_boundary`` instead)."""
+    return snowflake(_params(cfg), _number(cfg, "level", default_level, int))
 
 
 def _json_bytes(doc) -> bytes:
@@ -476,8 +477,8 @@ def cmd_render(cfg):
         verts = prefractal(params, level)
         closed = False
     else:
-        region = snowflake(params, level)
-        verts = region.closed_boundary
+        verts = snowflake_boundary(params, level)
+        verts = np.vstack([verts, verts[:1]])
         closed = True
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)

@@ -149,7 +149,7 @@ def _build_masks(region: np.ndarray, h: float):
     nb[:, 1:] |= interior[:, :-1]
     nb[:, :-1] |= interior[:, 1:]
     ghost = (nb & ~interior) | cut
-    return (cx[0], cy[0], nx, ny), interior, ghost
+    return interior, ghost
 
 
 def _assemble(interior: np.ndarray, h: float):
@@ -335,7 +335,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
     if save_times.size and not save_times[0] >= 0:
         raise ValueError("save times must not be negative")
-    _, interior, ghost = _build_masks(problem.region, h)
+    interior, ghost = _build_masks(problem.region, h)
     n = int(np.count_nonzero(interior))
     if n == 0:
         raise ResolutionError(f"no interior cells at h={h}")
@@ -420,9 +420,6 @@ def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
     sum_k a_k lambda_k^2 E(t/lambda_k^2), from one solve by ``sfe_split``."""
     ts = np.asarray(sorted(t_list), dtype=float)
     HEAT_FLOOR.check("decomposition_remainder", "t", ts, h)
-    if not region.verified_simple:
-        raise GeometryError("snowflake region is not verified simple; "
-                            "heat checks refuse it")
     problem = HeatProblem(region=region.boundary)
     e, rem = sfe_split(lambda grid: solve_heat_content(problem, h, grid),
                        region.params.ratio_pairs, 2, ts)

@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError, SizeLimitError
+from .errors import SizeLimitError
 from .geom import (_ranges, _segment_frames, _squared_distances,
                    clip_polygon_halfplane, point_in_polygon_mask,
                    polygon_area, polyline_length, rotation_matrix,
@@ -358,9 +358,6 @@ def verify_gkf_sfe(region: SnowflakeRegion, fld: DistanceField,
     distance field to ``region``'s boundary on one of its sectors."""
     ts = np.asarray(ts, dtype=float)
     TUBE_FLOOR.check("verify_gkf_sfe", "t", ts, fld.h)
-    if not region.verified_simple:
-        raise GeometryError("snowflake region is not verified simple; "
-                            "tube checks refuse it")
     params = region.params
     pairs = params.ratio_pairs
     # V on the whole image grid: the slack reads it between the samples
@@ -390,9 +387,6 @@ def decomposition_remainder(region: SnowflakeRegion, t_list, h: float
     sum_k a_k lambda_k^2 V(t/lambda_k), from one field by ``sfe_split``."""
     ts = np.asarray(sorted(t_list), dtype=float)
     TUBE_FLOOR.check("decomposition_remainder", "t", ts, h)
-    if not region.verified_simple:
-        raise GeometryError("snowflake region is not verified simple; "
-                            "tube checks refuse it")
     fld = sector_field(region, h)
     v, rem = sfe_split(lambda grid: tube_function(fld, grid),
                        region.params.ratio_pairs, 1, ts)

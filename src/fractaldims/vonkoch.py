@@ -8,8 +8,10 @@ its n+2 generator vertices, and the level-L prefractal polyline
 substitutes the generator into every segment L times.
 
 Snowflakes place n curve copies on the edges of a unit-side regular
-n-gon, bumps outward.  For r below the self-avoidance bound the boundary
-is a simple closed polygon at every level and is verified as such here.
+n-gon, bumps outward.  Below the self-avoidance bound the boundary is a
+simple closed polygon at every level: ``snowflake`` verifies it so, and
+raises at or above the bound, where ``snowflake_boundary`` is the same
+polygon unverified, for drawing.
 """
 
 from __future__ import annotations
@@ -129,23 +131,17 @@ def prefractal(params: GKCParams, level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SnowflakeRegion:
-    """Closed snowflake boundary polygon with its base n-gon metadata.
+    """The region a snowflake bounds, with its base n-gon metadata.
 
     ``boundary`` lists the vertices once, counterclockwise (positive
-    signed area); the closing edge is implied.  ``verified_simple`` is
-    True when the r < self-avoidance bound check ran and passed; the
-    tube and heat solvers refuse unverified regions.
+    signed area); the closing edge is implied.  ``snowflake`` builds one
+    only when it has verified the boundary simple.
     """
 
     boundary: np.ndarray = field(repr=False)
     n_gon_vertices: np.ndarray = field(repr=False)
     level: int
     params: GKCParams
-    verified_simple: bool
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self.boundary)
 
     @property
     def closed_boundary(self) -> np.ndarray:
@@ -162,29 +158,38 @@ def base_polygon(n: int) -> np.ndarray:
     return circum * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def snowflake(params: GKCParams, level: int) -> SnowflakeRegion:
-    """n prefractal copies stitched around the base n-gon, bumps outward."""
-    n = params.n
-    _warn_bound_band(n, params.r)
+def snowflake_boundary(params: GKCParams, level: int) -> np.ndarray:
+    """n prefractal copies stitched around the base n-gon, bumps outward:
+    the boundary vertices once, counterclockwise, at any r and not
+    checked for self-intersection."""
     curve = prefractal(params, level)
     cc = curve[:, 0] + 1j * curve[:, 1]
-    base = base_polygon(n)
-    a = base[:, 0] + 1j * base[:, 1]
+    a = base_polygon(params.n)
+    a = a[:, 0] + 1j * a[:, 1]
     # one copy per base edge [a_k, a_k+1], less the end it shares with
     # the next copy
     pieces = a[:, None] + (np.roll(a, -1) - a)[:, None] * cc[None, :-1]
     boundary = pieces.reshape(-1)[::-1]  # counterclockwise, positive area
-    boundary = np.column_stack([boundary.real, boundary.imag])
+    return np.column_stack([boundary.real, boundary.imag])
 
-    verified = False
-    if params.r < self_avoidance_bound(n):
-        check_closed_polyline_simple(boundary)  # raises GeometryError
-        if polygon_area(boundary) <= 0:
-            raise GeometryError("snowflake boundary has nonpositive area")
-        verified = True
-    return SnowflakeRegion(boundary=boundary, n_gon_vertices=base,
-                           level=level, params=params,
-                           verified_simple=verified)
+
+def snowflake(params: GKCParams, level: int) -> SnowflakeRegion:
+    """The region inside ``snowflake_boundary``, verified simple with
+    positive area.  Raises GeometryError for r at or above the
+    self-avoidance bound, where simplicity is not proven."""
+    n, r = params.n, params.r
+    bound = self_avoidance_bound(n)
+    if r >= bound:
+        raise GeometryError(
+            f"snowflake n={n}, r={r:g} is not verified simple: r is at or "
+            f"above the self-avoidance bound {bound:.6g}; lower r below it")
+    _warn_bound_band(n, r)
+    boundary = snowflake_boundary(params, level)
+    check_closed_polyline_simple(boundary)  # raises GeometryError
+    if polygon_area(boundary) <= 0:
+        raise GeometryError("snowflake boundary has nonpositive area")
+    return SnowflakeRegion(boundary=boundary, n_gon_vertices=base_polygon(n),
+                           level=level, params=params)
 
 
 def sector_region(region: SnowflakeRegion, index: int) -> np.ndarray:

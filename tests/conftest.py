@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from fractaldims import heat
 from fractaldims.geom import rotation_matrix
 
 
@@ -26,6 +27,20 @@ def fourier_rod_profile(x, t, terms=400):
     return 1.0 - np.sum(
         4.0 / (m[None, :] * np.pi) * np.sin(np.outer(x, m) * np.pi)
         * np.exp(-m[None, :] ** 2 * np.pi ** 2 * t), axis=1)
+
+
+def heat_grids(region, h):
+    """Centre and corner coordinates of ``heat._build_masks``'s grid around
+    the polygon ``region``: centred on its bounding box, the shape read
+    off the interior mask."""
+    interior, _ = heat._build_masks(region, h)
+    lo, hi = region.min(axis=0), region.max(axis=0)
+    mid = 0.5 * (lo + hi)
+    centres = tuple(mid[a] + (np.arange(m) - 0.5 * (m - 1)) * h
+                    for a, m in enumerate(interior.shape))
+    corners = tuple(mid[a] + (np.arange(m + 1) - 0.5 * m) * h
+                    for a, m in enumerate(interior.shape))
+    return centres, corners
 
 
 @pytest.fixture(scope="session")

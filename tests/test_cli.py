@@ -296,6 +296,35 @@ def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
         run_command(command, cfg, tmp_path / "a")
 
 
+@pytest.mark.parametrize("command, knob, value, message", [
+    ("tube", "h", True, r"^h must be numeric; got True$"),
+    ("tube", "h", "nan", r"^h must be numeric; got 'nan'$"),
+    ("tube", "h", "inf", r"^h must be numeric; got 'inf'$"),
+    ("tube", "h", float("inf"), r"^h must be numeric; got inf$"),
+    ("tube", "t_max", "nan", r"^t_max must be numeric; got 'nan'$"),
+    ("tube", "level", True, r"^level must be an integer; got True$"),
+    ("tube", "n", True, r"^n must be an integer; got True$"),
+    ("heat", "diffusivity", float("nan"),
+     r"^diffusivity must be numeric; got nan$"),
+    ("explicit", "cutoffs", [10, float("nan")],
+     r"^cutoffs must be numeric; got \[10, nan\]$"),
+    ("explicit", "cutoffs", [10, "inf"],
+     r"^cutoffs must be numeric; got \[10, 'inf'\]$"),
+], ids=["h-true", "h-nan", "h-inf-string", "h-inf", "t-max-nan",
+        "level-true", "n-true", "diffusivity-nan", "cutoffs-nan",
+        "cutoffs-inf"])
+def test_numeric_knob_refuses_booleans_and_non_finite_values(
+        tmp_path, monkeypatch, command, knob, value, message):
+    def no_snowflake(*args, **kwargs):
+        raise AssertionError("snowflake built before the config was checked")
+
+    monkeypatch.setattr(cli, "snowflake", no_snowflake)
+    cfg = {"n": 3, "r": 1 / 3, "level": 2, "h": 4e-3, knob: value}
+    with pytest.raises(ValueError, match=message):
+        run_command(command, cfg, tmp_path / "a")
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"n": 3, "r": 1 / 3, "level": 3, "h": 4e-3, "source": "tube",
       "im_max": 0}, r"^im_max must be > 0; got 0$"),
@@ -802,7 +831,8 @@ def test_unverified_snowflake_is_refused_before_any_work(tmp_path,
         run_command(command, cfg, tmp_path / command)
     assert not (tmp_path / command).exists()
     # render draws the curve all the same
-    run_command("render", cfg, tmp_path / "render")
+    out = run_command("render", cfg, tmp_path / "render")
+    assert (out / "render.svg").read_bytes().startswith(b"<svg")
 
 
 def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch):

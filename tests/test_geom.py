@@ -12,6 +12,8 @@ from fractaldims.geom import (SNAP_TOL, _segment_frames, _squared_distances,
                               rotation_matrix, segment_distances, snap)
 from fractaldims.vonkoch import GKCParams, snowflake
 
+from conftest import heat_grids
+
 #: segments per pass of the brute-force nearest-segment minimum; bounds
 #: its memory to O(m * SEGMENT_CHUNK)
 SEGMENT_CHUNK = 256
@@ -177,14 +179,6 @@ STAIRS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.75, 0.5],
 TRIANGLE = np.array([[0.4, 0.45], [0.6, 0.45], [0.5, 0.55]])
 
 
-def heat_grids(box, h):
-    """Center and corner coordinates of ``heat._build_masks``'s grid
-    around the polygon ``box``."""
-    (x0, y0, nx, ny), _, _ = heat._build_masks(box, h)
-    return ((x0 + (np.arange(nx) + 0.5) * h, y0 + (np.arange(ny) + 0.5) * h),
-            (x0 + np.arange(nx + 1) * h, y0 + np.arange(ny + 1) * h))
-
-
 @pytest.mark.parametrize("box, h", [
     (SQUARE, H_ALIGNED), (SQUARE, 1 / 20), (SQUARE, 1 / 21),
     (SQUARE, 5e-3), (SQUARE, 0.3), (TRIANGLE, 1e-2), (TRIANGLE, 3e-2),
@@ -195,6 +189,10 @@ def test_heat_grid_is_centred_on_the_box(box, h):
     # the centres mirror about the box midpoint on each axis, and the box
     # minimum is a centre when the box is a whole number of cells long
     centres, corners = heat_grids(box, h)
+    # heat's interior is the strict mask at these centres
+    interior, _ = heat._build_masks(box, h)
+    assert np.array_equal(interior,
+                          point_in_polygon_mask(*centres, box, strict=True))
     lo, hi = box.min(axis=0), box.max(axis=0)
     for axis, (xs, cs) in enumerate(zip(centres, corners)):
         mid = 0.5 * (lo[axis] + hi[axis])
@@ -411,9 +409,9 @@ def test_closing_edge_is_not_flagged_against_its_neighbours():
 
 
 @pytest.mark.parametrize("n, r", [(3, 1 / 3), (4, 0.24), (3, 0.05)])
-def test_level_5_snowflakes_are_verified_simple(n, r):
+def test_level_5_snowflakes_are_simple(n, r):
+    # snowflake raises unless its own check finds no crossing either
     region = snowflake(GKCParams(n, r), 5)
-    assert region.verified_simple
     assert scalar_crossing(region.boundary) is None
 
 

@@ -19,6 +19,8 @@ from fractaldims.sampled import (SampledFunction, geometric_grid,
                                 sfe_split)
 from fractaldims.vonkoch import GKCParams, snowflake
 
+from conftest import heat_grids
+
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RECTANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.55], [0.0, 0.55]])
 
@@ -32,7 +34,7 @@ def lanczos_fields(problem, h, save_times):
     field is below KRYLOV_TOL (or the space is exhausted); a second pass
     then regenerates the basis to sum the fields.  Each grid is NaN off
     the interior and ghost cells and 1 on the ghosts."""
-    _, interior, ghost = heat._build_masks(problem.region, h)
+    interior, ghost = heat._build_masks(problem.region, h)
     n = int(np.count_nonzero(interior))
     lap = heat._assemble(interior, h)
     start = np.full(n, 1.0 / np.sqrt(n))
@@ -78,7 +80,7 @@ def test_field_oracle_integrates_to_the_solver_content(region, h):
     times = [2e-4, 1e-3, 5e-3, 2e-2, 1e-1]
     grids = lanczos_fields(problem, h, times)
     field = solve_heat_fdm(problem, h, times)
-    _, interior, ghost = heat._build_masks(region, h)
+    interior, ghost = heat._build_masks(region, h)
     for t, e in zip(field.times, field.contents):
         integral = h ** 2 * (grids[t][interior].sum() + 0.5 * ghost.sum())
         assert integral == pytest.approx(e, rel=1e-10), t
@@ -132,7 +134,7 @@ def csr_laplacian(interior, h):
 def backward_euler_oracle(problem, h, steps):
     """E after each number of steps in ``steps`` of sparse-LU backward
     Euler with dt = h^2/2: w_j = (I + dt A)^-1 w_(j-1), w_0 = 1, u = 1 - w."""
-    _, interior, ghost = heat._build_masks(problem.region, h)
+    interior, ghost = heat._build_masks(problem.region, h)
     lap = csr_laplacian(interior, h).tocsc()
     n = lap.shape[0]
     lu = splu(sparse.identity(n, format="csc") + h ** 2 / 2.0 * lap)
@@ -150,7 +152,7 @@ def eigh_oracle(problem, h, save_times):
     1 - u(t) = V (1 + dt lam)^(-t/dt) V^T 1 with dt = h^2/2.  The
     content sums weights (V^T 1)^2 against 1 - f through expm1: n minus
     the weighted sum of f cancels, up to 4.5e-14 relative at t = dt."""
-    _, interior, ghost = heat._build_masks(problem.region, h)
+    interior, ghost = heat._build_masks(problem.region, h)
     lam, vecs = np.linalg.eigh(csr_laplacian(interior, h).toarray())
     dt = h ** 2 / 2.0
     weights = vecs.sum(axis=0) ** 2
@@ -164,7 +166,7 @@ def eigh_oracle(problem, h, save_times):
     (SQUARE, 0.02),
 ])
 def test_stencil_matvec_equals_csr_matvec(region, h):
-    _, interior, _ = heat._build_masks(region, h)
+    interior, _ = heat._build_masks(region, h)
     lap = heat._assemble(interior, h)
     csr = csr_laplacian(interior, h)
     n = csr.shape[0]
@@ -219,7 +221,7 @@ def test_folded_matvec_is_the_orbit_projection(case):
     # lap = W^-1/2 U^T A U W^-1/2 on the kept cells and start = the
     # coordinates of 1/sqrt(n) in the orbit basis, W^1/2 1 / sqrt(n)
     region, h, unknowns = FOLD_CASES[case]
-    _, interior, _ = heat._build_masks(region, h)
+    interior, _ = heat._build_masks(region, h)
     u, w = orbit_matrix(interior)
     n, k = u.shape
     assert k == (n if unknowns is None else unknowns)
@@ -283,7 +285,7 @@ def test_gauss_radau_brackets_the_dense_content(region, h, steps, between):
     save_times = np.union1d(np.array(steps) * h ** 2 / 2.0, between)
     dense = eigh_oracle(problem, h, save_times)
     field = solve_heat_fdm(problem, h, save_times)
-    _, interior, ghost = heat._build_masks(region, h)
+    interior, ghost = heat._build_masks(region, h)
     n = int(np.count_nonzero(interior))
     # the solver's own run: its folded operator and start vector
     lanczos = heat._lanczos(*heat._fold(interior, h))
@@ -377,10 +379,8 @@ def test_centerline_profile_matches_rod_oracle(rod_profile_oracle):
     rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [0.0, 2.0]])
     t, h = 0.01, 4e-3
     grid = lanczos_fields(HeatProblem(region=rect), h, [t])[t]
-    (x0, y0, _, _), *_ = heat._build_masks(rect, h)
-    ys = y0 + (np.arange(grid.shape[1]) + 0.5) * h
+    (xs, ys), _ = heat_grids(rect, h)
     j = int(np.argmin(np.abs(ys - 1.0)))
-    xs = x0 + (np.arange(grid.shape[0]) + 0.5) * h
     sel = np.isfinite(grid[:, j]) & (grid[:, j] < 1.0)
     profile = grid[sel, j]
     exact = rod_profile_oracle(xs[sel], t)
@@ -439,9 +439,9 @@ def test_decomposition_remainder_resolution_guard():
 
 
 def test_heat_refuses_unverified_region():
-    with pytest.raises(GeometryError):
-        decomposition_remainder(snowflake(GKCParams(6, 0.3), 2), [1e-3],
-                                h=4e-3)
+    # no region, so no solve, above the bound
+    with pytest.raises(GeometryError, match="not verified simple"):
+        snowflake(GKCParams(6, 0.3), 2)
 
 
 def test_exponent_fit_pure_power():

@@ -374,9 +374,9 @@ def snowflake_sector(params, level, h):
 
 
 def test_sfe_refuses_unverified_region():
-    region, fld = snowflake_sector(GKCParams(6, 0.3), 2, 5e-3)
-    with pytest.raises(GeometryError):
-        verify_gkf_sfe(region, fld, np.array([0.05]))
+    # no region, so no field or tube check, above the bound
+    with pytest.raises(GeometryError, match="not verified simple"):
+        snowflake(GKCParams(6, 0.3), 2)
 
 
 def test_sfe_rejects_unresolvable_t():

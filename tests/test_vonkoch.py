@@ -7,7 +7,7 @@ from fractaldims.geom import polygon_area
 from fractaldims.vonkoch import (GKCParams, base_polygon, generator_vertices,
                                  prefractal, sector_region,
                                  self_avoidance_bound, snowflake,
-                                 snowflake_area_series)
+                                 snowflake_area_series, snowflake_boundary)
 from fractaldims.zeta import RatioMultiset
 
 from conftest import koch_maps
@@ -148,14 +148,14 @@ def test_snowflake_level0_is_ngon():
     for n in (3, 4, 6):
         region = snowflake(GKCParams(n, 0.1), 0)
         assert len(region.boundary) == n
-        assert region.area == pytest.approx(n / (4 * np.tan(np.pi / n)),
-                                            rel=1e-12)
+        assert polygon_area(region.boundary) == pytest.approx(
+            n / (4 * np.tan(np.pi / n)), rel=1e-12)
 
 
 def test_snowflake_area_matches_series_oracle():
     for n, r, level in ((3, 1 / 3, 4), (4, 0.2, 3), (5, 0.19, 3)):
         region = snowflake(GKCParams(n, r), level)
-        assert region.area == pytest.approx(
+        assert polygon_area(region.boundary) == pytest.approx(
             snowflake_area_series(GKCParams(n, r), level), rel=1e-9)
 
 
@@ -179,15 +179,31 @@ def test_snowflake_rotational_symmetry():
 
 
 def test_snowflake_simple_below_bound():
+    # snowflake verifies the boundary simple or raises
     for n, r, level in ((3, 0.32, 5), (4, 0.24, 4), (5, 0.18, 4)):
         assert r < self_avoidance_bound(n)
-        region = snowflake(GKCParams(n, r), level)
-        assert region.verified_simple
+        snowflake(GKCParams(n, r), level)
 
 
 def test_snowflake_above_bound_not_verified():
-    region = snowflake(GKCParams(6, 0.3), 2)
-    assert not region.verified_simple
+    with pytest.raises(GeometryError, match=r"n=6, r=0\.3 is not verified "
+                       r"simple.*bound 0\.142857.*lower r"):
+        snowflake(GKCParams(6, 0.3), 2)
+    # the unverified polygon is still there to draw
+    boundary = snowflake_boundary(GKCParams(6, 0.3), 2)
+    assert len(boundary) == 6 * 7 ** 2 and polygon_area(boundary) > 0
+
+
+# at n = 6, 0.99 times the bound lies in the band that warns
+@pytest.mark.filterwarnings("ignore:r=.* n=6 self-avoidance bounds")
+@pytest.mark.parametrize("n", range(3, 9))
+def test_snowflake_is_built_only_below_the_bound(n):
+    bound = self_avoidance_bound(n)
+    region = snowflake(GKCParams(n, 0.99 * bound), 3)
+    assert np.array_equal(region.boundary,
+                          snowflake_boundary(GKCParams(n, 0.99 * bound), 3))
+    with pytest.raises(GeometryError, match="not verified simple"):
+        snowflake(GKCParams(n, bound), 3)
 
 
 def test_sector_partition_areas():
@@ -195,9 +211,10 @@ def test_sector_partition_areas():
         region = snowflake(GKCParams(n, r), 3)
         sectors = [sector_region(region, i) for i in range(n)]
         areas = [abs(polygon_area(s)) for s in sectors]
-        assert sum(areas) == pytest.approx(region.area, rel=1e-9)
+        area = polygon_area(region.boundary)
+        assert sum(areas) == pytest.approx(area, rel=1e-9)
         for a in areas:
-            assert a == pytest.approx(region.area / n, rel=1e-9)
+            assert a == pytest.approx(area / n, rel=1e-9)
 
 
 def test_sector_of_triangle_level0():
