@@ -16,20 +16,22 @@ BLAS thread count.
 it on: ``tube`` to ``tubes.sector_field`` and ``verify_gkf_sfe``, and
 ``explicit`` and ``heat remainder=true`` to their source's
 ``decomposition_remainder(region, ts, h)``, in ``tubes`` or ``heat``.
-They read h, t_min, t_max and points_per_decade once, and refuse before
-any snowflake points_per_decade < 1 and a t_min below the floor that
-their kernel checks again at entry: ``tubes.TUBE_FLOOR`` (5h) or
-``heat.HEAT_FLOOR`` (25h^2, on diffusivity * t_min for ``heat
-remainder=true``; plain ``heat`` takes any t).  ``explicit`` checks its
-knobs, computes F and R, locates the poles and hands all three to
+``explicit`` computes F and R, locates the poles and hands all three to
 ``explicit.run``, which compares data integrated from the first sample
 with the pole sum modulo the polynomial that start leaves, reported too.
-Before any field or solve it refuses k < 2, im_max <= 0, a negative
-cutoff, a delta above t_max * lambda_min^alpha and, with delta or
-eval_t_max given, an evaluation window that is empty or under
-FIT_MIN_SAMPLES + k - 2 times; a window resting on delta read off the
-data, right after it.  A pole left of the abscissa fitted to R is
-refused naming t_min.
+
+Every knob is read once and refused before any snowflake, search, field
+or solve.  A numeric knob's type, default and range are declared in its
+one ``_number`` read.  A rule between knobs is refused next to their
+reads, naming them and their values: t_min < t_max, a t_min below the
+floor that the kernel checks again at entry (``tubes.TUBE_FLOOR``, 5h,
+or ``heat.HEAT_FLOOR``, 25h^2, on diffusivity * t_min for ``heat
+remainder=true``; plain ``heat`` takes any t), too few times in a fit
+window (``sampled.fit_window``), a delta above t_max * lambda_min^alpha
+and, with delta or eval_t_max given, an evaluation window that is empty
+or under FIT_MIN_SAMPLES + k - 2 times.  A window resting on delta read
+off the data is refused right after it, and a pole left of the abscissa
+fitted to R naming t_min.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .heat import (HEAT_FLOOR, HeatProblem, decomposition_remainder,
                    heat_exponent_fit, solve_heat_content, verify_heat_scaling)
 from .mellin import sfe_zeta_residue  # noqa: F401
 from .sampled import (FIT_MIN_SAMPLES, SampledFunction, csv_bytes,
-                      geometric_grid)
+                      fit_window, geometric_grid)
 from .tubes import (TUBE_FLOOR, distance_field, minkowski_fit, sector_field,
                     tube_function, verify_gkf_sfe)
 from .vonkoch import (GKCParams, polyline_to_svg_path, prefractal, snowflake,
@@ -93,16 +95,25 @@ def _choice(cfg, key: str, allowed: tuple):
     return value
 
 
-def _number(cfg, key: str, default=None, kind=float):
+_REQUIRED = object()  #: _number's default of a knob that has none
+
+
+def _number(cfg, key: str, default=_REQUIRED, kind=float, *, least=None,
+            above=None):
     """kind(cfg[key]), or kind(default) when the key is absent; without a
-    default the key is required.  kind is float, int (which refuses a
-    fractional value) or a converter of a list.  A bool, a value that does
-    not convert and a result with a non-finite number in it raise one
-    ValueError naming the key and the value, and so does a required key
-    that is absent."""
-    if default is None and key not in cfg:
+    default the key is required, and with default None it is optional:
+    None when absent or null.  kind is float, int (which refuses a
+    fractional value) or a converter of a list.  The knob's range is
+    declared here: every number of the result must be >= least and
+    > above, where given.  A bool, a value that does not convert, a
+    result with a non-finite number in it and a number out of range raise
+    one ValueError naming the key and the value, and so does a required
+    key that is absent."""
+    if default is _REQUIRED and key not in cfg:
         raise ValueError(f"{key} is required")
     value = cfg.get(key, default)
+    if value is None and default is None:
+        return None
     try:
         if isinstance(value, bool):
             raise ValueError
@@ -114,6 +125,10 @@ def _number(cfg, key: str, default=None, kind=float):
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "numeric"
         raise ValueError(f"{key} must be {what}; got {value!r}") from None
+    for bound, holds, rule in ((least, np.greater_equal, ">="),
+                               (above, np.greater, ">")):
+        if bound is not None and not np.all(holds(out, bound)):
+            raise ValueError(f"{key} must be {rule} {bound}; got {value!r}")
     return out
 
 
@@ -125,7 +140,8 @@ def _snowflake_from_config(cfg, default_level: int):
     """The one snowflake of a tube, heat or explicit run, built before
     any field or solve: ``snowflake`` refuses r at or above the
     self-avoidance bound (render draws ``snowflake_boundary`` instead)."""
-    return snowflake(_params(cfg), _number(cfg, "level", default_level, int))
+    return snowflake(_params(cfg),
+                     _number(cfg, "level", default_level, int, least=0))
 
 
 def _json_bytes(doc) -> bytes:
@@ -207,7 +223,7 @@ def cmd_dims(cfg):
 
 def cmd_poles(cfg):
     ratios = _ratios_from_config(cfg)
-    dims = _locate_poles(ratios, _number(cfg, "im_max", 60.0))
+    dims = _locate_poles(ratios, _number(cfg, "im_max", 60.0, above=0))
     files = {
         "poles.csv": _poles_csv(dims),
         "poles.svg": _poles_svg(dims),
@@ -228,20 +244,21 @@ def cmd_poles(cfg):
 
 
 def _times(cfg, h, t_min, t_max, per_decade):
-    """(h, t grid, points_per_decade) of a run, each knob read once and by
-    default the given value; t_min's default is a function of h."""
-    h = _number(cfg, "h", h)
-    t_min = _number(cfg, "t_min", t_min(h))
+    """(h, t grid) of a run, each knob read once and by default the given
+    value; t_min's default is a function of h."""
+    h = _number(cfg, "h", h, above=0)
+    t_min = _number(cfg, "t_min", t_min(h), above=0)
     t_max = _number(cfg, "t_max", t_max)
-    per_decade = _number(cfg, "points_per_decade", per_decade, int)
-    if per_decade < 1:
-        raise ValueError(f"points_per_decade must be >= 1; got {per_decade}")
-    return h, geometric_grid(t_min, t_max, per_decade), per_decade
+    if not t_min < t_max:
+        raise ValueError(f"t_min must be < t_max; got t_min={t_min:g}, "
+                         f"t_max={t_max:g}")
+    per_decade = _number(cfg, "points_per_decade", per_decade, int, least=1)
+    return h, geometric_grid(t_min, t_max, per_decade)
 
 
 def _tube_times(cfg, run: str):
     """(h, tube time grid) of a tube run, refused below the tube floor."""
-    h, ts, _ = _times(cfg, 1e-3, lambda h: max(10 * h, 1e-3), 0.3, 48)
+    h, ts = _times(cfg, 1e-3, lambda h: max(10 * h, 1e-3), 0.3, 48)
     TUBE_FLOOR.check(run, "t_min", ts[0], h)
     return h, ts
 
@@ -249,26 +266,18 @@ def _tube_times(cfg, run: str):
 def _tube_windows(cfg, h: float, ts):
     """(SFE times, fit window) of a tube run, refused before any field
     is built: the SFE resolves t >= TUBE_FLOOR only, and the fit
-    needs FIT_MIN_SAMPLES tube times in its window."""
+    window must hold enough tube times (``fit_window``)."""
     sfe_min = _number(cfg, "sfe_t_min", max(0.01, TUBE_FLOOR.at(h)))
     sfe_max = _number(cfg, "sfe_t_max", 0.05)
-    points = _number(cfg, "sfe_points", 9, int)
+    points = _number(cfg, "sfe_points", 9, int, least=1)
     if not TUBE_FLOOR.at(h) <= sfe_min < sfe_max:
         raise ValueError(
             f"tube needs 5h <= sfe_t_min < sfe_t_max; h={h:g} gives "
             f"sfe_t_min={sfe_min:g} (default max(0.01, 5h)), sfe_t_max="
             f"{sfe_max:g}: lower h or set sfe_t_min and sfe_t_max")
-    if points < 1:
-        raise ValueError(f"sfe_points must be >= 1; got {points}")
     window = (_number(cfg, "fit_t_min", ts[0]),
               _number(cfg, "fit_t_max", ts[-1]))
-    inside = int(np.count_nonzero((ts >= window[0]) & (ts <= window[1])))
-    if inside < FIT_MIN_SAMPLES:
-        raise ValueError(
-            f"tube needs at least {FIT_MIN_SAMPLES} times in [fit_t_min, "
-            f"fit_t_max]; fit_t_min={window[0]:g}, fit_t_max={window[1]:g} "
-            f"over t_min={ts[0]:g}, t_max={ts[-1]:g} gives {inside}: widen "
-            f"the window or raise points_per_decade")
+    fit_window("tube", ts, window)
     return np.geomspace(sfe_min, sfe_max, points), window
 
 
@@ -303,21 +312,11 @@ def cmd_tube(cfg):
 
 def cmd_heat(cfg):
     # an absent scaling_lambda means no scaling check
-    lam = cfg.get("scaling_lambda")
-    if lam is not None:
-        lam = _number(cfg, "scaling_lambda")
-        if not lam > 0:
-            raise ValueError(f"scaling_lambda must be > 0; got {lam:g}")
-    diffusivity = _number(cfg, "diffusivity", 1.0)
-    if diffusivity <= 0:
-        raise ValueError("diffusivity must be positive")
-    h, ts, per_decade = _times(cfg, 2e-3, lambda h: 3e-4, 3e-3, 24)
+    lam = _number(cfg, "scaling_lambda", None, above=0)
+    diffusivity = _number(cfg, "diffusivity", 1.0, above=0)
+    h, ts = _times(cfg, 2e-3, lambda h: 3e-4, 3e-3, 24)
     # the exponent fit runs on every sample; refuse its grid before a solve
-    if len(ts) < FIT_MIN_SAMPLES:
-        raise ValueError(
-            f"heat needs at least {FIT_MIN_SAMPLES} times; points_per_decade="
-            f"{per_decade} over t_min={ts[0]:g}, t_max={ts[-1]:g} gives "
-            f"{len(ts)}: raise points_per_decade or widen [t_min, t_max]")
+    fit_window("heat", ts, (ts[0], ts[-1]))
     remainder = _choice(cfg, "remainder", (False, True))
     if remainder:
         HEAT_FLOOR.check("heat remainder=true", "diffusivity*t_min",
@@ -361,7 +360,8 @@ def _eval_grid(cfg, ts, delta: float | None, k: int):
     start polynomial takes k."""
     eval_t_min = _number(cfg, "eval_t_min", ts[0])
     given = "eval_t_max" in cfg
-    eval_t_max = _number(cfg, "eval_t_max", None if given else delta * 0.8)
+    eval_t_max = _number(cfg, "eval_t_max",
+                         _REQUIRED if given else delta * 0.8)
     default = "" if given else " (default 0.8*delta)"
     if not ts[0] <= eval_t_min < eval_t_max <= ts[-1]:
         named = f"{default}, delta={delta:.6g}" if default else ""
@@ -381,18 +381,10 @@ def _eval_grid(cfg, ts, delta: float | None, k: int):
 
 def cmd_explicit(cfg):
     source = _choice(cfg, "source", ("tube", "heat"))
-    k = _number(cfg, "k", 2, int)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, where the explicit formula holds "
-                         f"pointwise; got {k}")
-    im_max = _number(cfg, "im_max", 80.0)
-    if not im_max > 0:
-        raise ValueError(f"im_max must be > 0; got {im_max:g}")
+    k = _number(cfg, "k", 2, int, least=2)
+    im_max = _number(cfg, "im_max", 80.0, above=0)
     cutoffs = _number(cfg, "cutoffs", (10, 20, 40, 80),
-                      lambda v: tuple(float(c) for c in v))
-    if any(c < 0 for c in cutoffs):
-        raise ValueError(f"cutoffs must be >= 0, the heights |Im omega| "
-                         f"of the partial sums; got {list(cutoffs)}")
+                      lambda v: tuple(float(c) for c in v), least=0)
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
     # F = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R: alpha 1 for the
     # sector tube volume, 2 for the heat content; the tube and heat zeta
@@ -403,19 +395,17 @@ def cmd_explicit(cfg):
         h, ts = _tube_times(cfg, "explicit source=tube")
     else:
         alpha, data, level = 2.0, heat, 4
-        h, ts, _ = _times(cfg, 2e-3, lambda h: 1.05 * HEAT_FLOOR.at(h), .5, 24)
+        h, ts = _times(cfg, 2e-3, lambda h: 1.05 * HEAT_FLOOR.at(h), .5, 24)
         HEAT_FLOOR.check("explicit source=heat", "t_min", ts[0], h)
     ratios = RatioMultiset.from_pairs(_params(cfg).ratio_pairs)
     # the residues read F up to delta / lambda_min^alpha
     delta_max = float(ts[-1]) * float(np.min(ratios.ratios)) ** alpha
-    delta = cfg.get("delta")
-    if delta is not None:
-        delta = _number(cfg, "delta")
-        if not 0 < delta <= delta_max:
-            raise ValueError(
-                f"need 0 < delta <= t_max*lambda_min^alpha; delta={delta:g} "
-                f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
-                f"lower delta or raise t_max")
+    delta = _number(cfg, "delta", None, above=0)
+    if delta is not None and delta > delta_max:
+        raise ValueError(
+            f"need 0 < delta <= t_max*lambda_min^alpha; delta={delta:g} "
+            f"with t_max={ts[-1]:g} allows at most {delta_max:.6g}: "
+            f"lower delta or raise t_max")
     # a window that does not rest on the data is refused before any work
     t_grid = (_eval_grid(cfg, ts, delta, k)
               if delta is not None or "eval_t_max" in cfg else None)
@@ -468,11 +458,9 @@ def cmd_explicit(cfg):
 
 def cmd_render(cfg):
     params = _params(cfg)
-    level = _number(cfg, "level", 4, int)
+    level = _number(cfg, "level", 4, int, least=0)
     kind = _choice(cfg, "kind", ("snowflake", "curve"))
-    width = _number(cfg, "width", 800, int)
-    if width < 1:
-        raise ValueError(f"width must be a positive integer; got {width}")
+    width = _number(cfg, "width", 800, int, least=1)
     if kind == "curve":
         verts = prefractal(params, level)
         closed = False

@@ -69,8 +69,7 @@ import numpy as np
 
 from .errors import GeometryError, ResolutionError
 from .geom import point_in_polygon_mask, polygon_area, rotation_matrix
-from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
-                      sfe_split)
+from .sampled import ResolutionFloor, SampledFunction, fit_window, sfe_split
 from .vonkoch import SnowflakeRegion
 
 #: Lanczos steps between stop checks, the cap on steps, and the stop
@@ -438,11 +437,7 @@ def heat_exponent_fit(content: SampledFunction,
     by parabolic interpolation; subtracting the t^1 bulk term is what
     isolates the boundary contribution.
     """
-    tmin, tmax = window
-    sel = (content.ts >= tmin) & (content.ts <= tmax)
-    if sel.sum() < FIT_MIN_SAMPLES:
-        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples inside "
-                         "the window")
+    sel = fit_window("heat_exponent_fit", content.ts, window)
     t, ev = content.ts[sel], content.vals[sel]
     grid = np.linspace(0.05, 0.98, 373)
     q = t / np.linalg.norm(t)

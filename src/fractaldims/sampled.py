@@ -28,7 +28,7 @@ from .errors import FitError, ResolutionError
 #: default geometric sampling density
 POINTS_PER_DECADE = 48
 FIT_DECADE = 10.0  #: leading_power_fit's span of samples above ts[0]
-#: fewest samples in the window of heat_exponent_fit and minkowski_fit
+#: fewest samples in a fit window (``fit_window``)
 FIT_MIN_SAMPLES = 8
 
 
@@ -58,6 +58,21 @@ def csv_bytes(header, rows) -> bytes:
         w.writerow([f"{float(v):.17g}" if isinstance(v, float) else v
                     for v in row])
     return buf.getvalue().encode()
+
+
+def fit_window(run: str, ts, window) -> np.ndarray:
+    """Mask of the times ts inside the closed window of a fit; fewer than
+    FIT_MIN_SAMPLES there are refused, naming ``run``."""
+    ts = np.asarray(ts, dtype=float)
+    inside = (ts >= window[0]) & (ts <= window[1])
+    count = int(np.count_nonzero(inside))
+    if count < FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"{run} needs at least {FIT_MIN_SAMPLES} times in its fit window "
+            f"[{window[0]:g}, {window[1]:g}]; the times from {ts[0]:g} to "
+            f"{ts[-1]:g} put {count} there: widen the window or raise "
+            f"points_per_decade")
+    return inside
 
 
 def geometric_grid(t_min: float, t_max: float,

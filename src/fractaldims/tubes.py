@@ -59,7 +59,7 @@ from .geom import (_ranges, _segment_frames, _squared_distances,
                    clip_polygon_halfplane, point_in_polygon_mask,
                    polygon_area, polyline_length, rotation_matrix,
                    segment_distances)
-from .sampled import (FIT_MIN_SAMPLES, ResolutionFloor, SampledFunction,
+from .sampled import (ResolutionFloor, SampledFunction, fit_window,
                       sfe_images, sfe_split)
 from .vonkoch import (GKCParams, SnowflakeRegion, generator_vertices,
                       sector_region)
@@ -401,11 +401,7 @@ def minkowski_fit(samples: SampledFunction,
     Least squares of log V against log t over the window; the slope is
     the codimension 2 - D.  Returns (D_est, c_est) where V ~ c * t^(2-D).
     """
-    tmin, tmax = window
-    sel = (samples.ts >= tmin) & (samples.ts <= tmax)
-    if sel.sum() < FIT_MIN_SAMPLES:
-        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples inside "
-                         "the window")
+    sel = fit_window("minkowski_fit", samples.ts, window)
     t, v = samples.ts[sel], samples.vals[sel]
     if np.any(v <= 0):
         raise ValueError("nonpositive tube values in the fit window")

@@ -44,9 +44,9 @@ class GKCParams:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("n must be >= 3")
+            raise ValueError(f"n must be >= 3; got {self.n!r}")
         if not (0.0 < self.r < 1.0):
-            raise ValueError("r must be in (0,1)")
+            raise ValueError(f"r must be in (0,1); got {self.r!r}")
 
     @property
     def ell(self) -> float:

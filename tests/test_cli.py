@@ -191,9 +191,9 @@ def test_render_curve_kind(tmp_path):
     ("heat", dict(TINY_HEAT, scaling_lambda=-1.5),
      r"scaling_lambda must be > 0; got -1\.5"),
     ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": 0},
-     r"width must be a positive integer; got 0"),
+     r"^width must be >= 1; got 0$"),
     ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": -100},
-     r"width must be a positive integer; got -100"),
+     r"^width must be >= 1; got -100$"),
     ("render", {"n": 3, "r": 1 / 3, "level": 1, "width": 12.5},
      r"width must be an integer; got 12\.5"),
     ("tube", dict(TINY_TUBE, h="abc"), r"h must be numeric; got 'abc'"),
@@ -213,8 +213,9 @@ def test_render_curve_kind(tmp_path):
     ("heat", dict(TINY_HEAT, points_per_decade=-2),
      r"points_per_decade must be >= 1; got -2"),
     ("heat", dict(TINY_HEAT, points_per_decade=1, t_min=3e-4, t_max=3e-3),
-     r"heat needs at least 8 times; points_per_decade=1 over "
-     r"t_min=0\.0003, t_max=0\.003 gives 2"),
+     r"^heat needs at least 8 times in its fit window \[0\.0003, 0\.003\]; "
+     r"the times from 0\.0003 to 0\.003 put 2 there: widen the window or "
+     r"raise points_per_decade$"),
     ("dims", {"ratios": [[0.5, 1.5], [0.25, 1]]},
      r"^ratios: multiplicity 1\.5 is not an integer >= 1; "
      r"got \[\[0\.5, 1\.5\], \[0\.25, 1\]\]$"),
@@ -236,14 +237,13 @@ def test_render_curve_kind(tmp_path):
      r"sfe_t_min=0 "),
     ("tube", {"n": 3, "r": 1 / 3, "h": 5e-3, "fit_t_min": 0.1,
               "fit_t_max": 0.11},
-     r"tube needs at least 8 times in \[fit_t_min, fit_t_max\]; "
-     r"fit_t_min=0\.1, fit_t_max=0\.11 over t_min=0\.05, t_max=0\.3 "
-     r"gives 2"),
+     r"^tube needs at least 8 times in its fit window \[0\.1, 0\.11\]; the "
+     r"times from 0\.05 to 0\.3 put 2 there: widen the window or raise "
+     r"points_per_decade$"),
     ("explicit", dict(TINY_TUBE, k=1),
-     r"^k must be >= 2, where the explicit formula holds pointwise; got 1$"),
+     r"^k must be >= 2; got 1$"),
     ("explicit", dict(TINY_TUBE, k=-1),
-     r"^k must be >= 2, where the explicit formula holds pointwise; "
-     r"got -1$"),
+     r"^k must be >= 2; got -1$"),
     ("explicit", {"n": 4, "r": 0.24, "level": 3, "h": 4e-3, "t_min": 2e-2,
                   "delta": 0.2},
      r"^need 0 < delta <= t_max\*lambda_min\^alpha; delta=0\.2 with "
@@ -271,6 +271,21 @@ def test_render_curve_kind(tmp_path):
      r"^heat remainder=true needs diffusivity\*t_min >= 25h\^2, where the "
      r"grid resolves it; diffusivity\*t_min=0\.0003 with h=0\.005 is below "
      r"0\.000625: raise t_min or lower h$"),
+    ("tube", dict(TINY_TUBE, h=0), r"^h must be > 0; got 0$"),
+    ("tube", dict(TINY_TUBE, h=-1e-3), r"^h must be > 0; got -0\.001$"),
+    ("heat", dict(TINY_HEAT, h=0), r"^h must be > 0; got 0$"),
+    ("heat", dict(TINY_HEAT, h=-1e-3), r"^h must be > 0; got -0\.001$"),
+    ("explicit", dict(TINY_HEAT, source="heat", h=0),
+     r"^h must be > 0; got 0$"),
+    ("explicit", dict(TINY_HEAT, source="heat", h=-1e-3),
+     r"^h must be > 0; got -0\.001$"),
+    ("tube", dict(TINY_TUBE, level=-1), r"^level must be >= 0; got -1$"),
+    ("heat", dict(TINY_HEAT, diffusivity=-1),
+     r"^diffusivity must be > 0; got -1$"),
+    ("tube", dict(TINY_TUBE, t_min=0.05, t_max=0.01),
+     r"^t_min must be < t_max; got t_min=0\.05, t_max=0\.01$"),
+    ("heat", dict(TINY_HEAT, t_min=3e-3),
+     r"^t_min must be < t_max; got t_min=0\.003, t_max=0\.002$"),
 ], ids=["render", "explicit", "heat-lambda-zero", "heat-lambda-negative",
         "render-width-zero", "render-width-negative",
         "render-width-fractional", "tube-h", "heat-points-per-decade",
@@ -285,7 +300,11 @@ def test_render_curve_kind(tmp_path):
         "explicit-tube-delta-too-large", "explicit-heat-delta-too-large",
         "explicit-tube-t-min-below-5h", "explicit-heat-t-min-below-25h2",
         "tube-t-min-below-5h", "tube-points-per-decade-zero",
-        "explicit-points-per-decade-zero", "heat-remainder-t-min-below-25h2"])
+        "explicit-points-per-decade-zero", "heat-remainder-t-min-below-25h2",
+        "tube-h-zero", "tube-h-negative", "heat-h-zero", "heat-h-negative",
+        "explicit-heat-h-zero", "explicit-heat-h-negative",
+        "tube-level-negative", "heat-diffusivity-negative",
+        "tube-t-min-above-t-max", "heat-t-min-above-t-max"])
 def test_unknown_choice_is_refused(tmp_path, monkeypatch, command, cfg,
                                    message):
     def no_snowflake(*args, **kwargs):
@@ -329,8 +348,7 @@ def test_numeric_knob_refuses_booleans_and_non_finite_values(
     ({"n": 3, "r": 1 / 3, "level": 3, "h": 4e-3, "source": "tube",
       "im_max": 0}, r"^im_max must be > 0; got 0$"),
     (dict(TINY_HEAT, source="heat", cutoffs=[10, -5]),
-     r"^cutoffs must be >= 0, the heights \|Im omega\| of the partial "
-     r"sums; got \[10\.0, -5\.0\]$"),
+     r"^cutoffs must be >= 0; got \[10, -5\]$"),
 ], ids=["im-max-zero", "cutoffs-negative"])
 def test_explicit_refuses_its_pole_sum_knobs_before_any_work(
         tmp_path, monkeypatch, cfg, message):
@@ -342,6 +360,26 @@ def test_explicit_refuses_its_pole_sum_knobs_before_any_work(
     monkeypatch.setattr(heat, "solve_heat_fdm", no_work)
     with pytest.raises(ValueError, match=message):
         run_command("explicit", cfg, tmp_path / "a")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n": 3, "r": 1 / 3}, {"ratios": [[0.5, 1], [1 / 3, 1], [0.2, 1]]},
+], ids=["lattice", "nonlattice"])
+@pytest.mark.parametrize("im_max", [0, -1])
+def test_poles_refuses_im_max_before_any_search(tmp_path, monkeypatch, cfg,
+                                                im_max):
+    def no_search(*args, **kwargs):
+        raise AssertionError("poles searched before the config was checked")
+
+    monkeypatch.setattr(cli, "lattice_poles", no_search)
+    monkeypatch.setattr(cli, "nonlattice_poles", no_search)
+    message = rf"^im_max must be > 0; got {im_max}$"
+    with pytest.raises(ValueError, match=message):
+        run_command("poles", dict(cfg, im_max=im_max), tmp_path / "a")
+    # explicit refuses the same rule with the same text
+    with pytest.raises(ValueError, match=message):
+        run_command("explicit", dict(TINY_TUBE, im_max=im_max),
+                    tmp_path / "b")
 
 
 @pytest.mark.parametrize("kind, n, r, level", [

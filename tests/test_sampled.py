@@ -6,10 +6,12 @@ import pytest
 
 from fractaldims import sampled
 from fractaldims.errors import FitError
+from fractaldims.heat import heat_exponent_fit
 from fractaldims.mellin import MellinEvaluator
 from fractaldims.sampled import (SampledFunction, antiderivative,
                                  geometric_grid, leading_power_fit,
                                  sfe_images, sfe_split)
+from fractaldims.tubes import minkowski_fit
 from fractaldims.vonkoch import GKCParams
 from fractaldims.zeta import RatioMultiset
 
@@ -67,6 +69,24 @@ def test_geometric_grid_refuses_fewer_than_one_point_per_decade(per_decade):
     with pytest.raises(ValueError, match=rf"per_decade must be >= 1; "
                                          rf"got {per_decade}"):
         geometric_grid(3e-4, 3e-3, per_decade)
+
+
+@pytest.mark.parametrize("fit, values", [
+    (minkowski_fit, lambda t: 2 * t + np.pi * t ** 2),
+    (heat_exponent_fit, lambda t: 0.8 * t ** 0.4 - 0.3 * t),
+], ids=["minkowski_fit", "heat_exponent_fit"])
+def test_fits_take_their_window_from_fit_window(fit, values):
+    ts = geometric_grid(1e-3, 1e-1, 48)
+    samples = SampledFunction(ts, values(ts))
+    seven = (ts[10], ts[16])
+    message = (f"{fit.__name__} needs at least 8 times in its fit window "
+               f"[{seven[0]:g}, {seven[1]:g}]; the times from 0.001 to 0.1 "
+               f"put 7 there: widen the window or raise points_per_decade")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(samples, seven)
+    assert np.count_nonzero(sampled.fit_window("fit", ts, (ts[10], ts[17]))) \
+        == 8
+    assert np.all(np.isfinite(fit(samples, (ts[10], ts[17]))))
 
 
 def test_leading_power_fit_refuses_nodes_with_one_logarithm():

@@ -23,6 +23,16 @@ def test_params_derived_quantities():
     assert p.alpha_int == pytest.approx(np.pi - 2 * np.pi / 5)
 
 
+@pytest.mark.parametrize("n, r, message", [
+    (2, 0.3, r"^n must be >= 3; got 2$"),
+    (3, 0.0, r"^r must be in \(0,1\); got 0\.0$"),
+    (3, 1.5, r"^r must be in \(0,1\); got 1\.5$"),
+], ids=["n-two", "r-zero", "r-above-one"])
+def test_params_refusals_name_the_value(n, r, message):
+    with pytest.raises(ValueError, match=message):
+        GKCParams(n, r)
+
+
 def test_generator_vertices_koch():
     verts = generator_vertices(GKCParams(3, 1 / 3))
     expected = np.array([[0, 0], [1 / 3, 0], [0.5, SQRT3 / 6],
