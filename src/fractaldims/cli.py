@@ -23,7 +23,8 @@ with the pole sum modulo the polynomial that start leaves, reported too.
 Every knob is read once and refused before any snowflake, search, field
 or solve.  A numeric knob's type, default and range are declared in its
 one ``_number`` read.  A rule between knobs is refused next to their
-reads, naming them and their values: t_min < t_max, a t_min below the
+reads, naming them and their values: t_min < t_max, a given cutoff
+above im_max (the default cutoffs stop at im_max), a t_min below the
 floor that the kernel checks again at entry (``tubes.TUBE_FLOOR``, 5h,
 or ``heat.HEAT_FLOOR``, 25h^2, on diffusivity * t_min for ``heat
 remainder=true``; plain ``heat`` takes any t), too few times in a fit
@@ -385,6 +386,10 @@ def cmd_explicit(cfg):
     im_max = _number(cfg, "im_max", 80.0, above=0)
     cutoffs = _number(cfg, "cutoffs", (10, 20, 40, 80),
                       lambda v: tuple(float(c) for c in v), least=0)
+    if "cutoffs" in cfg and any(c > im_max for c in cutoffs):
+        raise ValueError(f"cutoffs must be <= im_max; got cutoffs="
+                         f"{cfg['cutoffs']!r}, im_max={im_max:g}")
+    # the default heights stop at im_max
     cutoffs = tuple(c for c in cutoffs if c <= im_max) or (im_max,)
     # F = sum_k a_k lambda_k^2 F(t / lambda_k^alpha) + R: alpha 1 for the
     # sector tube volume, 2 for the heat content; the tube and heat zeta

@@ -330,7 +330,7 @@ def solve_heat_fdm(problem: HeatProblem, h: float, save_times) -> HeatField:
     exact.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ValueError(f"h must be > 0; got {h}")
     save_times = np.asarray(sorted(set(float(t) for t in save_times)))
     if save_times.size and not save_times[0] >= 0:
         raise ValueError("save times must not be negative")

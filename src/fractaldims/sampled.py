@@ -78,8 +78,11 @@ def fit_window(run: str, ts, window) -> np.ndarray:
 def geometric_grid(t_min: float, t_max: float,
                    per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
     """Log-uniform grid; all downstream fits and transforms are log-native."""
-    if not (0 < t_min < t_max):
-        raise ValueError("need 0 < t_min < t_max")
+    if not t_min > 0:
+        raise ValueError(f"t_min must be > 0; got {t_min}")
+    if not t_min < t_max:
+        raise ValueError(f"t_min must be < t_max; got t_min={t_min:g}, "
+                         f"t_max={t_max:g}")
     if per_decade < 1:
         raise ValueError(f"per_decade must be >= 1; got {per_decade}")
     n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)

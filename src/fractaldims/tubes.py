@@ -1,21 +1,39 @@
 """Distance fields, relative tube functions V(t) = |X_t ∩ Ω|, and checks.
 
 The tube function of a curve X relative to a region Ω is measured on a
-uniform grid by cell-center counting: V(t) ~ h^2 #{cells inside Ω with
-d(center, X) < t}.  Only the cells inside Ω are measured, since only
-they are counted; the others hold +inf.  Distances are exact
-point-to-segment distances, found through a two-level bound on square
-tiles of TILE x TILE cells and their SUB x SUB sub-tiles.  A box of
-cells whose centres lie within r of its centre c need only keep the
-segments within d_min(c) + 2r of c, where d_min(c) is c's nearest
-distance: a segment farther than that is farther from every cell of
-the box than c's nearest segment.  Per row of tiles, every tile with
-an inside cell applies the bound to every segment; every sub-tile with
-an inside cell applies it again, with its own centre and radius, to
-its tile's segments only, which is exact because the sub-tile centre
-lies in the tile, so its nearest segment survived the first pass.  Each
-inside cell then takes the nearest of its sub-tile's segments; every
-level runs on one set of ragged (point, segment) pair arrays per row.
+uniform grid over Ω's bounding box by the ramp of level-set quadrature
+(the smeared Heaviside of Engquist, Tornberg & Tsai, J. Comput. Phys.
+207, 2005).  Each cell holds a signed distance s: d(centre, X) for a
+centre inside Ω, and -d(centre, X) for a centre outside Ω within h/2 of
+X, the band.  Then
+
+    V(t) = h^2 sum_s [clamp((t - s)/h + 1/2, 0, 1) - clamp(1/2 - s/h, 0, 1)],
+
+second order in h where X bounds Ω: each cell counts the share of it in
+{s < t} less its share in {s < 0}, as if s were linear across it along a
+grid axis, which is exact on an edge along one.  A cell outside Ω
+farther than h/2 adds 0 at every t, so only the inside and band cells
+are measured; every other cell holds +inf.  The next centre out from
+the box lies h/2 beyond it, so the box grid holds every centre within
+h/2 of Ω's boundary, and the inside cells are those of the cell-centre
+count, bit for bit.  A curve with Ω on both of its sides is taken for a
+boundary too, and its tube comes out about h/4 per unit length short.
+
+Distances are exact point-to-segment distances.  The inside cells find
+theirs through a two-level bound on square tiles of TILE x TILE cells
+and their SUB x SUB sub-tiles.  A box of cells whose centres lie within
+r of its centre c need only keep the segments within d_min(c) + 2r of
+c, where d_min(c) is c's nearest distance: a segment farther than that
+is farther from every cell of the box than c's nearest segment.  Per
+row of tiles, every tile with an inside cell applies the bound to every
+segment; every sub-tile with an inside cell applies it again, with its
+own centre and radius, to its tile's segments only, which is exact
+because the sub-tile centre lies in the tile, so its nearest segment
+survived the first pass.  Each inside cell then takes the nearest of
+its sub-tile's segments; every level runs on one set of ragged (point,
+segment) pair arrays per row.  The band is found from the curve
+instead: each segment is measured from the cells around points spaced
+at most h/2 along it (see ``_band``).
 
 A snowflake sector is measured in its canonical frame, on one side of
 its mirror axis.  Every (n, r) snowflake is mirror-symmetric about the
@@ -27,15 +45,19 @@ vertex is replaced by the mean of itself and its partner's image
 exact mirrors, the vertices on the axis get y = 0, and the boundary
 meets the axis, where the sector is clipped to y >= 0, exactly on it:
 an edge that crosses the axis joins a mirror pair, so its crossing has
-y = 0 in floating point.  ``distance_field`` measures
-the cells of that upper half, whose rows lie at y = (j + 1/2) h, so no
-cell centre lies on the axis.  ``mirror_field`` gives the rows at
--(j + 1/2) h their mirror images' values.  The lower half is defined as
-that reflection rather than measured: the polyline stores each mirrored
-segment reversed, and the clamp-and-project kernel measures from the
-segment's first end, so a direct distance at (x, -y) can differ from
-the one at (x, y) by round-off, a few eps times the segment's length.
-The upper half stays the exact minimum over every stored segment.
+y = 0 in floating point.  ``distance_field`` measures the cells of that
+upper half, whose rows lie at y = (j + 1/2) h, so no cell centre lies
+on the axis.  The ramp smooths membership across the curve only: a band
+cell is kept only if its centre lies in the half-wedge, above the axis
+and on the sector's side of its radial cut, and membership across the
+cut stays by cell centre.  ``mirror_field`` gives the rows at
+-(j + 1/2) h their mirror images' values, the band's included.  The
+lower half is defined as that reflection rather than measured: the
+polyline stores each mirrored segment reversed, and the
+clamp-and-project kernel measures from the segment's first end, so a
+direct distance at (x, -y) can differ from the one at (x, y) by
+round-off, a few eps times the segment's length.  The upper half stays
+the exact minimum over every stored segment.
 
 ``sector_field(region, h)`` measures sector 0 so, all sectors being
 congruent, and ``decomposition_remainder(region, ts, h)`` owns the tube
@@ -99,12 +121,14 @@ class Grid2:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Exact distances from the cell centres inside Ω to a polyline.
+    """Signed distances from cell centres to a polyline X, for the ramp.
 
-    ``grid.values`` covers Ω's bounding box, but only the cells of the
-    ``inside`` mask hold distances; every other cell holds +inf.  The
-    two-level tile bound (see the module docstring) keeps each cell's
-    nearest segment, so each distance is the minimum over all of them.
+    ``grid.values`` holds d(centre, X) in the cells of the ``inside``
+    mask, -d(centre, X) in the band, the cells outside Ω within h/2 of
+    X, and +inf in every other cell (see the module docstring).  Each
+    distance is the minimum over every segment: the two-level tile bound
+    keeps each inside cell's nearest segment, and ``_band`` each band
+    cell's.
     """
 
     grid: Grid2
@@ -118,23 +142,35 @@ class DistanceField:
         return self.grid.h
 
     @cached_property
-    def sorted_inside_distances(self) -> np.ndarray:
-        """The inside distances in increasing order, sorted once."""
-        return np.sort(self.grid.values[self.inside])
+    def sorted_signed_distances(self) -> np.ndarray:
+        """The signed distances of the inside and band cells in
+        increasing order, sorted once."""
+        values = self.grid.values
+        return np.sort(values[np.isfinite(values)])
+
+    @cached_property
+    def running_sums(self) -> np.ndarray:
+        """0 and the running sums of ``sorted_signed_distances``."""
+        return np.concatenate([[0.0],
+                               np.cumsum(self.sorted_signed_distances)])
 
 
 def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
-                   meta: dict | None = None) -> DistanceField:
-    """Exact distances to ``curve`` from the cells inside ``region``.
+                   meta: dict | None = None,
+                   wedge: tuple = ()) -> DistanceField:
+    """Signed distances to ``curve`` from the cells inside ``region``
+    and from the band outside it.
 
     The grid covers the region polygon's bounding box; inside membership
-    uses the even-odd rule on the region polygon.  Only inside cells are
-    measured, and every other cell holds +inf, so ``d < t`` never counts
-    it.  A tile or sub-tile with no inside cell is skipped, its centre
-    included.
+    uses the even-odd rule on the region polygon.  A band cell lies
+    outside the region within h/2 of the curve, and in every half-plane
+    (p0, normal) of ``wedge``, where (centre - p0) . normal > 0.  The
+    tiles measure the inside cells, and a tile or sub-tile with none is
+    skipped, its centre included; ``_band`` measures the band.  Every
+    other cell holds +inf.  ``meta`` gains h and ``band_cells``.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ValueError(f"h must be > 0; got {h}")
     verts = np.atleast_2d(np.asarray(curve, dtype=float))
     if len(verts) == 1:
         verts = np.vstack([verts, verts])
@@ -178,11 +214,75 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
                                 np.take(frames, cand, axis=1))
         values[ix, iy] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(count)
                                                      - count))
+    bx, by, d = _band(frames, xs, ys, h, ~inside)
+    keep = np.ones(len(d), dtype=bool)
+    for p0, normal in wedge:
+        keep &= ((xs[bx] - p0[0]) * normal[0]
+                 + (ys[by] - p0[1]) * normal[1] > 0)
+    values[bx[keep], by[keep]] = -d[keep]
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),
                          region_area=abs(polygon_area(poly)),
-                         meta={"h": h, **(meta or {})})
+                         meta={"h": h, "band_cells": int(keep.sum()),
+                               **(meta or {})})
+
+
+def _band(frames, xs, ys, h, outside):
+    """The cells (bx, by) of the ``outside`` mask, centres xs x ys of
+    spacing h, that lie within h/2 of the segments ``frames``, and their
+    distances d.
+
+    Each segment is cut into parts no longer than h/2, so each of its
+    points lies within h/4 of a cut point, and a centre within h/2 of it
+    within 3h/4 of that cut point: on each axis, one of the two centres
+    around it.  Each segment is measured from the 2 x 2 centres around
+    each of its cut points only, on the grid with a ring of one cell
+    around it, so that every such block is on it.  A band centre's
+    nearest point lies on one of the segments measured from it, so the
+    least of its distances is its distance to the whole curve.
+    """
+    ax, ay, abx, aby, _ = frames
+    # the segments that come within h of the grid's centres
+    near = np.flatnonzero(
+        (np.maximum(ax, ax + abx) > xs[0] - h)
+        & (np.minimum(ax, ax + abx) < xs[-1] + h)
+        & (np.maximum(ay, ay + aby) > ys[0] - h)
+        & (np.minimum(ay, ay + aby) < ys[-1] + h))
+    parts = np.maximum(np.ceil(2.0 * np.hypot(abx[near], aby[near]) / h),
+                       1).astype(int)
+    seg = np.repeat(near, parts + 1)
+    frac = (_ranges(np.zeros_like(parts), parts + 1)
+            / np.repeat(parts, parts + 1))
+    # the 2 x 2 block of each cut point, as indices on the ring grid,
+    # once per run of cut points of a segment in the same block; a cut
+    # point beyond the ring takes a block on its edge, whose distances
+    # are true ones all the same
+    i = np.clip(np.floor((ax[seg] + frac * abx[seg] - xs[0]) / h), -1,
+                len(xs) - 1).astype(int)
+    j = np.clip(np.floor((ay[seg] + frac * aby[seg] - ys[0]) / h), -1,
+                len(ys) - 1).astype(int)
+    new = np.ones(len(seg), dtype=bool)
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (seg[1:] != seg[:-1])
+    seg = seg[new]
+    i = i[new, None] + [1, 2, 1, 2]
+    j = j[new, None] + [1, 1, 2, 2]
+    ring_x = np.concatenate([[xs[0] - h], xs, [xs[-1] + h]])
+    ring_y = np.concatenate([[ys[0] - h], ys, [ys[-1] + h]])
+    least = np.full(len(ring_x) * len(ring_y), np.inf)
+    np.minimum.at(least, (i * len(ring_y) + j).ravel(), _squared_distances(
+        ring_x[i], ring_y[j], np.take(frames, seg, axis=1)[..., None]
+    ).ravel())
+    close = np.flatnonzero(least < h * h)
+    d = np.sqrt(least[close])
+    bx, by = np.divmod(close, len(ring_y))
+    bx -= 1
+    by -= 1
+    keep = ((d < 0.5 * h) & (bx >= 0) & (bx < len(xs)) & (by >= 0)
+            & (by < len(ys)))
+    bx, by, d = bx[keep], by[keep], d[keep]
+    keep = outside[bx, by]
+    return bx[keep], by[keep], d[keep]
 
 
 def _live(key, size):
@@ -225,15 +325,19 @@ def _prune(cx, cy, radii, cand, count, frames):
 
 
 def sector_half(region: SnowflakeRegion, index: int
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Sector ``index`` of ``region`` in its canonical frame: the closed
-    boundary polyline and the part of the sector on or above the x axis.
+    boundary polyline, the part of the sector on or above the x axis,
+    and the half-wedge that holds that part's band, as ``distance_field``
+    takes it.
 
     Sector k lies between base vertices k and k + 1, and its bisector is
     at angle -pi (2k + 1) / n; the frame rotates the region by the
     opposite angle and makes the boundary exactly mirror-symmetric about
     the x axis (see the module docstring).  ``vonkoch.sector_region``
-    cuts the sector out of the rotated region and checks ``index``.
+    cuts the sector out of the rotated region and checks ``index``; the
+    half-wedge lies above the axis and on the sector's side of the cut
+    through base vertex k, now at angle pi / n.
     """
     n = region.params.n
     rot = rotation_matrix(np.pi * (2 * index + 1) / n).T
@@ -249,14 +353,17 @@ def sector_half(region: SnowflakeRegion, index: int
         raise AssertionError(f"sector {index} is {pairing:.3g} off its "
                              "mirror")
     b = 0.5 * (b + image)
-    sector = sector_region(replace(region, boundary=b,
-                                   n_gon_vertices=region.n_gon_vertices
-                                   @ rot), index)
-    half = clip_polygon_halfplane(sector, np.zeros(2), (0.0, 1.0))
+    base = region.n_gon_vertices @ rot
+    sector = sector_region(replace(region, boundary=b, n_gon_vertices=base),
+                           index)
+    apex = np.zeros(2)
+    half = clip_polygon_halfplane(sector, apex, (0.0, 1.0))
     # the wedge's apex is cut from two rays, so the clip's points next
     # to it can land a rounding below the axis
     np.maximum(half[:, 1], 0.0, out=half[:, 1])
-    return np.vstack([b, b[:1]]), half
+    cut = base[index] / np.hypot(*base[index])
+    wedge = ((apex, (0.0, 1.0)), (apex, (cut[1], -cut[0])))
+    return np.vstack([b, b[:1]]), half, wedge
 
 
 def mirror_field(half: DistanceField) -> DistanceField:
@@ -265,10 +372,11 @@ def mirror_field(half: DistanceField) -> DistanceField:
 
     The half's grid starts on the x axis, so its rows lie at
     y = (j + 1/2) h, and the rows at -(j + 1/2) h below the axis take
-    their values by reflection; the whole grid's ``ys`` give those
-    centres up to round-off only.  Curve length and meta are the half's;
-    the area is twice the half's, and meta gains ``cells_measured``, the
-    inside cells whose distances the kernel computed.
+    their values by reflection, the band's included; the whole grid's
+    ``ys`` give those centres up to round-off only.  Curve length and
+    meta are the half's; the area is twice the half's, and meta gains
+    ``cells_measured``, the half's inside and band cells, and
+    ``band_cells`` counts the whole field's.
     """
     g = half.grid
     if g.bbox[1] != 0.0:
@@ -277,16 +385,18 @@ def mirror_field(half: DistanceField) -> DistanceField:
                  h=g.h, nx=g.nx, ny=2 * g.ny,
                  values=np.concatenate([g.values[:, ::-1], g.values],
                                        axis=1))
-    measured = int(half.inside.sum())
+    band = half.meta["band_cells"]
     fld = DistanceField(grid=grid,
                         inside=np.concatenate([half.inside[:, ::-1],
                                                half.inside], axis=1),
                         curve_length=half.curve_length,
                         region_area=2.0 * half.region_area,
-                        meta={**half.meta, "cells_measured": measured})
-    # every inside distance is there twice: the half's sorted, repeated
-    fld.__dict__["sorted_inside_distances"] = np.repeat(
-        half.sorted_inside_distances, 2)
+                        meta={**half.meta, "band_cells": 2 * band,
+                              "cells_measured":
+                                  int(half.inside.sum()) + band})
+    # every signed distance is there twice: the half's sorted, repeated
+    fld.__dict__["sorted_signed_distances"] = np.repeat(
+        half.sorted_signed_distances, 2)
     return fld
 
 
@@ -294,31 +404,46 @@ def sector_field(region: SnowflakeRegion, h: float,
                  kernel=None) -> DistanceField:
     """``region``'s field at spacing h on sector 0, measured above its
     mirror axis by ``kernel`` (``distance_field`` when None) and
-    mirrored; meta carries the level, n and r."""
-    curve, half = sector_half(region, 0)
+    mirrored; meta carries the level, n and r.
+
+    The ramp smooths membership across the curve only: the half's band
+    is kept in the half-wedge of ``sector_half``, above the axis and on
+    the sector's side of its radial cut, so that membership across the
+    cut stays by cell centre, as the inside cells' does.
+    """
+    curve, half, wedge = sector_half(region, 0)
     return mirror_field((kernel or distance_field)(curve, half, h, meta={
-        "level": region.level, "n": region.params.n, "r": region.params.r}))
+        "level": region.level, "n": region.params.n, "r": region.params.r},
+        wedge=wedge))
 
 
 def tube_function(fld: DistanceField, ts) -> SampledFunction:
-    """V(t) = h^2 #{cells: d < t and inside}, nondecreasing in t.
+    """V(t) = h^2 sum_s [clamp((t - s)/h + 1/2, 0, 1) - clamp(1/2 - s/h,
+    0, 1)] over the field's signed distances s, nondecreasing in t.
 
-    Counts by bisection in the field's inside distances, which are
-    sorted once per field however many times this is called.
+    The second term is the ramp of the region itself, the first its
+    ramp at the level t.  Over the sorted s, each is the count of the s
+    at or below its lower edge plus the window's linear part, read off
+    the running sums: two bisections per level.  The signed distances
+    are sorted, and summed, once per field however many times this is
+    called.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be positive and increasing")
-    d = fld.sorted_inside_distances
-    counts = np.searchsorted(d, ts, side="left")
-    vals = fld.h ** 2 * counts
-    meta = {**fld.meta, "h": fld.h, "curve_length": fld.curve_length,
+    h, s, sums = fld.h, fld.sorted_signed_distances, fld.running_sums
+    level = np.concatenate([[0.0], ts])
+    lo = np.searchsorted(s, level - 0.5 * h, side="right")
+    hi = np.searchsorted(s, level + 0.5 * h, side="left")
+    ramp = lo + (hi - lo) * (level / h + 0.5) - (sums[hi] - sums[lo]) / h
+    vals = h ** 2 * (ramp[1:] - ramp[0])
+    meta = {**fld.meta, "h": h, "curve_length": fld.curve_length,
             "region_area": fld.region_area}
     return SampledFunction(ts, vals, meta=meta)
 
 
 def grid_error_budget(fld: DistanceField) -> float:
-    """Declared cell-counting error: 4h * curve perimeter."""
+    """Declared grid error of the tube volume: 4h * curve perimeter."""
     return 4.0 * fld.h * fld.curve_length
 
 

@@ -112,7 +112,7 @@ def prefractal(params: GKCParams, level: int) -> np.ndarray:
     vertices of its (n+1)^level segments, each of length r^a * ell^b
     with a + b = level."""
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise ValueError(f"level must be >= 0; got {level}")
     n = params.n
     if (n + 1) ** level > SEGMENT_CAP:
         raise SizeLimitError(f"level {level} needs {(n + 1) ** level} "

@@ -551,7 +551,7 @@ def lattice_poles(structure: LatticeStructure,
     Poles are located on Im >= 0 and mirrored.
     """
     if im_max <= 0:
-        raise ValueError("im_max must be positive")
+        raise ValueError(f"im_max must be > 0; got {im_max}")
     ks = [k for k, _ in structure.exponents]
     ms = [m for _, m in structure.exponents]
     deg = max(ks)
@@ -763,8 +763,10 @@ def nonlattice_poles(poly: DirichletPoly, re_band: tuple[float, float],
     and floating point cannot tell one from a tight cluster.
     """
     a, b = re_band
-    if not (b > a) or im_max <= 0:
-        raise ValueError("need a nonempty band and im_max > 0")
+    if not b > a:
+        raise ValueError(f"re_band must be (a, b) with a < b; got ({a}, {b})")
+    if im_max <= 0:
+        raise ValueError(f"im_max must be > 0; got {im_max}")
     # Expand the search band so no zero sits on the contour: the real
     # direction is always safe (no zeros outside [D_l, D]); the top margin
     # is retried until the winding count settles.

@@ -519,3 +519,8 @@ def test_diffusivity_rescales_time(tmp_path):
     for bad in (0, -1.0):
         with pytest.raises(ValueError, match="diffusivity"):
             run_command("heat", dict(cfg, diffusivity=bad), tmp_path / "bad")
+
+
+def test_solver_refusal_names_h():
+    with pytest.raises(ValueError, match=r"^h must be > 0; got 0$"):
+        solve_heat_fdm(HeatProblem(region=SQUARE), 0, [1e-3])

@@ -126,3 +126,12 @@ def test_leading_power_is_fitted_once_per_function(monkeypatch):
     # antiderivative integrates from the first sample and fits nothing
     antiderivative(power, 2)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("t_min, t_max, message", [
+    (0, 1.0, r"^t_min must be > 0; got 0$"),
+    (0.5, 0.1, r"^t_min must be < t_max; got t_min=0.5, t_max=0.1$"),
+], ids=["t-min-zero", "t-min-above-t-max"])
+def test_geometric_grid_refusals_name_the_values(t_min, t_max, message):
+    with pytest.raises(ValueError, match=message):
+        geometric_grid(t_min, t_max)

@@ -12,7 +12,7 @@ from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
                                  snowflake)
 
-from conftest import Similitude
+from conftest import Similitude, polygon_tube_volume
 from test_geom import points_to_segments_distance
 
 BOX = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 1.5], [-1.0, 1.5]])
@@ -49,9 +49,19 @@ def test_field_is_lipschitz():
     assert np.all(np.abs(np.diff(v, axis=1)) <= h + 1e-12)
 
 
+def signed_oracle(fld, curve):
+    """The field's values from the brute-force distances d of every
+    cell: d inside, -d outside within h/2 of the curve, +inf elsewhere."""
+    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
+    d = points_to_segments_distance(
+        np.column_stack([gx.ravel(), gy.ravel()]), curve[:-1],
+        curve[1:]).reshape(gx.shape)
+    return np.where(fld.inside, d, np.where(d < fld.h / 2, -d, np.inf))
+
+
 def test_pruned_field_is_exact():
     # per-tile and per-sub-tile segment pruning must not change a single
-    # inside cell, and the cells outside Ω are not measured
+    # inside or band cell, and no other cell is measured
     sf3 = snowflake(GKCParams(3, 1 / 3), 3)
     sf4 = snowflake(GKCParams(4, 0.24), 3)
     koch = prefractal(GKCParams(3, 1 / 3), 3)
@@ -72,11 +82,9 @@ def test_pruned_field_is_exact():
     for curve, region, h in cases:
         fld = distance_field(curve, region, h)
         assert fld.inside.any() and not fld.inside.all()
-        gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
-        pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
-        full = points_to_segments_distance(pts, curve[:-1], curve[1:])
-        assert np.array_equal(fld.grid.values[fld.inside], full)
-        assert np.all(np.isinf(fld.grid.values[~fld.inside]))
+        assert np.array_equal(fld.grid.values, signed_oracle(fld, curve))
+        band = np.isfinite(fld.grid.values) & ~fld.inside
+        assert fld.meta["band_cells"] == band.sum()
         shapes.append((fld.grid.nx, fld.grid.ny))
     assert shapes[1:3] == [(187, 323), (65, 39)]
     assert all(n % SUB and n % TILE for n in (187, 323, 65, 39))
@@ -97,15 +105,19 @@ def test_sub_tiles_prune_the_pairs(monkeypatch):
     fld = distance_field(region.closed_boundary, sector_region(region, 0),
                          3e-3)
     inside = int(fld.inside.sum())
-    # per row of tiles: the tile table, the sub-tile pairs, the cell pairs
-    cells = sum(pairs[2::3])
+    # per row of tiles: the tile table, the sub-tile pairs, the cell
+    # pairs; then the band's pairs, about 3% as many
+    *rows, band = pairs
+    cells = sum(rows[2::3])
     assert cells < 8 * inside
-    assert sum(pairs) < 14 * inside
+    assert sum(rows) < 14 * inside
+    assert band < 0.05 * sum(rows)
 
 
 def test_tiles_without_inside_cells_are_skipped():
     # the sector's bounding box holds whole tiles outside Ω; skipping
-    # them must leave every inside cell measured and every count exact
+    # them must leave every inside and band cell measured, and the tube
+    # function is the ramp summed cell by cell
     region = snowflake(GKCParams(3, 1 / 3), 3)
     curve = region.closed_boundary
     fld = distance_field(curve, sector_region(region, 0), h=2e-3)
@@ -114,14 +126,14 @@ def test_tiles_without_inside_cells_are_skipped():
     padded[:nx, :ny] = fld.inside
     tiles = padded.reshape(len(padded) // TILE, TILE, -1, TILE)
     assert not tiles.any(axis=(1, 3)).all()
-    d = fld.grid.values[fld.inside]
-    assert not np.any(np.isinf(d))
-    gx, gy = np.meshgrid(fld.grid.xs, fld.grid.ys, indexing="ij")
-    pts = np.column_stack([gx[fld.inside], gy[fld.inside]])
-    full = points_to_segments_distance(pts, curve[:-1], curve[1:])
+    s = signed_oracle(fld, curve)
+    assert np.array_equal(fld.grid.values, s)
+    s, h = s[np.isfinite(s)], fld.h
     ts = np.geomspace(5e-3, 0.3, 20)
-    counts = (full[:, None] < ts).sum(axis=0)
-    assert np.array_equal(tube_function(fld, ts).vals, fld.h ** 2 * counts)
+    ramp = (np.clip((ts - s[:, None]) / h + 0.5, 0, 1)
+            - np.clip(0.5 - s[:, None] / h, 0, 1)).sum(axis=0)
+    assert np.allclose(tube_function(fld, ts).vals, h ** 2 * ramp,
+                       rtol=1e-12, atol=0)
 
 
 def test_inside_distances_are_sorted_once(monkeypatch):
@@ -137,7 +149,7 @@ def test_inside_distances_are_sorted_once(monkeypatch):
     monkeypatch.setattr(np, "sort", counting_sort)
     ts = np.geomspace(0.02, 0.2, 8)
     first, second = tube_function(fld, ts), tube_function(fld, ts)
-    assert sorted_sizes == [int(fld.inside.sum())]
+    assert sorted_sizes == [int(fld.inside.sum()) + fld.meta["band_cells"]]
     assert np.array_equal(first.vals, second.vals)
 
 
@@ -174,8 +186,8 @@ HALF_CASES = [(GKCParams(3, 1 / 3), 3, 1e-2),
 
 def half_and_whole(region, index, h):
     """The field on the upper half of a sector and the mirrored field."""
-    curve, half = tubes.sector_half(region, index)
-    upper = distance_field(curve, half, h)
+    curve, half, wedge = tubes.sector_half(region, index)
+    upper = distance_field(curve, half, h, wedge=wedge)
     return curve, upper, tubes.mirror_field(upper)
 
 
@@ -197,7 +209,7 @@ def test_half_sector_field_is_exact_and_mirrored(params, level, h):
     pts = np.column_stack([gx[upper.inside], gy[upper.inside]])
     direct = points_to_segments_distance(pts, curve[:-1], curve[1:])
     assert np.array_equal(upper.grid.values[upper.inside], direct)
-    # the lower half is its reflection, exactly
+    # the lower half is its reflection, exactly, band included
     assert (fld.grid.nx, fld.grid.ny) == (nx, 2 * ny)
     assert np.array_equal(fld.grid.values[:, ny:], upper.grid.values)
     assert np.array_equal(fld.grid.values[:, :ny],
@@ -213,9 +225,13 @@ def test_half_sector_field_is_exact_and_mirrored(params, level, h):
     assert np.all(np.abs(below - direct) <= 4 * eps * (direct + longest))
     assert fld.region_area == 2 * upper.region_area
     assert fld.curve_length == upper.curve_length
-    assert fld.meta["cells_measured"] == upper.inside.sum()
-    assert np.array_equal(fld.sorted_inside_distances,
-                          np.sort(fld.grid.values[fld.inside]))
+    band = int(upper.meta["band_cells"])
+    assert band > 0
+    assert fld.meta["cells_measured"] == upper.inside.sum() + band
+    assert fld.meta["band_cells"] == 2 * band
+    assert np.array_equal(fld.sorted_signed_distances,
+                          np.sort(fld.grid.values[np.isfinite(
+                              fld.grid.values)]))
 
 
 @pytest.mark.parametrize("params, level, h", HALF_CASES)
@@ -265,10 +281,80 @@ def test_half_sector_measures_half_the_cells(monkeypatch):
     fld = tubes.sector_field(region, 3e-3)
     (upper,) = fields
     measured = int(np.isfinite(upper.grid.values).sum())
-    assert measured == upper.inside.sum() == fld.meta["cells_measured"]
-    assert 2 * measured == fld.inside.sum()
-    assert 0.49 < measured / whole.inside.sum() < 0.51
+    inside = int(upper.inside.sum())
+    assert measured == fld.meta["cells_measured"] == \
+        inside + upper.meta["band_cells"]
+    assert 2 * inside == fld.inside.sum()
+    assert 0.49 < inside / whole.inside.sum() < 0.51
     assert sum(pairs) < 0.6 * whole_pairs
+
+
+@pytest.mark.parametrize("params, level", [(GKCParams(3, 1 / 3), 3),
+                                           (GKCParams(4, 0.24), 2)])
+def test_ramp_on_a_4x_coarser_grid_beats_the_cell_count(params, level):
+    # against the polygon oracle, before the first offset event: the
+    # ramp at h = 4e-3 is no further off than the cell-centre count,
+    # h^2 #{inside: d < t}, at h = 1e-3 on 16 times the cells
+    region = snowflake(params, level)
+    ts = np.array([0.01, 0.02])
+    exact = polygon_tube_volume(region.boundary, ts)
+    fine = distance_field(region.closed_boundary, region.boundary, 1e-3)
+    d = fine.grid.values[fine.inside]
+    count = 1e-6 * (d[:, None] < ts).sum(axis=0)
+    coarse = distance_field(region.closed_boundary, region.boundary, 4e-3)
+    ramp = tube_function(coarse, ts).vals
+    assert np.all(np.abs(ramp - exact) <= np.abs(count - exact))
+
+
+def test_ramp_on_the_rotated_square():
+    # V(t) = 4t - 4t^2 for t <= 1/2 on every unit square; rotated by
+    # 0.3 rad the ramp at h = 2e-3 is within 1e-5 relative, where the
+    # cell-centre count is up to 1.0e-4 off
+    square = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+              @ np.array([[np.cos(0.3), np.sin(0.3)],
+                          [-np.sin(0.3), np.cos(0.3)]])
+              + [0.123, 0.0456])
+    ts = np.geomspace(0.01, 0.2, 8)
+    exact = polygon_tube_volume(square, ts)
+    assert np.allclose(exact, 4 * ts - 4 * ts ** 2, rtol=1e-12, atol=0)
+    fld = distance_field(np.vstack([square, square[:1]]), square, 2e-3)
+    assert fld.meta["band_cells"] > 0
+    ramp = tube_function(fld, ts).vals
+    assert np.all(np.abs(ramp / exact - 1) <= 1e-5)
+    d = fld.grid.values[fld.inside]
+    count = 4e-6 * (d[:, None] < ts).sum(axis=0)
+    assert np.max(np.abs(count / exact - 1)) > 5e-5
+
+
+def test_sector_tube_times_n_is_the_whole_polygon_tube():
+    # the ramp smooths membership across the curve only, so n mirrored
+    # half-sectors measure what the whole polygon does
+    params = GKCParams(3, 1 / 3)
+    region = snowflake(params, 3)
+    ts = np.geomspace(0.01, 0.08, 10)
+    whole = distance_field(region.closed_boundary, region.boundary, 1e-3)
+    sector = tubes.sector_field(region, 1e-3)
+    v = params.n * tube_function(sector, ts).vals
+    assert np.all(np.abs(v / tube_function(whole, ts).vals - 1) <= 2e-4)
+
+
+@pytest.mark.parametrize("params, level, h", HALF_CASES)
+def test_no_band_cell_lies_across_the_cut_or_below_the_axis(params, level,
+                                                           h):
+    # the half's band is every cell outside it within h/2 of the curve
+    # whose centre lies above the axis and on the sector's side of the
+    # radial cut through the base vertex at angle pi/n
+    curve, upper, fld = half_and_whole(snowflake(params, level), 0, h)
+    gx, gy = np.meshgrid(upper.grid.xs, upper.grid.ys, indexing="ij")
+    cut = np.pi / params.n
+    in_wedge = (gy > 0) & (gx * np.sin(cut) - gy * np.cos(cut) > 0)
+    s = signed_oracle(upper, curve)
+    band = np.isfinite(upper.grid.values) & ~upper.inside
+    assert np.array_equal(band, np.isfinite(s) & ~upper.inside & in_wedge)
+    assert np.array_equal(upper.grid.values[band], s[band])
+    # outside the half-wedge the curve has cells within h/2 too
+    assert np.any(np.isfinite(s) & ~upper.inside & ~in_wedge)
+    assert fld.meta["band_cells"] == 2 * band.sum()
 
 
 def test_tube_monotone_and_bounded():
@@ -463,3 +549,11 @@ def test_antiderivative_identity_k0():
     ts = geometric_grid(1e-4, 1.0, 50)
     f = SampledFunction(ts, np.cos(ts))
     assert antiderivative(f, 0) is f
+
+
+@pytest.mark.parametrize("h, message", [
+    (0, r"^h must be > 0; got 0$"), (-1e-3, r"^h must be > 0; got -0.001$"),
+])
+def test_distance_field_refusal_names_h(h, message):
+    with pytest.raises(ValueError, match=message):
+        distance_field(BOX, BOX, h)

@@ -245,3 +245,8 @@ def test_sector_index_out_of_range():
     region = snowflake(GKCParams(3, 1 / 3), 1)
     with pytest.raises(ValueError):
         sector_region(region, 3)
+
+
+def test_prefractal_refusal_names_the_level():
+    with pytest.raises(ValueError, match=r"^level must be >= 0; got -1$"):
+        prefractal(GKCParams(3, 1 / 3), -1)

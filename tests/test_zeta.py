@@ -621,3 +621,15 @@ def test_gkf_lattice_pole_simplicity(n, r):
     for p in dims.poles:
         assert p.multiplicity == 1
         assert abs(poly.derivative(p.omega)) > 1e-6
+
+
+def test_pole_search_refusals_name_their_values():
+    message = r"^im_max must be > 0; got 0$"
+    with pytest.raises(ValueError, match=message):
+        lattice_poles(detect_lattice(CANTOR), im_max=0)
+    poly = DirichletPoly(RatioMultiset(((0.5, 1), (1 / 3, 1), (0.2, 1))))
+    with pytest.raises(ValueError, match=message):
+        nonlattice_poles(poly, (0.5, 1.5), 0)
+    with pytest.raises(ValueError, match=r"^re_band must be \(a, b\) with "
+                       r"a < b; got \(1.5, 0.5\)$"):
+        nonlattice_poles(poly, (1.5, 0.5), 10.0)
