@@ -19,21 +19,22 @@ h/2 of Ω's boundary, and the inside cells are those of the cell-centre
 count, bit for bit.  A curve with Ω on both of its sides is taken for a
 boundary too, and its tube comes out about h/4 per unit length short.
 
-Distances are exact point-to-segment distances.  The inside cells find
-theirs through a two-level bound on square tiles of TILE x TILE cells
-and their SUB x SUB sub-tiles.  A box of cells whose centres lie within
-r of its centre c need only keep the segments within d_min(c) + 2r of
-c, where d_min(c) is c's nearest distance: a segment farther than that
-is farther from every cell of the box than c's nearest segment.  Per
-row of tiles, every tile with an inside cell applies the bound to every
-segment; every sub-tile with an inside cell applies it again, with its
-own centre and radius, to its tile's segments only, which is exact
-because the sub-tile centre lies in the tile, so its nearest segment
-survived the first pass.  Each inside cell then takes the nearest of
-its sub-tile's segments; every level runs on one set of ragged (point,
-segment) pair arrays per row.  The band is found from the curve
-instead: each segment is measured from the cells around points spaced
-at most h/2 along it (see ``_band``).
+Distances are exact point-to-segment distances, found in one pass of
+nested square boxes of cells, of the sides in SIDES, over strips of the
+grid one root box wide.  A box of cells whose centres lie within r of
+its centre c need only keep the segments within d_min(c) + 2r of c,
+where d_min(c) is c's nearest distance: a segment farther than that is
+farther from every cell of the box than c's nearest segment.  Each root
+box applies the bound to every segment, and each smaller box, with its
+own centre and radius, to its parent's segments only, which is exact
+because its centre lies in its parent, so its nearest segment survived
+the parent's pass.  No cell of a box lies nearer the curve than
+d_min(c) - r, so a box is kept only if it holds an inside cell or
+d_min(c) - r < h/2; the others can hold no inside or band cell, and
+their children are never measured.  Each cell of a kept 2 x 2 box then
+takes the nearest of its box's segments, the inside cells and the band
+alike; every level runs on one set of ragged (point, segment) pair
+arrays per strip.
 
 A snowflake sector is measured in its canonical frame, on one side of
 its mirror axis.  Every (n, r) snowflake is mirror-symmetric about the
@@ -91,10 +92,9 @@ from .vonkoch import snowflake  # noqa: F401
 #: cap on grid cells
 CELL_CAP = 1 << 27
 
-#: side of the square cell tiles that share one pruned segment set
-TILE = 16
-#: side of the sub-tiles that prune their tile's segment set again
-SUB = 4
+#: sides of the nested square boxes of cells that prune the segments,
+#: root first; the grid is measured in strips one root box wide
+SIDES = (64, 16, 4, 2)
 #: the least t whose tube volume a grid of spacing h resolves
 TUBE_FLOOR = ResolutionFloor("5h", lambda h: 5 * h)
 #: largest distance of a rotated boundary vertex from its partner's
@@ -126,9 +126,8 @@ class DistanceField:
     ``grid.values`` holds d(centre, X) in the cells of the ``inside``
     mask, -d(centre, X) in the band, the cells outside Ω within h/2 of
     X, and +inf in every other cell (see the module docstring).  Each
-    distance is the minimum over every segment: the two-level tile bound
-    keeps each inside cell's nearest segment, and ``_band`` each band
-    cell's.
+    distance is the minimum over every segment: the nested boxes' bound
+    keeps every measured cell's nearest segment.
     """
 
     grid: Grid2
@@ -164,10 +163,12 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     The grid covers the region polygon's bounding box; inside membership
     uses the even-odd rule on the region polygon.  A band cell lies
     outside the region within h/2 of the curve, and in every half-plane
-    (p0, normal) of ``wedge``, where (centre - p0) . normal > 0.  The
-    tiles measure the inside cells, and a tile or sub-tile with none is
-    skipped, its centre included; ``_band`` measures the band.  Every
-    other cell holds +inf.  ``meta`` gains h and ``band_cells``.
+    (p0, normal) of ``wedge``, where (centre - p0) . normal > 0.  One
+    pass of nested boxes of the sides in SIDES measures both, a strip
+    of the grid one root box wide at a time: a box that holds no inside
+    cell and whose cells all lie h/2 or more from the curve is dropped,
+    its centre measured but none of its cells.  Every other cell holds
+    +inf.  ``meta`` gains h and ``band_cells``.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0; got {h}")
@@ -187,110 +188,66 @@ def distance_field(curve: np.ndarray, region: np.ndarray, h: float,
     inside = point_in_polygon_mask(xs, ys, poly)
 
     frames = _segment_frames(verts[:-1], verts[1:])
-    nsy = -(-ny // SUB)
-    for tx0 in range(0, nx, TILE):
-        ix, iy = np.nonzero(inside[tx0:tx0 + TILE])
-        if not len(ix):
-            continue
-        # the live sub-tiles of this row of tiles, and the live tiles
-        subs, cell_sub = _live(ix // SUB * nsy + iy // SUB, TILE // SUB * nsy)
-        sx, sy = np.divmod(subs, nsy)
-        tiles, sub_tile = _live(sy // (TILE // SUB), -(-ny // TILE))
-        # a tile keeps the segments within its centre's nearest distance
-        # plus its diameter
-        cx, cy, r = _boxes(xs, ys, np.full_like(tiles, tx0), tiles * TILE,
-                           TILE)
-        d = np.sqrt(_squared_distances(cx[:, None], cy[:, None], frames))
-        near = d <= d.min(axis=1, keepdims=True) + 2.0 * r[:, None]
-        cand, count = np.nonzero(near)[1], near.sum(axis=1)
-        # each sub-tile prunes its tile's segments again
-        cand, count = _prune(*_boxes(xs, ys, tx0 + sx * SUB, sy * SUB, SUB),
-                             *_inherit(cand, count, sub_tile), frames)
-        # and each inside cell takes the nearest of its sub-tile's
-        cand, count = _inherit(cand, count, cell_sub)
-        ix += tx0
-        d2 = _squared_distances(np.repeat(xs[ix], count),
-                                np.repeat(ys[iy], count),
-                                np.take(frames, cand, axis=1))
-        values[ix, iy] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(count)
-                                                     - count))
-    bx, by, d = _band(frames, xs, ys, h, ~inside)
-    keep = np.ones(len(d), dtype=bool)
-    for p0, normal in wedge:
-        keep &= ((xs[bx] - p0[0]) * normal[0]
-                 + (ys[by] - p0[1]) * normal[1] > 0)
-    values[bx[keep], by[keep]] = -d[keep]
+    root, segments, band = SIDES[0], frames.shape[1], 0
+    for x0 in range(0, nx, root):
+        # the strip's inside cells, counted for ``_held``
+        counts = np.zeros((min(root, nx - x0) + 1, ny + 1), dtype=np.int32)
+        np.cumsum(np.cumsum(inside[x0:x0 + root], axis=0, dtype=np.int32),
+                  axis=1, out=counts[1:, 1:])
+        # the strip's root boxes, each with every segment
+        by = np.arange(0, ny, root)
+        bx, box = np.full_like(by, x0), np.zeros_like(by)
+        cand, count = np.arange(segments), np.array([segments])
+        for side, sub in zip(SIDES, SIDES[1:] + (1,)):
+            cand, count = _inherit(cand, count, box)
+            cx, cy, r = _boxes(xs, ys, bx, by, side)
+            cand, count, d_min = _prune(cx, cy, r, cand, count, frames)
+            # a box holds an inside cell or may hold a band cell: none
+            # of its cells lies nearer the curve than d_min - r
+            keep = np.flatnonzero(_held(counts, bx - x0, by, side)
+                                  | (d_min - r < 0.5 * h))
+            bx, by, box = _split(bx[keep], by[keep], side, sub, nx, ny)
+            box = keep[box]
+        # each cell of a kept 2 x 2 box takes the nearest of its box's
+        cand, count = _inherit(cand, count, box)
+        d = np.sqrt(np.minimum.reduceat(
+            _squared_distances(np.repeat(xs[bx], count),
+                               np.repeat(ys[by], count),
+                               np.take(frames, cand, axis=1)),
+            np.cumsum(count) - count))
+        own = inside[bx, by]
+        values[bx[own], by[own]] = d[own]
+        near = ~own & (d < 0.5 * h)
+        for p0, normal in wedge:
+            near &= ((xs[bx] - p0[0]) * normal[0]
+                     + (ys[by] - p0[1]) * normal[1] > 0)
+        values[bx[near], by[near]] = -d[near]
+        band += int(near.sum())
 
     return DistanceField(grid=grid, inside=inside,
                          curve_length=polyline_length(verts),
                          region_area=abs(polygon_area(poly)),
-                         meta={"h": h, "band_cells": int(keep.sum()),
-                               **(meta or {})})
+                         meta={"h": h, "band_cells": band, **(meta or {})})
 
 
-def _band(frames, xs, ys, h, outside):
-    """The cells (bx, by) of the ``outside`` mask, centres xs x ys of
-    spacing h, that lie within h/2 of the segments ``frames``, and their
-    distances d.
-
-    Each segment is cut into parts no longer than h/2, so each of its
-    points lies within h/4 of a cut point, and a centre within h/2 of it
-    within 3h/4 of that cut point: on each axis, one of the two centres
-    around it.  Each segment is measured from the 2 x 2 centres around
-    each of its cut points only, on the grid with a ring of one cell
-    around it, so that every such block is on it.  A band centre's
-    nearest point lies on one of the segments measured from it, so the
-    least of its distances is its distance to the whole curve.
-    """
-    ax, ay, abx, aby, _ = frames
-    # the segments that come within h of the grid's centres
-    near = np.flatnonzero(
-        (np.maximum(ax, ax + abx) > xs[0] - h)
-        & (np.minimum(ax, ax + abx) < xs[-1] + h)
-        & (np.maximum(ay, ay + aby) > ys[0] - h)
-        & (np.minimum(ay, ay + aby) < ys[-1] + h))
-    parts = np.maximum(np.ceil(2.0 * np.hypot(abx[near], aby[near]) / h),
-                       1).astype(int)
-    seg = np.repeat(near, parts + 1)
-    frac = (_ranges(np.zeros_like(parts), parts + 1)
-            / np.repeat(parts, parts + 1))
-    # the 2 x 2 block of each cut point, as indices on the ring grid,
-    # once per run of cut points of a segment in the same block; a cut
-    # point beyond the ring takes a block on its edge, whose distances
-    # are true ones all the same
-    i = np.clip(np.floor((ax[seg] + frac * abx[seg] - xs[0]) / h), -1,
-                len(xs) - 1).astype(int)
-    j = np.clip(np.floor((ay[seg] + frac * aby[seg] - ys[0]) / h), -1,
-                len(ys) - 1).astype(int)
-    new = np.ones(len(seg), dtype=bool)
-    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (seg[1:] != seg[:-1])
-    seg = seg[new]
-    i = i[new, None] + [1, 2, 1, 2]
-    j = j[new, None] + [1, 1, 2, 2]
-    ring_x = np.concatenate([[xs[0] - h], xs, [xs[-1] + h]])
-    ring_y = np.concatenate([[ys[0] - h], ys, [ys[-1] + h]])
-    least = np.full(len(ring_x) * len(ring_y), np.inf)
-    np.minimum.at(least, (i * len(ring_y) + j).ravel(), _squared_distances(
-        ring_x[i], ring_y[j], np.take(frames, seg, axis=1)[..., None]
-    ).ravel())
-    close = np.flatnonzero(least < h * h)
-    d = np.sqrt(least[close])
-    bx, by = np.divmod(close, len(ring_y))
-    bx -= 1
-    by -= 1
-    keep = ((d < 0.5 * h) & (bx >= 0) & (bx < len(xs)) & (by >= 0)
-            & (by < len(ys)))
-    bx, by, d = bx[keep], by[keep], d[keep]
-    keep = outside[bx, by]
-    return bx[keep], by[keep], d[keep]
+def _held(counts, x0, y0, side):
+    """Whether the side x side boxes at corners (x0, y0), cut at the
+    grid's edge, hold a cell of a mask whose running sums along both
+    axes, after a row and a column of zeros, are ``counts``."""
+    x1 = np.minimum(x0 + side, counts.shape[0] - 1)
+    y1 = np.minimum(y0 + side, counts.shape[1] - 1)
+    return (counts[x1, y1] - counts[x0, y1] - counts[x1, y0]
+            + counts[x0, y0] > 0)
 
 
-def _live(key, size):
-    """The distinct values of ``key``, all in [0, size), in increasing
-    order, and the index of each key among them."""
-    seen = np.zeros(size, dtype=bool)
-    seen[key] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+def _split(x0, y0, side, sub, nx, ny):
+    """The corners of the sub x sub boxes that tile the side x side boxes
+    at corners (x0, y0), those on the nx x ny grid, and each one's box."""
+    step = np.arange(0, side, sub)
+    x = (x0[:, None] + np.repeat(step, len(step))).ravel()
+    y = (y0[:, None] + np.tile(step, len(step))).ravel()
+    on = np.flatnonzero((x < nx) & (y < ny))
+    return x[on], y[on], on // len(step) ** 2
 
 
 def _boxes(xs, ys, x0, y0, side):
@@ -313,15 +270,16 @@ def _inherit(cand, count, parent):
 
 def _prune(cx, cy, radii, cand, count, frames):
     """Keep, of the count[j] consecutive entries of cand that box j holds,
-    those within d_min + 2 radii[j] of its centre (cx[j], cy[j]), where
-    d_min is the centre's nearest distance.  Returns cand and count."""
+    those within d_min[j] + 2 radii[j] of its centre (cx[j], cy[j]), where
+    d_min[j] is the centre's nearest distance among them.  Returns cand,
+    count and d_min."""
     d = np.sqrt(_squared_distances(np.repeat(cx, count),
                                    np.repeat(cy, count),
                                    np.take(frames, cand, axis=1)))
     first = np.cumsum(count) - count
-    keep = d <= np.repeat(np.minimum.reduceat(d, first) + 2.0 * radii,
-                          count)
-    return cand[keep], np.add.reduceat(keep, first)
+    d_min = np.minimum.reduceat(d, first)
+    keep = d <= np.repeat(d_min + 2.0 * radii, count)
+    return cand[keep], np.add.reduceat(keep, first), d_min
 
 
 def sector_half(region: SnowflakeRegion, index: int

@@ -6,7 +6,7 @@ import pytest
 from fractaldims import tubes
 from fractaldims.errors import GeometryError, ResolutionError
 from fractaldims.sampled import SampledFunction, antiderivative, geometric_grid
-from fractaldims.tubes import (SUB, TILE, distance_field, grid_error_budget,
+from fractaldims.tubes import (SIDES, distance_field, grid_error_budget,
                                minkowski_fit, prefractal_gap, tube_function,
                                verify_gkf_sfe)
 from fractaldims.vonkoch import (GKCParams, prefractal, sector_region,
@@ -16,6 +16,10 @@ from conftest import Similitude, polygon_tube_volume
 from test_geom import points_to_segments_distance
 
 BOX = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 1.5], [-1.0, 1.5]])
+#: relative error of the ramp against the polygon oracle at h <= 2e-3,
+#: t in [5h, 0.02]: the 45-degree edges of the (4, 0.24) polygons come
+#: nearest, 1.99e-3 at their worst t
+POLYGON_RTOL = 2e-3
 
 
 def rotated_segment(angle=0.3, offset=(0.01637, 0.02843)):
@@ -59,9 +63,19 @@ def signed_oracle(fld, curve):
     return np.where(fld.inside, d, np.where(d < fld.h / 2, -d, np.inf))
 
 
+def boxes_held(inside, side):
+    """Whether each side x side box of cells, cut at the grid's edge,
+    holds an inside cell."""
+    nx, ny = inside.shape
+    padded = np.zeros((-(-nx // side) * side, -(-ny // side) * side), bool)
+    padded[:nx, :ny] = inside
+    return padded.reshape(len(padded) // side, side, -1, side).any(
+        axis=(1, 3))
+
+
 def test_pruned_field_is_exact():
-    # per-tile and per-sub-tile segment pruning must not change a single
-    # inside or band cell, and no other cell is measured
+    # pruning the segments box by box must not change a single inside
+    # or band cell, and no other cell is measured
     sf3 = snowflake(GKCParams(3, 1 / 3), 3)
     sf4 = snowflake(GKCParams(4, 0.24), 3)
     koch = prefractal(GKCParams(3, 1 / 3), 3)
@@ -71,8 +85,8 @@ def test_pruned_field_is_exact():
     zero = np.insert(zero, 7, zero[7], axis=0)  # segment 7 has length 0
     triangle = np.array([[-0.1, -0.3], [1.1, -0.3], [0.5, 0.9]])
     cases = [(sf3.boundary, sector_region(sf3, 0), 1e-2),
-             # 187 x 323 and 65 x 39 cells: no side a multiple of SUB,
-             # so tiles and sub-tiles are cut at the grid's edges
+             # 187 x 323 and 65 x 39 cells: no side a multiple of a
+             # box side, so the boxes are cut at the grid's edges
              (sf3.closed_boundary, sector_region(sf3, 1), 3.1e-3),
              (koch, pentagon, 0.0233),
              (zero, triangle, 7e-3),
@@ -85,15 +99,22 @@ def test_pruned_field_is_exact():
         assert np.array_equal(fld.grid.values, signed_oracle(fld, curve))
         band = np.isfinite(fld.grid.values) & ~fld.inside
         assert fld.meta["band_cells"] == band.sum()
+        # a 2 x 2 box with no inside cell is kept for its band cells
+        bx, by = np.nonzero(band)
+        assert (~boxes_held(fld.inside, 2)[bx // 2, by // 2]).any() == \
+            band.any()
         shapes.append((fld.grid.nx, fld.grid.ny))
     assert shapes[1:3] == [(187, 323), (65, 39)]
-    assert all(n % SUB and n % TILE for n in (187, 323, 65, 39))
+    assert all(n % side for n in (187, 323, 65, 39) for side in SIDES)
 
 
-def test_sub_tiles_prune_the_pairs(monkeypatch):
-    # the (3, 1/3) L4 sector at h = 3e-3: the tile bound alone measures
-    # 36 segments per inside cell; with the sub-tiles, 7
-    region = snowflake(GKCParams(3, 1 / 3), 4)
+@pytest.mark.parametrize("level, h, bound", [(4, 3e-3, 13), (5, 1e-3, 16)])
+def test_nested_boxes_prune_the_pairs(monkeypatch, level, h, bound):
+    # the CLI's (3, 1/3) half-sectors: the kernel measures 11.9 (point,
+    # segment) pairs per inside or band cell at L4, 12.9 at L5; boxes of
+    # 16 cells pruned from every segment, then 4-cell boxes, need 14.0
+    # and 24.8
+    region = snowflake(GKCParams(3, 1 / 3), level)
     kernel, pairs = tubes._squared_distances, []
 
     def counting_kernel(px, py, frames):
@@ -102,30 +123,18 @@ def test_sub_tiles_prune_the_pairs(monkeypatch):
         return d2
 
     monkeypatch.setattr(tubes, "_squared_distances", counting_kernel)
-    fld = distance_field(region.closed_boundary, sector_region(region, 0),
-                         3e-3)
-    inside = int(fld.inside.sum())
-    # per row of tiles: the tile table, the sub-tile pairs, the cell
-    # pairs; then the band's pairs, about 3% as many
-    *rows, band = pairs
-    cells = sum(rows[2::3])
-    assert cells < 8 * inside
-    assert sum(rows) < 14 * inside
-    assert band < 0.05 * sum(rows)
+    fld = tubes.sector_field(region, h)
+    assert sum(pairs) < bound * fld.meta["cells_measured"]
 
 
 def test_tiles_without_inside_cells_are_skipped():
-    # the sector's bounding box holds whole tiles outside Ω; skipping
-    # them must leave every inside and band cell measured, and the tube
-    # function is the ramp summed cell by cell
+    # the sector's bounding box holds whole 16 x 16 boxes outside Ω;
+    # dropping them must leave every inside and band cell measured, and
+    # the tube function is the ramp summed cell by cell
     region = snowflake(GKCParams(3, 1 / 3), 3)
     curve = region.closed_boundary
     fld = distance_field(curve, sector_region(region, 0), h=2e-3)
-    nx, ny = fld.grid.nx, fld.grid.ny
-    padded = np.zeros((-(-nx // TILE) * TILE, -(-ny // TILE) * TILE), bool)
-    padded[:nx, :ny] = fld.inside
-    tiles = padded.reshape(len(padded) // TILE, TILE, -1, TILE)
-    assert not tiles.any(axis=(1, 3)).all()
+    assert not boxes_held(fld.inside, SIDES[1]).all()
     s = signed_oracle(fld, curve)
     assert np.array_equal(fld.grid.values, s)
     s, h = s[np.isfinite(s)], fld.h
@@ -176,8 +185,8 @@ def test_snowflake_tube_sees_the_closing_edge():
     assert fld.curve_length == pytest.approx(64 / 9, rel=1e-12)
 
 
-#: (params, level, h) of the half-sector tests: every half grid is cut
-#: at its edges, no side a multiple of SUB
+#: (params, level, h) of the half-sector tests: every half grid cuts the
+#: boxes of sides 4 and up at its edges, no side a multiple of 4
 HALF_CASES = [(GKCParams(3, 1 / 3), 3, 1e-2),
               (GKCParams(3, 1 / 3), 4, 3e-3),
               (GKCParams(4, 0.24), 3, 3.1e-3),
@@ -202,7 +211,7 @@ def test_half_sector_field_is_exact_and_mirrored(params, level, h):
     assert np.array_equal(b[np.lexsort(b.T)],
                           mirrored[np.lexsort(mirrored.T)])
     nx, ny = upper.grid.nx, upper.grid.ny
-    assert nx % SUB and ny % SUB
+    assert all(n % side for n in (nx, ny) for side in SIDES[:-1])
     assert upper.grid.bbox[1] == 0.0
     # the upper half is the exact minimum over every stored segment
     gx, gy = np.meshgrid(upper.grid.xs, upper.grid.ys, indexing="ij")
@@ -324,6 +333,24 @@ def test_ramp_on_the_rotated_square():
     d = fld.grid.values[fld.inside]
     count = 4e-6 * (d[:, None] < ts).sum(axis=0)
     assert np.max(np.abs(count / exact - 1)) > 5e-5
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3])
+def test_ramp_is_within_the_polygon_oracle_budget(h):
+    # before the first offset event the whole polygon's tube is exactly
+    # P t - K t^2; from t = 5h (TUBE_FLOOR) the ramp stays within
+    # POLYGON_RTOL of it, on grid-slanted and 45-degree edges alike
+    rot = np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    polygons = [snowflake(GKCParams(3, 1 / 3), 3).boundary,
+                snowflake(GKCParams(4, 0.24), 2).boundary,
+                square @ rot + [0.123, 0.0456]]
+    ts = np.geomspace(5 * h, 0.02, 24)
+    for polygon in polygons:
+        fld = distance_field(np.vstack([polygon, polygon[:1]]), polygon, h)
+        exact = polygon_tube_volume(polygon, ts)
+        ramp = tube_function(fld, ts).vals
+        assert np.all(np.abs(ramp / exact - 1) <= POLYGON_RTOL)
 
 
 def test_sector_tube_times_n_is_the_whole_polygon_tube():
